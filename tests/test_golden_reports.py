@@ -65,6 +65,7 @@ CASES = {
     "verify_all_saddle": ("verify-all", _saddle, ()),
     "verify_all_tolerance_overrides": ("verify-all", _overrides, ()),
     "verify_all_ew_tol_scale": ("verify-all", "ew-reference", ("--tol-scale", "1e-12")),
+    "verify_all_ew_tol_scale_zero": ("verify-all", "ew-reference", ("--tol-scale", "0")),
     "verify_all_ew_csv": ("verify-all", "ew-reference", ("--format", "csv")),
     "break_ew": ("break", "ew-reference", ()),
     "masses_ew": ("masses", "ew-reference", ()),
