@@ -61,7 +61,6 @@ from .yukawa_mass import (
     YukawaMap,
     apply_yukawa,
     check_equivariance,
-    eigenbundle_decomposition,
     lemma_verify,
     mass_data_from_operator,
     mass_matrix,

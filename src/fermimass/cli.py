@@ -7,12 +7,11 @@ Exit codes: 0 all checks passed, 1 invariant failure, 2 input error.
 import argparse
 import sys
 
-from .model_config import ModelError
 from .reference import REGISTRY, resolve_model
-from .reports import cmd_break, cmd_check, cmd_lattice, cmd_masses, cmd_verify_all
+from .reports import Run, cmd_break, cmd_check, cmd_lattice, cmd_masses, cmd_verify_all
 
 COMMANDS = {
-    "check": None,
+    "check": cmd_check,
     "break": cmd_break,
     "masses": cmd_masses,
     "lattice": cmd_lattice,
@@ -56,24 +55,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_model(args.model)
-    except ModelError as exc:
+        report = COMMANDS[args.command](Run(cfg, args.tol_scale))
+    except (OSError, ValueError) as exc:
+        # a ModelError is a ValueError; some input problems only surface
+        # mid-run, e.g. a Wilson theta width that disagrees with the
+        # computed isotropy dimension
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "check":
-        report = cmd_check(cfg)
-    else:
-        try:
-            tol = cfg.build_tolerances(scale=args.tol_scale)
-            report = COMMANDS[args.command](cfg, tol)
-        except (ModelError, ValueError) as exc:
-            # input problems that only surface mid-run, e.g. a Wilson theta
-            # width that disagrees with the computed isotropy dimension
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:

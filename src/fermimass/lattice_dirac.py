@@ -341,7 +341,7 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None, constancy_tol=None):
 class LagrangianDensity:
     """Fiber trace of the Dirac potential per site, with the volume element.
 
-    The trace runs over the full spinor x internal fiber; internal_trace
+    per_site_trace is the scalar density the potential carries.  The trace runs over the full spinor x internal fiber; internal_trace
     divides out the spinor dimension so readings that count only the
     internal factor are recoverable.  scalar_curvature is carried as a
     symbolic zero: on a curved base the fiber trace also contains one
@@ -352,7 +352,6 @@ class LagrangianDensity:
 
     per_site_trace: float
     volume_element: float
-    density: float
     spinor_dim: int
     internal_trace: float
     scalar_curvature: float = 0.0
@@ -369,7 +368,6 @@ def lagrangian_density(v_op, lat):
     return LagrangianDensity(
         per_site_trace=per_site,
         volume_element=float(lat.a ** lat.dim),
-        density=per_site,
         spinor_dim=v_op.spinor_dim,
         internal_trace=per_site / v_op.spinor_dim,
     )

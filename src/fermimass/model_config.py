@@ -101,6 +101,17 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+@dataclass(frozen=True)
+class BuiltModel:
+    """The runtime objects built from a model file's representations; the
+    lattice, the Clifford algebra and the Wilson line have their own builders."""
+
+    higgs: HiggsModel
+    seed: np.ndarray
+    frep: ChiralFermionRep
+    ymap: YukawaMap
+
+
 @dataclass
 class ModelConfig:
     """Plain-data mirror of a model file, with builders for runtime objects."""
@@ -115,6 +126,8 @@ class ModelConfig:
     lattice: dict
     wilson: dict = None
     tolerances: dict = field(default_factory=dict)
+    # (the model data as canonical JSON, the BuiltModel made from it)
+    _built: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- serialization ------------------------------------------------
 
@@ -189,9 +202,24 @@ class ModelConfig:
         except ValueError as exc:
             raise ModelError(f"{path}: {exc}") from exc
 
-    def build_higgs_model(self):
+    def build(self):
+        """The model's runtime objects, each representation decoded once.
+
+        The objects are kept until the model data changes, so load-time
+        validation and the commands that follow share them.
+        """
+        data = json.dumps(self.to_json_dict(), sort_keys=True)
+        if self._built is not None and self._built[0] == data:
+            return self._built[1]
+        reps = {name: self.build_rep(name) for name in self.representations}
+
+        def rep(section, path, key):
+            name = _require(section, key, path, str)
+            # build_rep raises the error naming an undefined representation
+            return reps[name] if name in reps else self.build_rep(name)
+
         path = "higgs"
-        rep = self.build_rep(_require(self.higgs, "rep", path, str))
+        higgs_rep = rep(self.higgs, path, "rep")
         kind = _require(self.higgs, "potential", path, str)
         params_obj = _require(self.higgs, "params", path)
         if kind == "mexican_hat":
@@ -205,20 +233,15 @@ class ModelConfig:
         else:
             raise ModelError(f"{path}.potential: unknown kind {kind!r}")
         try:
-            return HiggsModel(rep=rep, potential_kind=kind, params=params)
+            higgs = HiggsModel(rep=higgs_rep, potential_kind=kind, params=params)
         except ValueError as exc:
             raise ModelError(f"{path}: {exc}") from exc
+        nh = higgs_rep.rep_dim
+        seed = decode_complex_vector(_require(self.higgs, "seed", path), "higgs.seed", length=nh)
 
-    def higgs_seed(self):
-        rep = self.build_rep(_require(self.higgs, "rep", "higgs", str))
-        return decode_complex_vector(
-            _require(self.higgs, "seed", "higgs"), "higgs.seed", length=rep.rep_dim
-        )
-
-    def build_fermion_rep(self):
         path = "fermions"
-        rep_l = self.build_rep(_require(self.fermions, "rep_left", path, str))
-        rep_r = self.build_rep(_require(self.fermions, "rep_right", path, str))
+        rep_l = rep(self.fermions, path, "rep_left")
+        rep_r = rep(self.fermions, path, "rep_right")
         try:
             frep = ChiralFermionRep(rep_L=rep_l, rep_R=rep_r)
         except ValueError as exc:
@@ -228,14 +251,10 @@ class ModelConfig:
             want = [1] * frep.n_left + [-1] * frep.n_right
             if list(grading) != want:
                 raise ModelError(f"{path}.grading: expected {want} for this left/right split")
-        return frep
 
-    def build_yukawa(self, frep=None):
         path = "yukawa"
-        frep = frep or self.build_fermion_rep()
-        higgs_rep = self.build_rep(_require(self.higgs, "rep", "higgs", str))
         raw = _require(self.yukawa, "tensor", path, list)
-        nl, nr, nh = frep.n_left, frep.n_right, higgs_rep.rep_dim
+        nl, nr = frep.n_left, frep.n_right
         if len(raw) != nl:
             raise ModelError(f"{path}.tensor: expected {nl} left slots, got {len(raw)}")
         tensor = np.zeros((nl, nr, nh), dtype=complex)
@@ -249,7 +268,23 @@ class ModelConfig:
         flags = self.yukawa.get("conjugate_higgs", [False] * nh)
         if not isinstance(flags, list) or len(flags) != nh or not all(isinstance(f, bool) for f in flags):
             raise ModelError(f"{path}.conjugate_higgs: expected {nh} booleans")
-        return YukawaMap(tensor=tensor, conj_flags=tuple(flags))
+        ymap = YukawaMap(tensor=tensor, conj_flags=tuple(flags))
+
+        self._built = (data, BuiltModel(higgs, seed, frep, ymap))
+        return self._built[1]
+
+    def build_higgs_model(self):
+        return self.build().higgs
+
+    def higgs_seed(self):
+        return self.build().seed
+
+    def build_fermion_rep(self):
+        return self.build().frep
+
+    def build_yukawa(self, frep=None):
+        """The coupling map; frep is accepted for older callers and ignored."""
+        return self.build().ymap
 
     def build_lattice(self):
         path = "lattice"
@@ -301,34 +336,27 @@ class ModelConfig:
 
 
 def validate_model(cfg):
-    """Re-validate every numeric invariant carried by a model file."""
+    """Re-validate every numeric invariant carried by a model file; return cfg.build()."""
     if not isinstance(cfg.generator_labels, list) or not all(
         isinstance(v, str) for v in cfg.generator_labels
     ):
         raise ModelError("algebra.generator_labels: expected a list of strings")
     if not cfg.generator_labels:
         raise ModelError("algebra.generator_labels: at least one generator required")
-    for name in cfg.representations:
-        cfg.build_rep(name)
-    model = cfg.build_higgs_model()
-    cfg.higgs_seed()
-    frep = cfg.build_fermion_rep()
-    higgs_rep = model.rep
-    if higgs_rep.dim_g != frep.total.dim_g:
-        raise ModelError("fermions: representations do not share the algebra generator list")
-    cfg.build_yukawa(frep)
+    built = cfg.build()
     lat = cfg.build_lattice()
     if cfg.wilson is not None:
         theta = _require(cfg.wilson, "theta", "wilson", list)
         if len(theta) != lat.dim:
             raise ModelError(f"wilson.theta: expected {lat.dim} axis rows, got {len(theta)}")
-    cfg.build_tolerances()
-    res = invariance_residual(model, n_samples=6, seed=7)
-    if res > DEFAULT.invariance:
+    tol = cfg.build_tolerances()
+    res = invariance_residual(built.higgs, n_samples=6, seed=7)
+    if res > tol.invariance:
         raise ModelError(
             f"higgs: potential is not invariant under the representation "
-            f"(relative residual {res:.3e} > {DEFAULT.invariance:.0e})"
+            f"(relative residual {res:.3e} > {tol.invariance:.0e})"
         )
+    return built
 
 
 def load_model(path):

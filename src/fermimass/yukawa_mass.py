@@ -175,6 +175,15 @@ class MassData:
         return -(self.D_matrix @ self.D_matrix)
 
 
+def _squared_spectrum(M, n_left, n_right):
+    """Sorted squared masses over the graded fiber: each singular value of M
+    once per chirality, zero for the unpaired slots."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.sort(
+        np.concatenate([s ** 2, np.zeros(n_left - s.size), s ** 2, np.zeros(n_right - s.size)])
+    )
+
+
 def _decompose(M, group_tol):
     """Group the SVD of M into shared-eigenvalue blocks, zero modes included."""
     nl, nr = M.shape
@@ -227,14 +236,10 @@ def mass_data_from_operator(D, n_left, n_right, block_tol=None, group_tol=None):
             f"mass endomorphism is not odd: diagonal blocks reach {diag_dev:.3e}"
         )
     M = (-1j * D)[:n_left, n_left:]
-    s = np.linalg.svd(M, compute_uv=False)
-    spectrum = np.sort(
-        np.concatenate([s ** 2, np.zeros(n_left - s.size), s ** 2, np.zeros(n_right - s.size)])
-    )
     return MassData(
         D_matrix=D,
         M_F=M,
-        spectrum_sq=spectrum,
+        spectrum_sq=_squared_spectrum(M, n_left, n_right),
         eigenspaces=_decompose(M, group_tol),
         n_left=n_left,
         n_right=n_right,
@@ -247,11 +252,6 @@ def mass_matrix(ymap, vac, block_tol=None, group_tol=None):
     return mass_data_from_operator(
         D, ymap.n_left, ymap.n_right, block_tol=block_tol, group_tol=group_tol
     )
-
-
-def eigenbundle_decomposition(md):
-    """Eigenvalue blocks (m^2, left basis, right basis) of the squared mass."""
-    return list(md.eigenspaces)
 
 
 def reconstruction_residual(md):
@@ -355,12 +355,7 @@ def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204,
         g = exp_map(model.rep, coeffs)
         moved = apply_yukawa(ymap, g @ vac.z0)
         M = (-1j * moved)[: md.n_left, md.n_left :]
-        s = np.linalg.svd(M, compute_uv=False)
-        spec = np.sort(
-            np.concatenate(
-                [s ** 2, np.zeros(md.n_left - s.size), s ** 2, np.zeros(md.n_right - s.size)]
-            )
-        )
+        spec = _squared_spectrum(M, md.n_left, md.n_right)
         orbit_dev = max(orbit_dev, float(np.max(np.abs(spec - base))))
         g_f = exp_map(frep.total, coeffs)
         carried = g_f @ md.D_matrix @ g_f.conj().T

@@ -19,7 +19,6 @@ from fermimass import (
     canonical_xi,
     check_equivariance,
     dirac_potential,
-    eigenbundle_decomposition,
     exp_map,
     expected_squared_spectrum,
     fluctuation_operator,
@@ -105,7 +104,7 @@ def test_criterion_03_lemma_verification(ew_cfg, ew_higgs, ew_vac, ew_frep, ew_y
 
 def test_criterion_04_eigenbundle_split(ew_md):
     # oracle: eigen-decomposition of diag(0, y_e^2 v^2) = diag(0, 1)
-    blocks = eigenbundle_decomposition(ew_md)
+    blocks = ew_md.eigenspaces
     assert len(blocks) == 2
     massless, massive = blocks
     assert massless.m2 == 0.0
@@ -148,14 +147,14 @@ def test_criterion_06_dirac_potential_and_density(ew_md, ew_frep):
     dens = lagrangian_density(vd, lat)
     trace_want = 2.0 * float(ew_md.spectrum_sq.sum())  # 2^n sum m^2 = 4
     assert abs(dens.per_site_trace - trace_want) <= 1e-9
-    assert abs(dens.density - 2.0 * 3.0 * mean_mass(ew_md)) <= 1e-12
+    assert abs(dens.per_site_trace - 2.0 * 3.0 * mean_mass(ew_md)) <= 1e-12
     # massless case: the density vanishes exactly
     for L in (2, 4):
         lat0 = TorusLattice(n=1, L=L, a=1.0)
         op0 = build_vacuum_dirac(lat0, cl, None, ew_frep)
         lap0 = bochner_laplacian(build_vacuum_connection(lat0, cl, None, ew_frep))
         dens0 = lagrangian_density(dirac_potential(op0, lap0), lat0)
-        assert dens0.density == 0.0
+        assert dens0.per_site_trace == 0.0
     _announce(6, "Dirac potential site-diagonal, trace 2^n sum m^2, massless density 0")
 
 

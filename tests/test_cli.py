@@ -206,3 +206,31 @@ def test_u1_massive_model_verifies(capsys, tmp_path):
     # fermion mass y v = 0.3 appears squared on both chiralities
     assert doc["data"]["masses"]["spectrum_sq"] == pytest.approx([0.09, 0.09])
     assert doc["data"]["lattice"]["flat"] is False
+
+
+def test_non_equivariant_model_is_exit_one_with_a_report(capsys, tmp_path):
+    # the Wilson charge is not scalar on the mass blocks of a non-equivariant
+    # coupling: an invariant failure of a valid file, not an input error
+    path = tmp_path / "perturbed.json"
+    save_model(ew_reference(y_right=-2.1), path)
+    code, out, err = run(capsys, "lattice", "--model", str(path))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert [c["id"] for c in doc["checks"] if not c["passed"]] == ["lattice.wilson_charge_scalar"]
+    assert "Wilson charge is not scalar" in doc["data"]["error"]
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (1, "")
+    failed = {c["id"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert {"masses.equivariance", "lattice.wilson_charge_scalar"} <= failed
+
+
+def test_tightened_hermiticity_is_a_failing_check(capsys, tmp_path):
+    # at L = 3 the operator is Hermitian to ~1e-16, above 1e-10 * 1e-12
+    cfg = ew_reference()
+    cfg.lattice["sites_per_dim"] = 3
+    path = tmp_path / "ew-l3.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "lattice", "--model", str(path), "--tol-scale", "1e-12")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert [c["id"] for c in doc["checks"] if not c["passed"]][-1] == "lattice.hermiticity"

@@ -240,7 +240,7 @@ def test_dirac_potential_zero_mass_exact(ew):
     vd = dirac_potential(op, lap)
     assert not vd.matrix.any()  # exact zero matrix at L = 2
     dens = lagrangian_density(vd, lat)
-    assert dens.density == 0.0
+    assert dens.per_site_trace == 0.0
 
 
 def test_dirac_potential_zero_mass_trace_exact_L4(ew):
@@ -249,7 +249,7 @@ def test_dirac_potential_zero_mass_trace_exact_L4(ew):
     lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     vd = dirac_potential(op, lap)
     assert vd.offsite_leakage() <= 1e-13
-    assert lagrangian_density(vd, lat).density == 0.0
+    assert lagrangian_density(vd, lat).per_site_trace == 0.0
 
 
 def test_dirac_potential_ew_is_mass_square(ew):
@@ -302,7 +302,7 @@ def test_density_identity_with_mean_mass(ew):
     lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     dens = lagrangian_density(dirac_potential(op, lap), lat)
     # density = 2^n N_F <m^2>
-    assert abs(dens.density - 2 * 3 * mean_mass(ew.md)) <= 1e-12
+    assert abs(dens.per_site_trace - 2 * 3 * mean_mass(ew.md)) <= 1e-12
 
 
 def test_mean_mass_values(ew):

@@ -159,3 +159,11 @@ def test_builders_produce_consistent_objects():
     assert ymap.tensor.shape == (2, 1, 2)
     assert lat.n == cl.n == 1
     assert np.asarray(cfg.higgs_seed()).shape == (2,)
+
+
+def test_invariance_override_reaches_validation():
+    # the reference potential's invariance residual is about 1e-15
+    cfg = ew_reference()
+    cfg.tolerances = {"invariance": 1e-30}
+    with pytest.raises(ModelError, match="not invariant"):
+        validate_model(cfg)

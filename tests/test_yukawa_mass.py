@@ -9,7 +9,6 @@ from fermimass import (
     apply_yukawa,
     check_equivariance,
     commutant_check,
-    eigenbundle_decomposition,
     exp_map,
     lemma_verify,
     mass_matrix,
@@ -140,7 +139,7 @@ def test_eigenbundles_ew(ew_md):
     # eigen-decomposition oracle of diag(0, 1): the massless block is the
     # first left slot with no right partner, the m^2 = 1 block pairs one
     # left and one right direction
-    blocks = eigenbundle_decomposition(ew_md)
+    blocks = ew_md.eigenspaces
     assert len(blocks) == 2
     zero, massive = blocks
     assert zero.m2 == 0.0
@@ -158,7 +157,7 @@ def test_eigenbundles_two_generations_distinct():
     D[:2, 2:] = 1j * M
     D[2:, :2] = 1j * M.conj().T
     md = mass_data_from_operator(D, 2, 2)
-    blocks = eigenbundle_decomposition(md)
+    blocks = md.eigenspaces
     assert [round(b.m2, 12) for b in blocks] == [round(y1 ** 2, 12), round(y2 ** 2, 12)]
     assert all(b.left_dim == 1 and b.right_dim == 1 for b in blocks)
 
@@ -170,7 +169,7 @@ def test_eigenbundles_degenerate_generations_group():
     D[:2, 2:] = 1j * M
     D[2:, :2] = 1j * M.conj().T
     md = mass_data_from_operator(D, 2, 2)
-    blocks = eigenbundle_decomposition(md)
+    blocks = md.eigenspaces
     assert len(blocks) == 1
     assert blocks[0].left_dim == 2 and blocks[0].right_dim == 2
 
