@@ -140,12 +140,13 @@ class LatticeOperator:
     def offsite_leakage(self):
         """Largest entry outside the site-diagonal blocks."""
         S, F = self.lattice.n_sites, self.fiber_dim
-        if S == 1:
-            return 0.0
-        blocks = np.abs(self.matrix.reshape(S, F, S, F)).copy()
-        idx = np.arange(S)
-        blocks[idx, :, idx, :] = 0.0
-        return float(blocks.max())
+        rows = self.matrix.reshape(S, F, S, F)
+        leak = 0.0
+        for x in range(S):
+            # one site's rows at a time: no temporary of the full size
+            off = np.delete(rows[x], x, axis=1)
+            leak = max(leak, float(np.max(np.abs(off), initial=0.0)))
+        return leak
 
 
 @dataclass(frozen=True)
@@ -287,13 +288,19 @@ def build_vacuum_connection(lat, cl, md, frep, wl=None):
 
 
 def contraction_residual(conn, cl, dirac_op):
-    """Max deviation of sum_a gamma^a conn_a from the Dirac operator."""
-    lat = dirac_op.lattice
-    nf = dirac_op.internal_dim
-    total = np.zeros_like(dirac_op.matrix)
-    for a, comp in enumerate(conn):
-        total += _lift_fiber(lat, np.kron(cl.gamma_upper(a), np.eye(nf))) @ comp.matrix
-    return float(np.max(np.abs(total - dirac_op.matrix)))
+    """Max deviation of sum_a gamma^a conn_a from the Dirac operator.
+
+    gamma^a x 1 acts within a site's fiber, so it is applied to the rows
+    of one site at a time.
+    """
+    F = dirac_op.fiber_dim
+    gammas = [np.kron(cl.gamma_upper(a), np.eye(dirac_op.internal_dim)) for a in range(len(conn))]
+    residual = 0.0
+    for x in range(dirac_op.lattice.n_sites):
+        rows = slice(x * F, (x + 1) * F)
+        total = sum(g @ comp.matrix[rows] for g, comp in zip(gammas, conn))
+        residual = max(residual, float(np.max(np.abs(total - dirac_op.matrix[rows]))))
+    return residual
 
 
 def bochner_laplacian(conn):
@@ -307,7 +314,7 @@ def bochner_laplacian(conn):
     )
 
 
-def dirac_potential(dirac_op, laplacian, offsite_tol=None, constancy_tol=None):
+def dirac_potential(dirac_op, laplacian, offsite_tol=None):
     """V = (i D)^2 - Laplacian, validated to be a multiplication operator.
 
     Raises NotMultiplicationOperator when off-site entries exceed the
@@ -316,7 +323,6 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None, constancy_tol=None):
     deviation is recorded in meta.
     """
     offsite_tol = DEFAULT.potential_offsite_error if offsite_tol is None else offsite_tol
-    constancy_tol = DEFAULT.potential_constancy if constancy_tol is None else constancy_tol
     if dirac_op.matrix.shape != laplacian.matrix.shape:
         raise ValueError("operator and Laplacian act on different spaces")
     V = -(dirac_op.matrix @ dirac_op.matrix) - laplacian.matrix
@@ -333,7 +339,6 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None, constancy_tol=None):
     deviation = float(np.max(np.abs(blocks - blocks.mean(axis=0)))) if blocks.shape[0] else 0.0
     out.meta["offsite_leakage"] = leak
     out.meta["site_block_deviation"] = deviation
-    out.meta["site_blocks_constant"] = bool(deviation <= constancy_tol)
     return out
 
 
@@ -384,13 +389,13 @@ def mean_mass(md):
 class CurvatureResult:
     """Antisymmetric curvature components with the closed-form residual."""
 
-    components: tuple   # ((a, b), LatticeOperator) for a < b
+    components: tuple   # ((a, b), fiber matrix) for a < b
     residual: float
 
     def max_component_norm(self):
         if not self.components:
             return 0.0
-        return max(float(np.max(np.abs(op.matrix))) for _, op in self.components)
+        return max(float(np.max(np.abs(F))) for _, F in self.components)
 
     def is_flat(self, tol=None):
         tol = DEFAULT.curvature if tol is None else tol
@@ -400,34 +405,38 @@ class CurvatureResult:
 def relative_curvature(conn, cl, md, frep):
     """Curvature of the vacuum connection against squared-mass x (xi wedge xi).
 
-    F_ab is assembled from the zero-order parts omega_a of the covariant
-    derivative components as [d_a, omega_b] - [d_b, omega_a] +
-    [omega_a, omega_b]; the residual compares it with
-    (xi_a xi_b - xi_b xi_a) x (-D_int^2).
+    The zero-order part omega_a = conn_a - d_a x 1 of each component must
+    be site-constant: no off-site entry and the same block at every site,
+    checked exactly; a ValueError names the component that is not.  Then
+    [d_a, omega_b] = 0, so F_ab = [omega_a, omega_b] is a fiber matrix.
+    The components are these (2^n N_F)-square fiber blocks, and the
+    residual compares each with (xi_a xi_b - xi_b xi_a) x (-D_int^2).
     """
     lat = conn[0].lattice
     nf = frep.n_total
     fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
     m2_int = -(d_int @ d_int)
-    plain = [np.kron(lat.site_derivative(a), np.eye(fiber, dtype=complex)) for a in range(lat.dim)]
-    omega = [conn[a].matrix - plain[a] for a in range(lat.dim)]
+    omega = []
+    for a, comp in enumerate(conn):
+        zero_order = LatticeOperator(comp.matrix.copy(), lat, cl.spinor_dim, nf)
+        d_a = lat.site_derivative(a)
+        for f in range(fiber):
+            # in place, so the difference is the only full-size array
+            zero_order.matrix[f::fiber, f::fiber] -= d_a
+        blocks = zero_order.site_diagonal_blocks()
+        if zero_order.offsite_leakage() != 0.0 or np.any(blocks != blocks[0]):
+            raise ValueError(f"zero-order part of connection component {a} is not site-constant")
+        omega.append(blocks[0])
     c = cl.xi_scale
     comps = []
     residual = 0.0
     for a in range(lat.dim):
         for b in range(a + 1, lat.dim):
-            F = (
-                plain[a] @ omega[b] - omega[b] @ plain[a]
-                - plain[b] @ omega[a] + omega[a] @ plain[b]
-                + omega[a] @ omega[b] - omega[b] @ omega[a]
-            )
+            F = omega[a] @ omega[b] - omega[b] @ omega[a]
             wedge = c * c * (cl.gamma[a] @ cl.gamma[b] - cl.gamma[b] @ cl.gamma[a])
-            expected = _lift_fiber(lat, np.kron(wedge, m2_int))
-            residual = max(residual, float(np.max(np.abs(F - expected))))
-            comps.append(
-                ((a, b), LatticeOperator(F, lat, cl.spinor_dim, nf, kind=f"curvature_{a}{b}"))
-            )
+            residual = max(residual, float(np.max(np.abs(F - np.kron(wedge, m2_int)))))
+            comps.append(((a, b), F))
     return CurvatureResult(components=tuple(comps), residual=residual)
 
 
@@ -542,7 +551,7 @@ def _mass_blocks_full_fiber(md, nf):
     return blocks
 
 
-def branch_momentum_shifts(lat, md, frep, wl, charge_tol=1e-10):
+def branch_momentum_shifts(lat, md, frep, wl):
     """Per-branch, per-axis momentum shifts q_a induced by a Wilson line.
 
     The shift of a branch is the charge of its eigenbundle under the
@@ -560,7 +569,7 @@ def branch_momentum_shifts(lat, md, frep, wl, charge_tol=1e-10):
             E = basis.conj().T @ (-1j * fields[a]) @ basis
             q = float(np.mean(np.diag(E).real))
             spread = float(np.max(np.abs(E - q * np.eye(E.shape[0]))))
-            if spread > charge_tol * max(1.0, abs(q)):
+            if spread > 1e-10 * max(1.0, abs(q)):
                 raise ValueError(
                     f"Wilson charge is not scalar on the m^2={m2:.6g} block "
                     f"(spread {spread:.3e}); branch-resolved momenta are undefined"
@@ -570,22 +579,24 @@ def branch_momentum_shifts(lat, md, frep, wl, charge_tol=1e-10):
     return out
 
 
-def expected_squared_spectrum(lat, cl, md, frep, wl=None, charge_tol=1e-10):
+def expected_squared_spectrum(lat, cl, md, frep, shifts=None):
     """Closed-form multiset for (i D)^2 of a vacuum operator.
 
     For each momentum tuple and each mass block the eigenvalue is
-    sum_a (k_a + q_a)^2 + m^2 with the per-axis shift q_a read off the
-    Wilson line charge of that block, each with multiplicity 2^n times
-    the block dimension.  Requires the spectral derivative kind.
+    sum_a (k_a + q_a)^2 + m^2 with the per-axis shift q_a of that block,
+    each with multiplicity 2^n times the block dimension.  shifts is the
+    table branch_momentum_shifts returns for a Wilson line; None means
+    no shift.  Requires the spectral derivative kind.
     """
     if lat.derivative_kind != "fourier_spectral":
         raise ValueError("closed-form spectra are defined for the spectral derivative kind")
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
-    shifts = [qs for _, qs in branch_momentum_shifts(lat, md, frep, wl, charge_tol)]
+    if shifts is None:
+        shifts = branch_momentum_shifts(lat, md, frep, None)
     ks = lat.momenta()
     vals = []
     for kvec in itertools.product(ks, repeat=lat.dim):
-        for (m2, basis), qs in zip(blocks, shifts):
+        for (m2, basis), (_, qs) in zip(blocks, shifts, strict=True):
             val = m2 + sum((kc + q) ** 2 for kc, q in zip(kvec, qs))
             vals.extend([val] * (cl.spinor_dim * basis.shape[1]))
     return np.sort(np.asarray(vals))

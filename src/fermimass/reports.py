@@ -8,7 +8,6 @@ model files produce byte-identical output.
 """
 
 import contextlib
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -167,14 +166,9 @@ class Run:
 
     def __init__(self, cfg, tol_scale=1.0):
         self.cfg = cfg
-        self.tol_scale = tol_scale
         self.model = cfg.build()
+        self.tol = cfg.build_tolerances(scale=tol_scale)
         self._stages = {}
-
-    @functools.cached_property
-    def tol(self):
-        # built on first use, so `check` does not read --tol-scale
-        return self.cfg.build_tolerances(scale=self.tol_scale)
 
     def stage(self, check_id, fn, *args, **kwargs):
         """fn(*args, **kwargs), computed at most once in this run."""
@@ -324,6 +318,7 @@ def cmd_lattice(run):
         cl = run.cfg.build_clifford()
         wl = run.cfg.build_wilson(vac)
         vac_op = run.stage("lattice.operator_built", build_vacuum_dirac, lat, cl, md, frep, wl)
+        shifts = None
         if wl is not None:
             rep.add(
                 residual_check(
@@ -338,7 +333,7 @@ def cmd_lattice(run):
         spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True,
                             herm_tol=tol.hermiticity)
         if lat.derivative_kind == "fourier_spectral":
-            expected = expected_squared_spectrum(lat, cl, md, frep, wl)
+            expected = expected_squared_spectrum(lat, cl, md, frep, shifts)
             scale = max(1.0, float(np.max(np.abs(expected))))
             disp = float(np.max(np.abs(spec_sq - expected)))
             rep.add(residual_check("lattice.dispersion", disp, tol.dispersion * scale,
@@ -355,7 +350,7 @@ def cmd_lattice(run):
         lap = bochner_laplacian(clifford_conn)
         vd = run.stage(
             "lattice.dirac_potential_multiplicative", dirac_potential, vac_op, lap,
-            offsite_tol=tol.potential_offsite_error, constancy_tol=tol.potential_constancy,
+            offsite_tol=tol.potential_offsite_error,
         )
         rep.add(
             residual_check(

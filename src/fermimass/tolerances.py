@@ -11,14 +11,10 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Clifford algebra identities (anticommutators, grading, right inverse)
-    clifford_identity: float = 1e-12
     # generator anti-Hermiticity
     anti_hermitian: float = 1e-12
     # Lie-algebra closure least-squares residual
     closure: float = 1e-10
-    # isotropy basis must annihilate the minimum to this (times max(1,|z0|))
-    isotropy_action: float = 1e-10
     # singular values below nullspace_cut * sigma_max count as zero
     nullspace_cut: float = 1e-9
     # unitarity of exponentiated algebra elements and gauge fields
@@ -27,8 +23,6 @@ class Tolerances:
     invariance: float = 1e-9
     # gradient norm at a reported minimum (times max(1,|z0|))
     gradient_norm: float = 1e-8
-    # relative agreement of analytic derivatives with finite differences
-    finite_difference: float = 1e-6
     # Hessian restricted to Goldstone directions must vanish to this
     goldstone_flat: float = 1e-7
     # Yukawa equivariance residual
@@ -63,12 +57,6 @@ class Tolerances:
     curvature: float = 1e-12
     # Wilson line flatness [A_a, A_b]
     wilson_flat: float = 1e-12
-    # branch-resolved momentum shift under a Wilson line
-    wilson_shift: float = 1e-9
-    # entrywise invariance of the vacuum operator under unbroken gauge maps
-    gauge_entry: float = 1e-12
-    # spectrum invariance under arbitrary constant gauge maps
-    gauge_spectrum: float = 1e-10
 
     def scale(self, factor):
         """Return a copy with every threshold multiplied by factor."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_rep import LieAlgebraRep, direct_sum, exp_map
+from .group_rep import LieAlgebraRep, commutant_check, direct_sum, exp_map
 from .tolerances import DEFAULT
 
 
@@ -342,9 +342,7 @@ def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204,
     reconstruction_tol = DEFAULT.reconstruction if reconstruction_tol is None else reconstruction_tol
 
     iso_mats = [frep.total.element(c) for c in vac.isotropy.basis]
-    comm = 0.0
-    for X in iso_mats:
-        comm = max(comm, float(np.max(np.abs(md.D_matrix @ X - X @ md.D_matrix))))
+    comm = commutant_check(iso_mats, md.D_matrix)
 
     rng = np.random.default_rng(seed)
     base = md.spectrum_sq

@@ -13,6 +13,7 @@ from fermimass import (
     YukawaMap,
     apply_yukawa,
     bochner_laplacian,
+    branch_momentum_shifts,
     build_clifford,
     build_vacuum_connection,
     build_vacuum_dirac,
@@ -221,7 +222,8 @@ def test_criterion_09_wilson_holonomy(ew_vac, ew_frep, ew_md):
         op = build_vacuum_dirac(lat, cl, ew_md, ew_frep, wl)
         got = spectrum(op, square_first=True)
         # branch-resolved closed form: momenta shift by the branch charge
-        want = expected_squared_spectrum(lat, cl, ew_md, ew_frep, wl)
+        shifts = branch_momentum_shifts(lat, ew_md, ew_frep, wl)
+        want = expected_squared_spectrum(lat, cl, ew_md, ew_frep, shifts)
         assert np.abs(got - want).max() <= 1e-9
     _announce(9, "Wilson line shifts momenta per branch charge for two assignments")
 

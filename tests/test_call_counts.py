@@ -3,7 +3,7 @@ and each pipeline stage runs at most once per run, a failing one included."""
 
 import pytest
 
-from fermimass import cli, ew_reference, group_rep, model_config, reports, save_model
+from fermimass import cli, ew_reference, group_rep, lattice_dirac, model_config, reports, save_model
 
 
 @pytest.fixture()
@@ -25,13 +25,18 @@ def counts(monkeypatch):
     count(group_rep.LieAlgebraRep, "__post_init__")
     count(reports, "minimize")
     count(reports, "mass_matrix")
+    # one counter for both bindings of the name
+    count(reports, "branch_momentum_shifts")
+    count(lattice_dirac, "branch_momentum_shifts")
     return seen
 
 
 def test_verify_all_builds_each_object_once(counts, capsys):
     assert cli.main(["verify-all", "--model", "ew-reference"]) == 0
-    # three representations, each decoded once, plus the fermions' direct sum
-    assert counts == {"build_rep": 3, "__post_init__": 4, "minimize": 1, "mass_matrix": 1}
+    # three representations, each decoded once, plus the fermions' direct
+    # sum; the Wilson line's momentum shifts are computed once
+    assert counts == {"build_rep": 3, "__post_init__": 4, "minimize": 1, "mass_matrix": 1,
+                      "branch_momentum_shifts": 1}
 
 
 def test_failed_minimization_runs_once(counts, capsys, tmp_path):

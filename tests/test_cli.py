@@ -136,6 +136,13 @@ def test_tol_scale_tightening_fails(capsys, model_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_check_rejects_non_positive_tol_scale(capsys, model_path, scale):
+    code, out, err = run(capsys, "check", "--model", model_path, "--tol-scale", scale)
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance scale factor must be positive\n"
+
+
 def test_csv_output(capsys, model_path, tmp_path):
     out_path = tmp_path / "report.csv"
     code, _, _ = run(

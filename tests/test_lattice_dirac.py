@@ -9,10 +9,12 @@ from fermimass import (
     TorusLattice,
     YukawaMap,
     bochner_laplacian,
+    branch_momentum_shifts,
     build_clifford,
     build_vacuum_connection,
     build_vacuum_dirac,
     dirac_potential,
+    ew_reference,
     exp_map,
     expected_squared_spectrum,
     fluctuation_operator,
@@ -21,6 +23,7 @@ from fermimass import (
     lagrangian_density,
     mass_matrix,
     mean_mass,
+    minimize,
     relative_curvature,
     spectrum,
     wilson_from_vacuum,
@@ -31,7 +34,9 @@ from fermimass.lattice_dirac import (
     contraction_residual,
     wilson_internal_fields,
 )
+from fermimass.model_config import encode_complex_matrix, encode_complex_vector
 from fermimass.yukawa_mass import mass_data_from_operator
+from conftest import S1, S2, S3
 
 
 # ----- derivatives and momenta ------------------------------------------
@@ -364,12 +369,10 @@ def test_curvature_vanishes_on_massless_branch(ew):
     for s in range(2):
         e = np.zeros(2)
         e[s] = 1.0
-        vec = np.kron(np.ones(lat.n_sites) / 2.0, np.kron(e, nu))
-        assert np.abs(F01.matrix @ vec).max() <= 1e-12
+        assert np.abs(F01 @ np.kron(e, nu)).max() <= 1e-12
     el = np.zeros(3, dtype=complex)
     el[:2] = massive.left_basis[:, 0]
-    vec = np.kron(np.ones(lat.n_sites) / 2.0, np.kron(np.array([1.0, 0.0]), el))
-    assert np.abs(F01.matrix @ vec).max() > 0.01
+    assert np.abs(F01 @ np.kron(np.array([1.0, 0.0]), el)).max() > 0.01
 
 
 def test_curvature_scales_quadratically(ew):
@@ -381,7 +384,7 @@ def test_curvature_scales_quadratically(ew):
     c2 = relative_curvature(build_vacuum_connection(lat, ew.cl, md2, ew.frep), ew.cl, md2, ew.frep)
     (_, F1), = c1.components
     (_, F2), = c2.components
-    assert np.abs(F2.matrix - s ** 2 * F1.matrix).max() <= 1e-12
+    assert np.abs(F2 - s ** 2 * F1).max() <= 1e-12
 
 
 def test_flat_iff_massless_family(ew):
@@ -410,6 +413,118 @@ def test_wilson_term_drops_out_of_curvature(ew):
     assert curv.residual <= 1e-12
 
 
+# ----- fiber identities against the dense formulas -------------------------
+
+def dense_curvature(conn, cl, md, frep):
+    """Oracle: F_ab = [d_a, w_b] - [d_b, w_a] + [w_a, w_b] on the full space,
+    with the residual against the lifted (xi_a xi_b - xi_b xi_a) x (-D_int^2)."""
+    lat = conn[0].lattice
+    lift = np.eye(lat.n_sites)
+    m2_int = -(md.D_matrix @ md.D_matrix)
+    plain = [np.kron(lat.site_derivative(a), np.eye(conn[0].fiber_dim)) for a in range(lat.dim)]
+    omega = [conn[a].matrix - plain[a] for a in range(lat.dim)]
+    c = cl.xi_scale
+    comps, residual = [], 0.0
+    for a in range(lat.dim):
+        for b in range(a + 1, lat.dim):
+            F = (
+                plain[a] @ omega[b] - omega[b] @ plain[a]
+                - plain[b] @ omega[a] + omega[a] @ plain[b]
+                + omega[a] @ omega[b] - omega[b] @ omega[a]
+            )
+            wedge = c * c * (cl.gamma[a] @ cl.gamma[b] - cl.gamma[b] @ cl.gamma[a])
+            residual = max(residual, float(np.max(np.abs(F - np.kron(lift, np.kron(wedge, m2_int))))))
+            comps.append(((a, b), F))
+    return comps, residual
+
+
+def dense_contraction(conn, cl, dirac_op):
+    """Oracle: sum_a of the dense lift of gamma^a x 1 times conn_a."""
+    lift = np.eye(dirac_op.lattice.n_sites)
+    total = np.zeros_like(dirac_op.matrix)
+    for a, comp in enumerate(conn):
+        total += np.kron(lift, np.kron(cl.gamma_upper(a), np.eye(dirac_op.internal_dim))) @ comp.matrix
+    return float(np.max(np.abs(total - dirac_op.matrix)))
+
+
+def two_generation_leptons():
+    """ew-reference with two lepton generations and a complex Yukawa
+    matrix that mixes them; left index = 2 * generation + isospin slot."""
+    eye = np.eye(2)
+    zero = np.zeros((2, 2), dtype=complex)
+    left = [np.kron(eye, -0.5j * s) for s in (S1, S2, S3)] + [1.0j * np.eye(4)]
+    right = [zero, zero, zero, 2.0j * eye]
+    yuk = np.array([[0.3 + 0.1j, 0.05 - 0.2j], [0.15j, 0.25 + 0.05j]])
+    tensor = np.zeros((4, 2, 2), dtype=complex)
+    for i in range(2):
+        for c in range(2):
+            tensor[2 * i + c, :, c] = yuk[i]
+    cfg = ew_reference()
+    cfg.representations["lepton_left"] = [encode_complex_matrix(g) for g in left]
+    cfg.representations["lepton_right"] = [encode_complex_matrix(g) for g in right]
+    cfg.yukawa = {
+        "tensor": [[encode_complex_vector(tensor[l, r]) for r in range(2)] for l in range(4)],
+        "conjugate_higgs": [False, False],
+    }
+    return cfg
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("ew", 1, 3, "fourier_spectral"), ("ew", 1, 3, "central_difference"),
+        ("ew", 2, 2, "fourier_spectral"), ("ew", 2, 2, "central_difference"),
+        ("leptons", 1, 3, "fourier_spectral"), ("leptons", 1, 3, "central_difference"),
+    ],
+    ids=lambda p: "-".join(map(str, p)),
+)
+def wilson_vacuum(request):
+    """(lattice, Clifford algebra, mass data, fermions, Wilson line) of a vacuum."""
+    model, n, L, kind = request.param
+    cfg = ew_reference() if model == "ew" else two_generation_leptons()
+    built = cfg.build()
+    vac = minimize(built.higgs, built.seed)
+    md = mass_matrix(built.ymap, vac)
+    wl = wilson_from_vacuum([[0.25], [0.1], [0.4], [0.05]][: 2 * n], vac)
+    return TorusLattice(n=n, L=L, derivative_kind=kind), build_clifford(n), md, built.frep, wl
+
+
+def test_fiber_curvature_matches_dense_formula(wilson_vacuum):
+    lat, cl, md, frep, wl = wilson_vacuum
+    conn = build_vacuum_connection(lat, cl, md, frep, wl)
+    curv = relative_curvature(conn, cl, md, frep)
+    dense, dense_residual = dense_curvature(conn, cl, md, frep)
+    assert [ab for ab, _ in curv.components] == [ab for ab, _ in dense]
+    for (_, F), (_, F_dense) in zip(curv.components, dense):
+        assert F.shape == (conn[0].fiber_dim,) * 2
+        assert np.abs(np.kron(np.eye(lat.n_sites), F) - F_dense).max() <= 1e-14
+    assert abs(curv.residual - dense_residual) <= 1e-14
+    assert curv.residual <= 1e-12 and not curv.is_flat()
+
+
+def test_fiber_contraction_matches_dense_lift_bitwise(wilson_vacuum):
+    lat, cl, md, frep, wl = wilson_vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    conn = build_vacuum_connection(lat, cl, md, frep, wl)
+    assert contraction_residual(conn, cl, op) == dense_contraction(conn, cl, op)
+
+
+def test_curvature_rejects_site_dependent_connection(ew):
+    lat = TorusLattice(n=1, L=2)
+    conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep)
+    fiber = conn[0].fiber_dim
+    bumped = conn[1].matrix.copy()
+    bumped[fiber : 2 * fiber, fiber : 2 * fiber] += 1e-3 * np.eye(fiber)
+    site_block = [conn[0], LatticeOperator(bumped, lat, ew.cl.spinor_dim, 3)]
+    with pytest.raises(ValueError, match="component 1 is not site-constant"):
+        relative_curvature(site_block, ew.cl, ew.md, ew.frep)
+    leaking = conn[0].matrix.copy()
+    leaking[0, fiber] += 1e-3
+    offsite = [LatticeOperator(leaking, lat, ew.cl.spinor_dim, 3), conn[1]]
+    with pytest.raises(ValueError, match="component 0 is not site-constant"):
+        relative_curvature(offsite, ew.cl, ew.md, ew.frep)
+
+
 # ----- Wilson lines ---------------------------------------------------------
 
 def test_wilson_fields_flat_and_shift(ew):
@@ -419,7 +534,8 @@ def test_wilson_fields_flat_and_shift(ew):
     assert residual <= 1e-12
     op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wl)
     got = spectrum(op, square_first=True)
-    want = expected_squared_spectrum(lat, ew.cl, ew.md, ew.frep, wl)
+    shifts = branch_momentum_shifts(lat, ew.md, ew.frep, wl)
+    want = expected_squared_spectrum(lat, ew.cl, ew.md, ew.frep, shifts)
     assert np.abs(got - want).max() <= 1e-9 * max(1.0, want.max())
     # two charge assignments: the massless branch does not shift, the
     # massive branch does
