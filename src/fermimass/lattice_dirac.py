@@ -23,6 +23,12 @@ Tensor factors are ordered site x spinor x internal throughout, with
 sites enumerated row-major over the 2n axes (axis 0 slowest).  This
 ordering is part of the dump format and must not change.
 
+The vacuum operators are invariant under lattice translations, so each
+is block-diagonal over the L^{2n} momenta with (2^n N_F)-square Bloch
+blocks (LatticeOperator.momentum_blocks).  The squared spectrum, the
+Bochner Laplacian and the Dirac potential are computed block by block;
+the site-dependent fluctuations and gauge transforms stay dense.
+
 The central_difference derivative kind is provided for robustness cross
 checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
 branches at the zone edge.  Closed-form spectrum checks use the spectral
@@ -148,6 +154,54 @@ class LatticeOperator:
             leak = max(leak, float(np.max(np.abs(off), initial=0.0)))
         return leak
 
+    def momentum_blocks(self):
+        """(n_sites, fiber, fiber) Bloch blocks of a translation-invariant operator.
+
+        With B(r) the block coupling site 0 to site r, block m is
+        sum_r B(r) exp(-2 pi i m.r / L): one FFT over the site grid of site
+        0's block row.  The operator's product with another such operator
+        has the product of their blocks at each m.  Every site's block row
+        must be the cyclic shift of site 0's, checked exactly; a ValueError
+        names the first site whose row is not.
+        """
+        lat, F = self.lattice, self.fiber_dim
+        rows = self.matrix.reshape(lat.n_sites, F, lat.n_sites, F)
+        stencil = rows[0]
+        for x, shifted in enumerate(_site_differences(lat.L, lat.dim)):
+            if not np.array_equal(rows[x], stencil[:, shifted]):
+                raise ValueError(
+                    f"operator is not translation-invariant: the block row of site {x} "
+                    "is not the shift of site 0's"
+                )
+        grid = (lat.L,) * lat.dim
+        blocks = np.fft.fftn(stencil.reshape(F, *grid, F), axes=tuple(range(1, lat.dim + 1)))
+        return np.moveaxis(blocks, 0, -2).reshape(lat.n_sites, F, F)
+
+    @classmethod
+    def from_momentum_blocks(cls, blocks, lattice, spinor_dim, internal_dim, kind=""):
+        """The dense translation-invariant operator with these Bloch blocks.
+
+        The inverse of momentum_blocks: one inverse FFT gives site 0's block
+        row, and each site's block row is a copy of its cyclic shift.
+        """
+        S, F = lattice.n_sites, spinor_dim * internal_dim
+        grid = (lattice.L,) * lattice.dim
+        axes = tuple(range(1, lattice.dim + 1))
+        stencil = np.fft.ifftn(np.moveaxis(blocks.reshape(*grid, F, F), -2, 0), axes=axes)
+        stencil = stencil.reshape(F, S, F)
+        mat = np.empty((S, F, S, F), dtype=complex)
+        for x, shifted in enumerate(_site_differences(lattice.L, lattice.dim)):
+            mat[x] = stencil[:, shifted]
+        return cls(mat.reshape(S * F, S * F), lattice, spinor_dim, internal_dim, kind=kind)
+
+
+def _site_differences(L, dim):
+    """(n_sites, n_sites) table whose row x holds the index of y - x for each
+    site y, with each axis taken mod L."""
+    coords = np.indices((L,) * dim).reshape(dim, -1).T
+    strides = L ** np.arange(dim - 1, -1, -1)
+    return ((coords[None, :, :] - coords[:, None, :]) % L) @ strides
+
 
 @dataclass(frozen=True)
 class WilsonLine:
@@ -223,8 +277,21 @@ def wilson_internal_fields(wl, rep, n_axes, flat_tol=None):
     return fields, residual
 
 
-def _lift_fiber(lat, fiber_matrix):
-    return np.kron(np.eye(lat.n_sites), fiber_matrix)
+def _add_site_constant(mat, n_sites, blk):
+    """mat += 1_sites x blk, written into the site-diagonal blocks only."""
+    F = blk.shape[0]
+    idx = np.arange(n_sites)
+    mat.reshape(n_sites, F, n_sites, F)[idx, :, idx, :] += blk
+
+
+def _block_squares(B):
+    """B(k) @ B(k) for each momentum k.
+
+    Summed entry by entry rather than by BLAS, whose fused multiply-adds
+    round differently for the two sides of an identity: with plain sums
+    the massless potential cancels exactly wherever the FFT is exact.
+    """
+    return np.einsum("kij,kjl->kil", B, B)
 
 
 def _check_lattice_inputs(lat, cl, frep, md):
@@ -258,8 +325,8 @@ def build_vacuum_dirac(lat, cl, md, frep, wl=None):
     for a in range(lat.dim):
         mat += np.kron(lat.site_derivative(a), np.kron(cl.gamma[a], ident_f))
         if fields is not None:
-            mat += _lift_fiber(lat, np.kron(cl.gamma[a], fields[a]))
-    mat += _lift_fiber(lat, np.kron(cl.gamma5, d_int))
+            _add_site_constant(mat, lat.n_sites, np.kron(cl.gamma[a], fields[a]))
+    _add_site_constant(mat, lat.n_sites, np.kron(cl.gamma5, d_int))
     return LatticeOperator(mat, lat, cl.spinor_dim, nf, kind="vacuum_dirac", meta=meta)
 
 
@@ -279,10 +346,13 @@ def build_vacuum_connection(lat, cl, md, frep, wl=None):
         fields, _ = wilson_internal_fields(wl, frep.total, lat.dim)
     comps = []
     for a in range(lat.dim):
-        mat = np.kron(lat.site_derivative(a), np.eye(fiber, dtype=complex))
+        # from zeros, so the kron's signed zeros come out as +0.0
+        mat = np.zeros((lat.n_sites * fiber,) * 2, dtype=complex)
+        mat += np.kron(lat.site_derivative(a), np.eye(fiber, dtype=complex))
         if fields is not None:
-            mat += _lift_fiber(lat, np.kron(np.eye(cl.spinor_dim), fields[a]))
-        mat += _lift_fiber(lat, np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int))
+            _add_site_constant(mat, lat.n_sites, np.kron(np.eye(cl.spinor_dim), fields[a]))
+        _add_site_constant(mat, lat.n_sites,
+                           np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int))
         comps.append(LatticeOperator(mat, lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}"))
     return comps
 
@@ -304,31 +374,42 @@ def contraction_residual(conn, cl, dirac_op):
 
 
 def bochner_laplacian(conn):
-    """-sum_a (component_a)^2, positive semidefinite for plain derivatives."""
+    """-sum_a (component_a)^2, positive semidefinite for plain derivatives.
+
+    The components are translation-invariant, so the sum is formed from
+    their momentum blocks, -sum_a C_a(k)^2 at each momentum k.
+    """
     first = conn[0]
-    mat = np.zeros_like(first.matrix)
-    for comp in conn:
-        mat -= comp.matrix @ comp.matrix
-    return LatticeOperator(
-        mat, first.lattice, first.spinor_dim, first.internal_dim, kind="bochner_laplacian"
+    lap = -sum(_block_squares(comp.momentum_blocks()) for comp in conn)
+    return LatticeOperator.from_momentum_blocks(
+        lap, first.lattice, first.spinor_dim, first.internal_dim, kind="bochner_laplacian"
     )
 
 
 def dirac_potential(dirac_op, laplacian, offsite_tol=None):
     """V = (i D)^2 - Laplacian, validated to be a multiplication operator.
 
-    Raises NotMultiplicationOperator when off-site entries exceed the
-    hard threshold, which signals inconsistent derivative kinds or a
-    Laplacian built from the wrong connection.  The site-to-site block
-    deviation is recorded in meta.
+    (i D)^2 is formed from the momentum blocks of the translation-invariant
+    D, as -D(k)^2 at each momentum k, and the Laplacian is subtracted on
+    the sites.  bochner_laplacian's blocks pass through the same inverse
+    FFT, so where -D(k)^2 equals the Laplacian's block, V is exactly 0.
+    Raises NotMultiplicationOperator when off-site entries exceed the hard
+    threshold, which signals inconsistent derivative kinds or a Laplacian
+    built from the wrong connection.  The off-site leakage and the
+    site-to-site block deviation are recorded in meta.  The deviation is
+    exactly 0 for a translation-invariant Laplacian such as
+    bochner_laplacian's: momentum_blocks has checked D exactly, and every
+    site of (i D)^2 carries a copy of the same block.
     """
     offsite_tol = DEFAULT.potential_offsite_error if offsite_tol is None else offsite_tol
     if dirac_op.matrix.shape != laplacian.matrix.shape:
         raise ValueError("operator and Laplacian act on different spaces")
-    V = -(dirac_op.matrix @ dirac_op.matrix) - laplacian.matrix
-    out = LatticeOperator(
-        V, dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential"
+    D = dirac_op.momentum_blocks()
+    out = LatticeOperator.from_momentum_blocks(
+        -_block_squares(D), dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim,
+        kind="dirac_potential",
     )
+    out.matrix -= laplacian.matrix
     leak = out.offsite_leakage()
     if leak > offsite_tol:
         raise NotMultiplicationOperator(
@@ -336,9 +417,8 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None):
             "the operator and the Laplacian use inconsistent derivatives or connections"
         )
     blocks = out.site_diagonal_blocks()
-    deviation = float(np.max(np.abs(blocks - blocks.mean(axis=0)))) if blocks.shape[0] else 0.0
     out.meta["offsite_leakage"] = leak
-    out.meta["site_block_deviation"] = deviation
+    out.meta["site_block_deviation"] = float(np.max(np.abs(blocks - blocks[0])))
     return out
 
 
@@ -521,7 +601,10 @@ def gauge_transform(op, u_site, unitary_tol=None):
 def spectrum(op, square_first=False, herm_tol=None):
     """Sorted real eigenvalues of i*op, or of (i*op)^2 when square_first.
 
-    Validates that i*op is Hermitian before the dense eigensolve.
+    Validates that i*op is Hermitian.  With square_first the operator must
+    be translation-invariant: each momentum block's -B(k)^2 is
+    diagonalized on its own.  Otherwise i*op is diagonalized densely, as
+    site-dependent fluctuations and gauge transforms need.
     """
     herm_tol = DEFAULT.hermiticity if herm_tol is None else herm_tol
     H = 1j * op.matrix
@@ -532,9 +615,10 @@ def spectrum(op, square_first=False, herm_tol=None):
             f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
         )
     if square_first:
-        M = -(op.matrix @ op.matrix)
-        M = 0.5 * (M + M.conj().T)
-        return np.linalg.eigvalsh(M)
+        B = op.momentum_blocks()
+        M = -_block_squares(B)
+        M = 0.5 * (M + M.conj().transpose(0, 2, 1))
+        return np.sort(np.linalg.eigvalsh(M).reshape(-1))
     return np.linalg.eigvalsh(0.5 * (H + H.conj().T))
 
 

@@ -55,11 +55,19 @@ def _wide_wilson():
     return cfg
 
 
+def _n2_wilson():
+    cfg = ew_reference()
+    cfg.lattice.update({"n": 2, "sites_per_dim": 2})
+    cfg.wilson = {"theta": [[0.25], [0.0], [0.1], [-0.3]]}
+    return cfg
+
+
 # case name -> (command, model builder or registry name, extra arguments)
 CASES = {
     "verify_all_ew": ("verify-all", "ew-reference", ()),
     "verify_all_ew_no_wilson": ("verify-all", _no_wilson, ()),
     "verify_all_ew_central_difference": ("verify-all", _central_difference, ()),
+    "verify_all_ew_n2_wilson": ("verify-all", _n2_wilson, ()),
     "verify_all_u1_massless": ("verify-all", lambda: u1_model(coupling=0.0), ()),
     "verify_all_u1_massive": ("verify-all", lambda: u1_model(coupling=0.3), ()),
     "verify_all_saddle": ("verify-all", _saddle, ()),

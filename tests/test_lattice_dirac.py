@@ -35,6 +35,7 @@ from fermimass.lattice_dirac import (
     wilson_internal_fields,
 )
 from fermimass.model_config import encode_complex_matrix, encode_complex_vector
+from fermimass.operator_io import dump_operator
 from fermimass.yukawa_mass import mass_data_from_operator
 from conftest import S1, S2, S3
 
@@ -523,6 +524,155 @@ def test_curvature_rejects_site_dependent_connection(ew):
     offsite = [LatticeOperator(leaking, lat, ew.cl.spinor_dim, 3), conn[1]]
     with pytest.raises(ValueError, match="component 0 is not site-constant"):
         relative_curvature(offsite, ew.cl, ew.md, ew.frep)
+
+
+# ----- momentum blocks against the dense products ------------------------
+
+def dense_squared_spectrum(op):
+    """Oracle: eigenvalues of the Hermitized dense -D @ D."""
+    M = -(op.matrix @ op.matrix)
+    return np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+
+
+def dense_laplacian(conn):
+    """Oracle: -sum_a conn_a @ conn_a on the full space."""
+    return -sum(comp.matrix @ comp.matrix for comp in conn)
+
+
+def dense_potential(op, lap_matrix):
+    """Oracle: -D @ D - Laplacian on the full space, as a LatticeOperator."""
+    V = -(op.matrix @ op.matrix) - lap_matrix
+    return LatticeOperator(V, op.lattice, op.spinor_dim, op.internal_dim)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (model, n, L, kind, wilson)
+        for model, n, L in (("ew", 1, 2), ("ew", 1, 3), ("ew", 1, 4), ("ew", 2, 2),
+                            ("leptons", 1, 3))
+        for kind in ("fourier_spectral", "central_difference")
+        for wilson in (False, True)
+    ],
+    ids=lambda p: "-".join(map(str, p)),
+)
+def vacuum(request):
+    """(lattice, Clifford algebra, mass data, fermions, Wilson line or None)."""
+    model, n, L, kind, wilson = request.param
+    cfg = ew_reference() if model == "ew" else two_generation_leptons()
+    built = cfg.build()
+    vac = minimize(built.higgs, built.seed)
+    md = mass_matrix(built.ymap, vac)
+    wl = wilson_from_vacuum([[0.25], [0.1], [0.4], [0.05]][: 2 * n], vac) if wilson else None
+    return TorusLattice(n=n, L=L, derivative_kind=kind), build_clifford(n), md, built.frep, wl
+
+
+def test_block_spectrum_matches_dense_eigensolve(vacuum):
+    lat, cl, md, frep, wl = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    want = dense_squared_spectrum(op)
+    got = spectrum(op, square_first=True)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_block_laplacian_and_potential_match_dense_products(vacuum):
+    lat, cl, md, frep, wl = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    conn = build_vacuum_connection(lat, cl, None, frep, wl)
+    lap = bochner_laplacian(conn)
+    assert np.abs(lap.matrix - dense_laplacian(conn)).max() <= 1e-13
+    vd = dirac_potential(op, lap)
+    oracle = dense_potential(op, dense_laplacian(conn))
+    assert np.abs(vd.matrix - oracle.matrix).max() <= 1e-13
+    assert abs(vd.meta["offsite_leakage"] - oracle.offsite_leakage()) <= 1e-13
+    assert vd.meta["site_block_deviation"] == 0.0
+    got = lagrangian_density(vd, lat).per_site_trace
+    want = lagrangian_density(oracle, lat).per_site_trace
+    assert abs(got - want) <= 1e-13
+    assert abs(got - cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-12
+
+
+def test_momentum_blocks_round_trip(vacuum):
+    lat, cl, md, frep, wl = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    for original in (op, *build_vacuum_connection(lat, cl, md, frep, wl)):
+        blocks = original.momentum_blocks()
+        assert blocks.shape == (lat.n_sites, op.fiber_dim, op.fiber_dim)
+        back = LatticeOperator.from_momentum_blocks(
+            blocks, lat, cl.spinor_dim, frep.n_total, kind="round_trip"
+        )
+        assert back.kind == "round_trip" and back.matrix.shape == original.matrix.shape
+        assert np.abs(back.matrix - original.matrix).max() <= 1e-14
+
+
+def test_momentum_blocks_reject_site_dependent_operator(ew):
+    lat = TorusLattice(n=1, L=3)
+    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
+    rng = np.random.default_rng(7)
+    phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
+    fl = fluctuation_operator(op, None, phi, ew.ymap, ew.cl, ew.frep, 0.5)
+    with pytest.raises(ValueError, match="not translation-invariant"):
+        fl.momentum_blocks()
+    with pytest.raises(ValueError, match="not translation-invariant"):
+        spectrum(fl, square_first=True)
+    # a constant fluctuation keeps the operator translation-invariant
+    const = fluctuation_operator(op, None, phi[0], ew.ymap, ew.cl, ew.frep, 0.5)
+    assert np.abs(spectrum(const, square_first=True) - dense_squared_spectrum(const)).max() <= 1e-12
+
+
+def kron_lift_dirac(lat, cl, md, frep, wl=None):
+    """Oracle: the vacuum Dirac operator with every site-diagonal term added
+    as a dense lift np.kron(np.eye(n_sites), block)."""
+    nf = frep.n_total
+    lift = np.eye(lat.n_sites)
+    fields = wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
+    mat = np.zeros((lat.n_sites * cl.spinor_dim * nf,) * 2, dtype=complex)
+    for a in range(lat.dim):
+        mat += np.kron(lat.site_derivative(a), np.kron(cl.gamma[a], np.eye(nf, dtype=complex)))
+        if fields is not None:
+            mat += np.kron(lift, np.kron(cl.gamma[a], fields[a]))
+    mat += np.kron(lift, np.kron(cl.gamma5, md.D_matrix))
+    return mat
+
+
+def kron_lift_connection(lat, cl, md, frep, wl=None):
+    """Oracle: the connection components, built the same way."""
+    nf = frep.n_total
+    fiber = cl.spinor_dim * nf
+    lift = np.eye(lat.n_sites)
+    d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
+    fields = wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
+    comps = []
+    for a in range(lat.dim):
+        mat = np.kron(lat.site_derivative(a), np.eye(fiber, dtype=complex))
+        if fields is not None:
+            mat += np.kron(lift, np.kron(np.eye(cl.spinor_dim), fields[a]))
+        mat += np.kron(lift, np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int))
+        comps.append(mat)
+    return comps
+
+
+def test_builders_match_kron_lift_bitwise(vacuum, tmp_path):
+    lat, cl, md, frep, wl = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    want = kron_lift_dirac(lat, cl, md, frep, wl).view(np.float64)
+    got = op.matrix.view(np.float64)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    dump_operator(op, tmp_path / "new.json")
+    oracle = LatticeOperator(want.view(complex), lat, cl.spinor_dim, frep.n_total, kind=op.kind)
+    dump_operator(oracle, tmp_path / "old.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    for m in (md, None):
+        for comp, oracle in zip(build_vacuum_connection(lat, cl, m, frep, wl),
+                                kron_lift_connection(lat, cl, m, frep, wl)):
+            got, want = comp.matrix.view(np.float64), oracle.view(np.float64)
+            assert np.array_equal(got, want)
+            # the build starts from zeros, so some -0.0 entries of the kron
+            # lift come out as +0.0; no other bit differs
+            moved = np.signbit(got) != np.signbit(want)
+            assert not np.any(np.signbit(got[moved]))
+            assert np.all(want[moved] == 0.0)
 
 
 # ----- Wilson lines ---------------------------------------------------------
