@@ -24,10 +24,14 @@ sites enumerated row-major over the 2n axes (axis 0 slowest).  This
 ordering is part of the dump format and must not change.
 
 The vacuum operators are invariant under lattice translations, so each
-is block-diagonal over the L^{2n} momenta with (2^n N_F)-square Bloch
-blocks (LatticeOperator.momentum_blocks).  The squared spectrum, the
-Bochner Laplacian and the Dirac potential are computed block by block;
-the site-dependent fluctuations and gauge transforms stay dense.
+is fixed by its stencil, the blocks coupling site 0 to every site
+(LatticeOperator.stencil), and is block-diagonal over the L^{2n} momenta
+with (2^n N_F)-square Bloch blocks (LatticeOperator.momentum_blocks).
+The squared spectrum is diagonalized block by block.  For the Bochner
+Laplacian and the Dirac potential only site 0's block row of each square
+is multiplied out, with the dense product's own arithmetic, and copied
+to the other sites.  The site-dependent fluctuations and gauge
+transforms stay dense.
 
 The central_difference derivative kind is provided for robustness cross
 checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
@@ -154,45 +158,53 @@ class LatticeOperator:
             leak = max(leak, float(np.max(np.abs(off), initial=0.0)))
         return leak
 
-    def momentum_blocks(self):
-        """(n_sites, fiber, fiber) Bloch blocks of a translation-invariant operator.
+    def stencil(self):
+        """(n_sites, fiber, fiber) blocks B(r) coupling site 0 to each site r.
 
-        With B(r) the block coupling site 0 to site r, block m is
-        sum_r B(r) exp(-2 pi i m.r / L): one FFT over the site grid of site
-        0's block row.  The operator's product with another such operator
-        has the product of their blocks at each m.  Every site's block row
+        The operator must be translation-invariant: every site's block row
         must be the cyclic shift of site 0's, checked exactly; a ValueError
         names the first site whose row is not.
         """
         lat, F = self.lattice, self.fiber_dim
         rows = self.matrix.reshape(lat.n_sites, F, lat.n_sites, F)
-        stencil = rows[0]
         for x, shifted in enumerate(_site_differences(lat.L, lat.dim)):
-            if not np.array_equal(rows[x], stencil[:, shifted]):
+            if not np.array_equal(rows[x], rows[0][:, shifted]):
                 raise ValueError(
                     f"operator is not translation-invariant: the block row of site {x} "
                     "is not the shift of site 0's"
                 )
+        return rows[0].transpose(1, 0, 2)
+
+    def momentum_blocks(self):
+        """(n_sites, fiber, fiber) Bloch blocks of a translation-invariant operator.
+
+        Block m is sum_r B(r) exp(-2 pi i m.r / L): one FFT over the site
+        grid of the stencil.  The operator's product with another such
+        operator has the product of their blocks at each m.
+        """
+        lat, F = self.lattice, self.fiber_dim
         grid = (lat.L,) * lat.dim
-        blocks = np.fft.fftn(stencil.reshape(F, *grid, F), axes=tuple(range(1, lat.dim + 1)))
-        return np.moveaxis(blocks, 0, -2).reshape(lat.n_sites, F, F)
+        blocks = np.fft.fftn(self.stencil().reshape(*grid, F, F), axes=tuple(range(lat.dim)))
+        return blocks.reshape(lat.n_sites, F, F)
 
     @classmethod
-    def from_momentum_blocks(cls, blocks, lattice, spinor_dim, internal_dim, kind=""):
-        """The dense translation-invariant operator with these Bloch blocks.
-
-        The inverse of momentum_blocks: one inverse FFT gives site 0's block
-        row, and each site's block row is a copy of its cyclic shift.
-        """
+    def from_stencil(cls, stencil, lattice, spinor_dim, internal_dim, kind):
+        """The dense translation-invariant operator with this stencil: each
+        site's block row is a copy of the stencil's cyclic shift."""
         S, F = lattice.n_sites, spinor_dim * internal_dim
-        grid = (lattice.L,) * lattice.dim
-        axes = tuple(range(1, lattice.dim + 1))
-        stencil = np.fft.ifftn(np.moveaxis(blocks.reshape(*grid, F, F), -2, 0), axes=axes)
-        stencil = stencil.reshape(F, S, F)
+        row0 = stencil.transpose(1, 0, 2)
         mat = np.empty((S, F, S, F), dtype=complex)
         for x, shifted in enumerate(_site_differences(lattice.L, lattice.dim)):
-            mat[x] = stencil[:, shifted]
+            mat[x] = row0[:, shifted]
         return cls(mat.reshape(S * F, S * F), lattice, spinor_dim, internal_dim, kind=kind)
+
+    @classmethod
+    def from_momentum_blocks(cls, blocks, lattice, spinor_dim, internal_dim, kind):
+        """The inverse of momentum_blocks: the stencil is one inverse FFT."""
+        F = spinor_dim * internal_dim
+        grid = (lattice.L,) * lattice.dim
+        stencil = np.fft.ifftn(blocks.reshape(*grid, F, F), axes=tuple(range(lattice.dim)))
+        return cls.from_stencil(stencil.reshape(-1, F, F), lattice, spinor_dim, internal_dim, kind)
 
 
 def _site_differences(L, dim):
@@ -284,14 +296,16 @@ def _add_site_constant(mat, n_sites, blk):
     mat.reshape(n_sites, F, n_sites, F)[idx, :, idx, :] += blk
 
 
-def _block_squares(B):
-    """B(k) @ B(k) for each momentum k.
+def _square_stencil(op):
+    """Stencil of op @ op, for a translation-invariant op.
 
-    Summed entry by entry rather than by BLAS, whose fused multiply-adds
-    round differently for the two sides of an identity: with plain sums
-    the massless potential cancels exactly wherever the FFT is exact.
+    Only site 0's block row of the square is formed, as op's first
+    fiber_dim rows times op: the dense product's own arithmetic, restricted
+    to one block row, in O(N^2 F) rather than O(N^3).
     """
-    return np.einsum("kij,kjl->kil", B, B)
+    S, F = op.lattice.n_sites, op.fiber_dim
+    first_rows = op.stencil().transpose(1, 0, 2).reshape(F, S * F)
+    return (first_rows @ op.matrix).reshape(F, S, F).transpose(1, 0, 2)
 
 
 def _check_lattice_inputs(lat, cl, frep, md):
@@ -376,12 +390,14 @@ def contraction_residual(conn, cl, dirac_op):
 def bochner_laplacian(conn):
     """-sum_a (component_a)^2, positive semidefinite for plain derivatives.
 
-    The components are translation-invariant, so the sum is formed from
-    their momentum blocks, -sum_a C_a(k)^2 at each momentum k.
+    The components are translation-invariant, so only the stencil of each
+    square is formed (see _square_stencil), without an N x N product.
     """
     first = conn[0]
-    lap = -sum(_block_squares(comp.momentum_blocks()) for comp in conn)
-    return LatticeOperator.from_momentum_blocks(
+    lap = np.zeros((first.lattice.n_sites, first.fiber_dim, first.fiber_dim), dtype=complex)
+    for comp in conn:
+        lap -= _square_stencil(comp)
+    return LatticeOperator.from_stencil(
         lap, first.lattice, first.spinor_dim, first.internal_dim, kind="bochner_laplacian"
     )
 
@@ -389,25 +405,23 @@ def bochner_laplacian(conn):
 def dirac_potential(dirac_op, laplacian, offsite_tol=None):
     """V = (i D)^2 - Laplacian, validated to be a multiplication operator.
 
-    (i D)^2 is formed from the momentum blocks of the translation-invariant
-    D, as -D(k)^2 at each momentum k, and the Laplacian is subtracted on
-    the sites.  bochner_laplacian's blocks pass through the same inverse
-    FFT, so where -D(k)^2 equals the Laplacian's block, V is exactly 0.
-    Raises NotMultiplicationOperator when off-site entries exceed the hard
+    D must be translation-invariant (a ValueError says so otherwise): only
+    the stencil of (i D)^2 is formed (see _square_stencil), without an
+    N x N product.  Raises
+    NotMultiplicationOperator when off-site entries exceed the hard
     threshold, which signals inconsistent derivative kinds or a Laplacian
     built from the wrong connection.  The off-site leakage and the
     site-to-site block deviation are recorded in meta.  The deviation is
     exactly 0 for a translation-invariant Laplacian such as
-    bochner_laplacian's: momentum_blocks has checked D exactly, and every
-    site of (i D)^2 carries a copy of the same block.
+    bochner_laplacian's: D.stencil() has checked D exactly, and every site
+    of (i D)^2 carries a copy of the same block.
     """
     offsite_tol = DEFAULT.potential_offsite_error if offsite_tol is None else offsite_tol
     if dirac_op.matrix.shape != laplacian.matrix.shape:
         raise ValueError("operator and Laplacian act on different spaces")
-    D = dirac_op.momentum_blocks()
-    out = LatticeOperator.from_momentum_blocks(
-        -_block_squares(D), dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim,
-        kind="dirac_potential",
+    out = LatticeOperator.from_stencil(
+        -_square_stencil(dirac_op), dirac_op.lattice, dirac_op.spinor_dim,
+        dirac_op.internal_dim, kind="dirac_potential",
     )
     out.matrix -= laplacian.matrix
     leak = out.offsite_leakage()
@@ -603,8 +617,10 @@ def spectrum(op, square_first=False, herm_tol=None):
 
     Validates that i*op is Hermitian.  With square_first the operator must
     be translation-invariant: each momentum block's -B(k)^2 is
-    diagonalized on its own.  Otherwise i*op is diagonalized densely, as
-    site-dependent fluctuations and gauge transforms need.
+    diagonalized on its own, and a ValueError is raised otherwise.  Without
+    it, i*op is diagonalized densely, as site-dependent fluctuations and
+    gauge transforms need; np.sort(spectrum(op) ** 2) is their squared
+    spectrum.
     """
     herm_tol = DEFAULT.hermiticity if herm_tol is None else herm_tol
     H = 1j * op.matrix
@@ -615,8 +631,14 @@ def spectrum(op, square_first=False, herm_tol=None):
             f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
         )
     if square_first:
-        B = op.momentum_blocks()
-        M = -_block_squares(B)
+        try:
+            B = op.momentum_blocks()
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc}; square_first needs a translation-invariant operator, "
+                "np.sort(spectrum(op) ** 2) is the squared spectrum of any other"
+            ) from None
+        M = -(B @ B)
         M = 0.5 * (M + M.conj().transpose(0, 2, 1))
         return np.sort(np.linalg.eigvalsh(M).reshape(-1))
     return np.linalg.eigvalsh(0.5 * (H + H.conj().T))

@@ -526,7 +526,7 @@ def test_curvature_rejects_site_dependent_connection(ew):
         relative_curvature(offsite, ew.cl, ew.md, ew.frep)
 
 
-# ----- momentum blocks against the dense products ------------------------
+# ----- stencils and momentum blocks against the dense products ----------
 
 def dense_squared_spectrum(op):
     """Oracle: eigenvalues of the Hermitized dense -D @ D."""
@@ -576,7 +576,7 @@ def test_block_spectrum_matches_dense_eigensolve(vacuum):
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_block_laplacian_and_potential_match_dense_products(vacuum):
+def test_laplacian_and_potential_match_dense_products(vacuum):
     lat, cl, md, frep, wl = vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
     conn = build_vacuum_connection(lat, cl, None, frep, wl)
@@ -593,29 +593,40 @@ def test_block_laplacian_and_potential_match_dense_products(vacuum):
     assert abs(got - cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-12
 
 
-def test_momentum_blocks_round_trip(vacuum):
+def test_stencil_and_momentum_blocks_round_trip(vacuum):
     lat, cl, md, frep, wl = vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
     for original in (op, *build_vacuum_connection(lat, cl, md, frep, wl)):
+        stencil = original.stencil()
+        assert stencil.shape == (lat.n_sites, op.fiber_dim, op.fiber_dim)
+        copied = LatticeOperator.from_stencil(stencil, lat, cl.spinor_dim, frep.n_total, "copy")
+        assert copied.kind == "copy" and np.array_equal(copied.matrix, original.matrix)
         blocks = original.momentum_blocks()
-        assert blocks.shape == (lat.n_sites, op.fiber_dim, op.fiber_dim)
+        assert blocks.shape == stencil.shape
         back = LatticeOperator.from_momentum_blocks(
-            blocks, lat, cl.spinor_dim, frep.n_total, kind="round_trip"
+            blocks, lat, cl.spinor_dim, frep.n_total, "round_trip"
         )
         assert back.kind == "round_trip" and back.matrix.shape == original.matrix.shape
         assert np.abs(back.matrix - original.matrix).max() <= 1e-14
 
 
-def test_momentum_blocks_reject_site_dependent_operator(ew):
+def test_stencil_rejects_site_dependent_operator(ew):
     lat = TorusLattice(n=1, L=3)
     op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
     fl = fluctuation_operator(op, None, phi, ew.ymap, ew.cl, ew.frep, 0.5)
+    for method in (fl.stencil, fl.momentum_blocks):
+        with pytest.raises(ValueError, match="not translation-invariant"):
+            method()
+    lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     with pytest.raises(ValueError, match="not translation-invariant"):
-        fl.momentum_blocks()
-    with pytest.raises(ValueError, match="not translation-invariant"):
+        dirac_potential(fl, lap)
+    # the error names the call that squares a site-dependent spectrum
+    with pytest.raises(ValueError, match=r"np\.sort\(spectrum\(op\) \*\* 2\)"):
         spectrum(fl, square_first=True)
+    want = dense_squared_spectrum(fl)
+    assert np.abs(np.sort(spectrum(fl) ** 2) - want).max() <= 1e-12 * max(1.0, want.max())
     # a constant fluctuation keeps the operator translation-invariant
     const = fluctuation_operator(op, None, phi[0], ew.ymap, ew.cl, ew.frep, 0.5)
     assert np.abs(spectrum(const, square_first=True) - dense_squared_spectrum(const)).max() <= 1e-12
