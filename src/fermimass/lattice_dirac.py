@@ -24,14 +24,16 @@ sites enumerated row-major over the 2n axes (axis 0 slowest).  This
 ordering is part of the dump format and must not change.
 
 The vacuum operators are invariant under lattice translations, so each
-is fixed by its stencil, the blocks coupling site 0 to every site
-(LatticeOperator.stencil), and is block-diagonal over the L^{2n} momenta
-with (2^n N_F)-square Bloch blocks (LatticeOperator.momentum_blocks).
-The squared spectrum is diagonalized block by block.  For the Bochner
-Laplacian and the Dirac potential only site 0's block row of each square
-is multiplied out, with the dense product's own arithmetic, and copied
-to the other sites.  The site-dependent fluctuations and gauge
-transforms stay dense.
+is held as its stencil B(r), the (2^n N_F)-square blocks coupling site 0
+to each site r (LatticeOperator.stencil), and never as an N x N matrix:
+the builders write the stencils, and every check reads them.
+Hermiticity pairs B(r) with B(-r).  The squared spectrum is diagonalized
+per momentum, one Bloch block of the stencil's FFT at a time.  The
+Bochner Laplacian and the Dirac potential are stencil products, circular
+convolutions over the axis lines on which the stencils are nonzero.  A
+stencil operator's dense matrix is filled in only when read, as dumps,
+fluctuations and gauge transforms do; those site-dependent operators
+stay dense.
 
 The central_difference derivative kind is provided for robustness cross
 checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
@@ -40,7 +42,7 @@ kind.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,95 +118,41 @@ class TorusLattice:
                 D[x, (x - 1) % L] -= 1.0 / (2.0 * a)
         return D
 
-    def site_derivative(self, axis):
-        """Derivative along one axis on the full site space L^{2n}."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        D = self.axis_derivative()
-        left = self.L ** axis
-        right = self.L ** (self.dim - axis - 1)
-        return np.kron(np.eye(left), np.kron(D, np.eye(right)))
 
-
-@dataclass
 class LatticeOperator:
-    """A dense operator on site x spinor x internal space."""
+    """An operator on site x spinor x internal space.
 
-    matrix: np.ndarray
-    lattice: TorusLattice
-    spinor_dim: int
-    internal_dim: int
-    kind: str = ""
-    meta: dict = field(default_factory=dict)
+    A site-dependent operator is held as its dense matrix, and stencil is
+    None.  A translation-invariant one is held as its stencil, the
+    (n_sites, fiber, fiber) blocks B(r) coupling site 0 to each site r;
+    its matrix, whose block at sites (x, y) is B(y - x), is filled in on
+    first read and kept.
+    """
+
+    def __init__(self, matrix, lattice, spinor_dim, internal_dim, kind="", meta=None, stencil=None):
+        self._matrix = matrix
+        self.stencil = stencil
+        self.lattice = lattice
+        self.spinor_dim = spinor_dim
+        self.internal_dim = internal_dim
+        self.kind = kind
+        self.meta = {} if meta is None else meta
 
     @property
     def fiber_dim(self):
         return self.spinor_dim * self.internal_dim
 
-    def site_diagonal_blocks(self):
-        """(n_sites, fiber, fiber) array of the per-site diagonal blocks."""
-        S, F = self.lattice.n_sites, self.fiber_dim
-        idx = np.arange(S)
-        return self.matrix.reshape(S, F, S, F)[idx, :, idx, :]
-
-    def offsite_leakage(self):
-        """Largest entry outside the site-diagonal blocks."""
-        S, F = self.lattice.n_sites, self.fiber_dim
-        rows = self.matrix.reshape(S, F, S, F)
-        leak = 0.0
-        for x in range(S):
-            # one site's rows at a time: no temporary of the full size
-            off = np.delete(rows[x], x, axis=1)
-            leak = max(leak, float(np.max(np.abs(off), initial=0.0)))
-        return leak
-
-    def stencil(self):
-        """(n_sites, fiber, fiber) blocks B(r) coupling site 0 to each site r.
-
-        The operator must be translation-invariant: every site's block row
-        must be the cyclic shift of site 0's, checked exactly; a ValueError
-        names the first site whose row is not.
-        """
-        lat, F = self.lattice, self.fiber_dim
-        rows = self.matrix.reshape(lat.n_sites, F, lat.n_sites, F)
-        for x, shifted in enumerate(_site_differences(lat.L, lat.dim)):
-            if not np.array_equal(rows[x], rows[0][:, shifted]):
-                raise ValueError(
-                    f"operator is not translation-invariant: the block row of site {x} "
-                    "is not the shift of site 0's"
-                )
-        return rows[0].transpose(1, 0, 2)
-
-    def momentum_blocks(self):
-        """(n_sites, fiber, fiber) Bloch blocks of a translation-invariant operator.
-
-        Block m is sum_r B(r) exp(-2 pi i m.r / L): one FFT over the site
-        grid of the stencil.  The operator's product with another such
-        operator has the product of their blocks at each m.
-        """
-        lat, F = self.lattice, self.fiber_dim
-        grid = (lat.L,) * lat.dim
-        blocks = np.fft.fftn(self.stencil().reshape(*grid, F, F), axes=tuple(range(lat.dim)))
-        return blocks.reshape(lat.n_sites, F, F)
-
-    @classmethod
-    def from_stencil(cls, stencil, lattice, spinor_dim, internal_dim, kind):
-        """The dense translation-invariant operator with this stencil: each
-        site's block row is a copy of the stencil's cyclic shift."""
-        S, F = lattice.n_sites, spinor_dim * internal_dim
-        row0 = stencil.transpose(1, 0, 2)
-        mat = np.empty((S, F, S, F), dtype=complex)
-        for x, shifted in enumerate(_site_differences(lattice.L, lattice.dim)):
-            mat[x] = row0[:, shifted]
-        return cls(mat.reshape(S * F, S * F), lattice, spinor_dim, internal_dim, kind=kind)
-
-    @classmethod
-    def from_momentum_blocks(cls, blocks, lattice, spinor_dim, internal_dim, kind):
-        """The inverse of momentum_blocks: the stencil is one inverse FFT."""
-        F = spinor_dim * internal_dim
-        grid = (lattice.L,) * lattice.dim
-        stencil = np.fft.ifftn(blocks.reshape(*grid, F, F), axes=tuple(range(lattice.dim)))
-        return cls.from_stencil(stencil.reshape(-1, F, F), lattice, spinor_dim, internal_dim, kind)
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            lat, F = self.lattice, self.fiber_dim
+            S = lat.n_sites
+            row0 = self.stencil.transpose(1, 0, 2)
+            mat = np.empty((S, F, S, F), dtype=complex)
+            for x, shifted in enumerate(_site_differences(lat.L, lat.dim)):
+                mat[x] = row0[:, shifted]
+            self._matrix = mat.reshape(S * F, S * F)
+        return self._matrix
 
 
 def _site_differences(L, dim):
@@ -213,6 +161,57 @@ def _site_differences(L, dim):
     coords = np.indices((L,) * dim).reshape(dim, -1).T
     strides = L ** np.arange(dim - 1, -1, -1)
     return ((coords[None, :, :] - coords[:, None, :]) % L) @ strides
+
+
+def _stencil(op):
+    """op's stencil; a ValueError when op is held as a dense matrix."""
+    if op.stencil is None:
+        raise ValueError(
+            f"operator {op.kind!r} is held as a dense matrix; this needs the stencil "
+            "of a translation-invariant operator"
+        )
+    return op.stencil
+
+
+def _derivative_stencil(lat, axis, block):
+    """Stencil of the derivative along one axis, tensored with a fiber block:
+    axis_derivative()'s first row times block on the axis line, zero elsewhere."""
+    st = np.zeros((lat.n_sites,) + block.shape, dtype=complex)
+    line = np.arange(lat.L) * lat.L ** (lat.dim - axis - 1)
+    st[line] = lat.axis_derivative()[0][:, None, None] * block
+    return st
+
+
+def _product_stencil(A, B, lat):
+    """Stencil of the product of two stencil operators.
+
+    Site 0's block row of A B is the circular convolution
+    (AB)(r) = sum_s A(s) B(r - s).  Only sites where A or B is nonzero
+    enter, the axis lines for the vacuum operators, so this costs
+    O(nnz_A nnz_B F^3) and forms no N x N matrix.  Each block (AB)(r) is
+    one product of the blocks A(s) side by side, s ascending, with the
+    blocks B(r - s) stacked; its four real products are summed apart and
+    combined last, as in the complex product of the dense matrices, so the
+    cancellations that were exact there stay exact.
+    """
+    grid, F = (lat.L,) * lat.dim, A.shape[1]
+    coords = np.indices(grid).reshape(lat.dim, -1)
+    sa, sb = (np.flatnonzero(np.any(X, axis=(1, 2))) for X in (A, B))
+    target = np.ravel_multi_index(coords[:, sa, None] + coords[:, None, sb], grid, mode="wrap")
+    out = np.zeros_like(A)
+    for r in np.unique(target):
+        i, j = np.nonzero(target == r)
+        a = A[sa[i]].transpose(1, 0, 2).reshape(F, -1)
+        b = B[sb[j]].reshape(-1, F)
+        out[r].real = a.real @ b.real - a.imag @ b.imag
+        out[r].imag = a.real @ b.imag + a.imag @ b.real
+    return out
+
+
+def _negated_sites(lat):
+    """Index of the site -r for each site r, each axis taken mod L."""
+    grid = (lat.L,) * lat.dim
+    return np.ravel_multi_index(-np.indices(grid).reshape(lat.dim, -1), grid, mode="wrap")
 
 
 @dataclass(frozen=True)
@@ -289,25 +288,6 @@ def wilson_internal_fields(wl, rep, n_axes, flat_tol=None):
     return fields, residual
 
 
-def _add_site_constant(mat, n_sites, blk):
-    """mat += 1_sites x blk, written into the site-diagonal blocks only."""
-    F = blk.shape[0]
-    idx = np.arange(n_sites)
-    mat.reshape(n_sites, F, n_sites, F)[idx, :, idx, :] += blk
-
-
-def _square_stencil(op):
-    """Stencil of op @ op, for a translation-invariant op.
-
-    Only site 0's block row of the square is formed, as op's first
-    fiber_dim rows times op: the dense product's own arithmetic, restricted
-    to one block row, in O(N^2 F) rather than O(N^3).
-    """
-    S, F = op.lattice.n_sites, op.fiber_dim
-    first_rows = op.stencil().transpose(1, 0, 2).reshape(F, S * F)
-    return (first_rows @ op.matrix).reshape(F, S, F).transpose(1, 0, 2)
-
-
 def _check_lattice_inputs(lat, cl, frep, md):
     if cl.signature != "euclidean":
         raise ValueError("lattice operators require the euclidean algebra; "
@@ -322,26 +302,34 @@ def _check_lattice_inputs(lat, cl, frep, md):
     return nf
 
 
+def _wilson_fields(wl, frep, lat):
+    """Per-axis Wilson fields: None, the fields as given, or built from a WilsonLine."""
+    if isinstance(wl, WilsonLine):
+        return wilson_internal_fields(wl, frep.total, lat.dim)[0]
+    return wl
+
+
 def build_vacuum_dirac(lat, cl, md, frep, wl=None):
     """The vacuum Dirac operator: derivative slash plus grading x mass.
 
-    With a Wilson line the derivative is covariant, gamma^a (d_a + A_a);
-    the mass term is gamma5 x D_int.  i times the result is Hermitian.
+    With a Wilson line (a WilsonLine, or the fields wilson_internal_fields
+    returns for it) the derivative is covariant, gamma^a (d_a + A_a); the
+    mass term is gamma5 x D_int.  i times the result is Hermitian.  The
+    operator is built as its stencil, adding the site-constant terms at
+    r = 0 in the order of the dense sum, so its matrix is the dense
+    build's bit for bit.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md)
     ident_f = np.eye(nf, dtype=complex)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    meta = {}
-    fields = None
-    if wl is not None:
-        fields, meta["wilson_flatness_residual"] = wilson_internal_fields(wl, frep.total, lat.dim)
-    mat = np.zeros((lat.n_sites * cl.spinor_dim * nf,) * 2, dtype=complex)
+    fields = _wilson_fields(wl, frep, lat)
+    st = np.zeros((lat.n_sites, cl.spinor_dim * nf, cl.spinor_dim * nf), dtype=complex)
     for a in range(lat.dim):
-        mat += np.kron(lat.site_derivative(a), np.kron(cl.gamma[a], ident_f))
+        st += _derivative_stencil(lat, a, np.kron(cl.gamma[a], ident_f))
         if fields is not None:
-            _add_site_constant(mat, lat.n_sites, np.kron(cl.gamma[a], fields[a]))
-    _add_site_constant(mat, lat.n_sites, np.kron(cl.gamma5, d_int))
-    return LatticeOperator(mat, lat, cl.spinor_dim, nf, kind="vacuum_dirac", meta=meta)
+            st[0] += np.kron(cl.gamma[a], fields[a])
+    st[0] += np.kron(cl.gamma5, d_int)
+    return LatticeOperator(None, lat, cl.spinor_dim, nf, kind="vacuum_dirac", stencil=st)
 
 
 def build_vacuum_connection(lat, cl, md, frep, wl=None):
@@ -350,90 +338,78 @@ def build_vacuum_connection(lat, cl, md, frep, wl=None):
     Pass md=None for the plain Clifford connection (mass term omitted);
     that is the connection whose Bochner Laplacian pairs with the vacuum
     Dirac operator in the Dirac potential.  Contracting the components
-    with gamma^a reproduces build_vacuum_dirac exactly.
+    with gamma^a reproduces build_vacuum_dirac exactly.  wl is as for
+    build_vacuum_dirac; each component is a stencil operator.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md)
     fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    fields = None
-    if wl is not None:
-        fields, _ = wilson_internal_fields(wl, frep.total, lat.dim)
+    fields = _wilson_fields(wl, frep, lat)
     comps = []
     for a in range(lat.dim):
-        # from zeros, so the kron's signed zeros come out as +0.0
-        mat = np.zeros((lat.n_sites * fiber,) * 2, dtype=complex)
-        mat += np.kron(lat.site_derivative(a), np.eye(fiber, dtype=complex))
+        # from zeros, so the product's signed zeros come out as +0.0
+        st = np.zeros((lat.n_sites, fiber, fiber), dtype=complex)
+        st += _derivative_stencil(lat, a, np.eye(fiber, dtype=complex))
         if fields is not None:
-            _add_site_constant(mat, lat.n_sites, np.kron(np.eye(cl.spinor_dim), fields[a]))
-        _add_site_constant(mat, lat.n_sites,
-                           np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int))
-        comps.append(LatticeOperator(mat, lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}"))
+            st[0] += np.kron(np.eye(cl.spinor_dim), fields[a])
+        st[0] += np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)
+        comps.append(LatticeOperator(None, lat, cl.spinor_dim, nf,
+                                     kind=f"covariant_derivative_{a}", stencil=st))
     return comps
 
 
 def contraction_residual(conn, cl, dirac_op):
     """Max deviation of sum_a gamma^a conn_a from the Dirac operator.
 
-    gamma^a x 1 acts within a site's fiber, so it is applied to the rows
-    of one site at a time.
+    gamma^a x 1 acts within a site's fiber, so it multiplies each block of
+    the stencils.
     """
-    F = dirac_op.fiber_dim
     gammas = [np.kron(cl.gamma_upper(a), np.eye(dirac_op.internal_dim)) for a in range(len(conn))]
-    residual = 0.0
-    for x in range(dirac_op.lattice.n_sites):
-        rows = slice(x * F, (x + 1) * F)
-        total = sum(g @ comp.matrix[rows] for g, comp in zip(gammas, conn))
-        residual = max(residual, float(np.max(np.abs(total - dirac_op.matrix[rows]))))
-    return residual
+    total = sum(g @ _stencil(comp) for g, comp in zip(gammas, conn))
+    return float(np.max(np.abs(total - _stencil(dirac_op))))
 
 
 def bochner_laplacian(conn):
     """-sum_a (component_a)^2, positive semidefinite for plain derivatives.
 
-    The components are translation-invariant, so only the stencil of each
-    square is formed (see _square_stencil), without an N x N product.
+    Each square is a stencil product (_product_stencil), without an N x N
+    matrix.
     """
     first = conn[0]
-    lap = np.zeros((first.lattice.n_sites, first.fiber_dim, first.fiber_dim), dtype=complex)
+    lap = np.zeros_like(_stencil(first))
     for comp in conn:
-        lap -= _square_stencil(comp)
-    return LatticeOperator.from_stencil(
-        lap, first.lattice, first.spinor_dim, first.internal_dim, kind="bochner_laplacian"
-    )
+        st = _stencil(comp)
+        lap -= _product_stencil(st, st, first.lattice)
+    return LatticeOperator(None, first.lattice, first.spinor_dim, first.internal_dim,
+                           kind="bochner_laplacian", stencil=lap)
 
 
 def dirac_potential(dirac_op, laplacian, offsite_tol=None):
     """V = (i D)^2 - Laplacian, validated to be a multiplication operator.
 
-    D must be translation-invariant (a ValueError says so otherwise): only
-    the stencil of (i D)^2 is formed (see _square_stencil), without an
-    N x N product.  Raises
-    NotMultiplicationOperator when off-site entries exceed the hard
-    threshold, which signals inconsistent derivative kinds or a Laplacian
-    built from the wrong connection.  The off-site leakage and the
-    site-to-site block deviation are recorded in meta.  The deviation is
-    exactly 0 for a translation-invariant Laplacian such as
-    bochner_laplacian's: D.stencil() has checked D exactly, and every site
-    of (i D)^2 carries a copy of the same block.
+    Both operators must be stencil operators (a ValueError says so
+    otherwise); (i D)^2 is a stencil product (_product_stencil).  Raises
+    NotMultiplicationOperator when the off-site blocks V(r), r != 0,
+    exceed the hard threshold, which signals inconsistent derivative kinds
+    or a Laplacian built from the wrong connection.  The off-site leakage
+    and the site-to-site block deviation are recorded in meta; the
+    deviation is 0, as a stencil holds one block for every site.
     """
     offsite_tol = DEFAULT.potential_offsite_error if offsite_tol is None else offsite_tol
-    if dirac_op.matrix.shape != laplacian.matrix.shape:
+    D, lap = _stencil(dirac_op), _stencil(laplacian)
+    if D.shape != lap.shape:
         raise ValueError("operator and Laplacian act on different spaces")
-    out = LatticeOperator.from_stencil(
-        -_square_stencil(dirac_op), dirac_op.lattice, dirac_op.spinor_dim,
-        dirac_op.internal_dim, kind="dirac_potential",
-    )
-    out.matrix -= laplacian.matrix
-    leak = out.offsite_leakage()
+    V = -_product_stencil(D, D, dirac_op.lattice) - lap
+    leak = float(np.max(np.abs(V[1:]), initial=0.0))
     if leak > offsite_tol:
         raise NotMultiplicationOperator(
             f"Dirac potential has off-site entries up to {leak:.3e} (> {offsite_tol:.0e}); "
             "the operator and the Laplacian use inconsistent derivatives or connections"
         )
-    blocks = out.site_diagonal_blocks()
-    out.meta["offsite_leakage"] = leak
-    out.meta["site_block_deviation"] = float(np.max(np.abs(blocks - blocks[0])))
-    return out
+    return LatticeOperator(
+        None, dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
+        meta={"offsite_leakage": leak, "site_block_deviation": 0.0}, stencil=V,
+    )
 
 
 @dataclass(frozen=True)
@@ -461,9 +437,9 @@ class LagrangianDensity:
 
 
 def lagrangian_density(v_op, lat):
-    """Scalar density carried by a multiplication-operator Dirac potential."""
-    blocks = v_op.site_diagonal_blocks()
-    per_site = float(np.trace(blocks.mean(axis=0)).real)
+    """Scalar density carried by a multiplication-operator Dirac potential:
+    the fiber trace of its site block V(0)."""
+    per_site = float(np.trace(_stencil(v_op)[0]).real)
     return LagrangianDensity(
         per_site_trace=per_site,
         volume_element=float(lat.a ** lat.dim),
@@ -500,11 +476,12 @@ def relative_curvature(conn, cl, md, frep):
     """Curvature of the vacuum connection against squared-mass x (xi wedge xi).
 
     The zero-order part omega_a = conn_a - d_a x 1 of each component must
-    be site-constant: no off-site entry and the same block at every site,
-    checked exactly; a ValueError names the component that is not.  Then
-    [d_a, omega_b] = 0, so F_ab = [omega_a, omega_b] is a fiber matrix.
-    The components are these (2^n N_F)-square fiber blocks, and the
-    residual compares each with (xi_a xi_b - xi_b xi_a) x (-D_int^2).
+    be site-constant: its stencil is zero at every r != 0, checked exactly,
+    and omega_a is its block at r = 0; a ValueError names the component
+    that is not.  Then [d_a, omega_b] = 0, so F_ab = [omega_a, omega_b] is
+    a fiber matrix.  The components are these (2^n N_F)-square fiber
+    blocks, and the residual compares each with
+    (xi_a xi_b - xi_b xi_a) x (-D_int^2).
     """
     lat = conn[0].lattice
     nf = frep.n_total
@@ -513,15 +490,10 @@ def relative_curvature(conn, cl, md, frep):
     m2_int = -(d_int @ d_int)
     omega = []
     for a, comp in enumerate(conn):
-        zero_order = LatticeOperator(comp.matrix.copy(), lat, cl.spinor_dim, nf)
-        d_a = lat.site_derivative(a)
-        for f in range(fiber):
-            # in place, so the difference is the only full-size array
-            zero_order.matrix[f::fiber, f::fiber] -= d_a
-        blocks = zero_order.site_diagonal_blocks()
-        if zero_order.offsite_leakage() != 0.0 or np.any(blocks != blocks[0]):
+        zero_order = _stencil(comp) - _derivative_stencil(lat, a, np.eye(fiber))
+        if np.any(zero_order[1:]):
             raise ValueError(f"zero-order part of connection component {a} is not site-constant")
-        omega.append(blocks[0])
+        omega.append(zero_order[0])
     c = cl.xi_scale
     comps = []
     residual = 0.0
@@ -612,36 +584,51 @@ def gauge_transform(op, u_site, unitary_tol=None):
     )
 
 
+def hermiticity_residual(op):
+    """(max |H - H^dagger|, max(1, max |H|)) for H = i * op.
+
+    For a stencil operator the block of H - H^dagger coupling site 0 to
+    site r is H(r) - H(-r)^dagger, and every other block row is a shift of
+    site 0's, so the stencil gives the dense matrix's two numbers bit for bit.
+    """
+    if op.stencil is None:
+        H = 1j * op.matrix
+        dev = H - H.conj().T
+    else:
+        H = 1j * op.stencil
+        dev = H - H[_negated_sites(op.lattice)].conj().transpose(0, 2, 1)
+    return float(np.max(np.abs(dev))), max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
+
+
 def spectrum(op, square_first=False, herm_tol=None):
     """Sorted real eigenvalues of i*op, or of (i*op)^2 when square_first.
 
-    Validates that i*op is Hermitian.  With square_first the operator must
-    be translation-invariant: each momentum block's -B(k)^2 is
-    diagonalized on its own, and a ValueError is raised otherwise.  Without
-    it, i*op is diagonalized densely, as site-dependent fluctuations and
-    gauge transforms need; np.sort(spectrum(op) ** 2) is their squared
-    spectrum.
+    Validates that i*op is Hermitian (hermiticity_residual).  With
+    square_first a stencil operator is diagonalized per momentum: block m
+    of the stencil's FFT over the site grid is
+    B(k) = sum_r B(r) exp(-2 pi i m.r / L), and each Hermitized -B(k)^2 is
+    diagonalized on its own.  Otherwise i*op is diagonalized densely (a
+    stencil operator's matrix is filled in first), as site-dependent
+    fluctuations and gauge transforms need; with square_first those
+    eigenvalues are squared and sorted.
     """
     herm_tol = DEFAULT.hermiticity if herm_tol is None else herm_tol
-    H = 1j * op.matrix
-    scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    dev = float(np.max(np.abs(H - H.conj().T)))
+    dev, scale = hermiticity_residual(op)
     if dev > herm_tol * scale:
         raise NonHermitian(
             f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
         )
-    if square_first:
-        try:
-            B = op.momentum_blocks()
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}; square_first needs a translation-invariant operator, "
-                "np.sort(spectrum(op) ** 2) is the squared spectrum of any other"
-            ) from None
+    if square_first and op.stencil is not None:
+        lat, F = op.lattice, op.fiber_dim
+        grid = (lat.L,) * lat.dim
+        B = np.fft.fftn(op.stencil.reshape(*grid, F, F), axes=tuple(range(lat.dim)))
+        B = B.reshape(lat.n_sites, F, F)
         M = -(B @ B)
         M = 0.5 * (M + M.conj().transpose(0, 2, 1))
         return np.sort(np.linalg.eigvalsh(M).reshape(-1))
-    return np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    H = 1j * op.matrix
+    vals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    return np.sort(vals ** 2) if square_first else vals
 
 
 def _mass_blocks_full_fiber(md, nf):
@@ -662,12 +649,13 @@ def branch_momentum_shifts(lat, md, frep, wl):
 
     The shift of a branch is the charge of its eigenbundle under the
     Wilson field; the charge must be scalar on the block (guaranteed when
-    the line is valued in the unbroken algebra).
+    the line is valued in the unbroken algebra).  wl is None, a
+    WilsonLine, or the fields wilson_internal_fields returns for it.
     """
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
     if wl is None:
         return [(m2, [0.0] * lat.dim) for m2, _ in blocks]
-    fields, _ = wilson_internal_fields(wl, frep.total, lat.dim)
+    fields = _wilson_fields(wl, frep, lat)
     out = []
     for m2, basis in blocks:
         qs = []

@@ -28,6 +28,7 @@ from .lattice_dirac import (
     mean_mass,
     relative_curvature,
     spectrum,
+    wilson_internal_fields,
 )
 from .model_config import encode_complex_matrix, encode_complex_vector
 from .yukawa_mass import (
@@ -310,25 +311,33 @@ def cmd_masses(run):
     return rep
 
 
+def _wilson_and_dirac(lat, cl, md, frep, wl):
+    """The Wilson line's (fields, flatness residual), built once (None without
+    a line), and the vacuum Dirac operator built from those fields."""
+    if wl is None:
+        return None, build_vacuum_dirac(lat, cl, md, frep)
+    wilson = wilson_internal_fields(wl, frep.total, lat.dim)
+    return wilson, build_vacuum_dirac(lat, cl, md, frep, wilson[0])
+
+
 def cmd_lattice(run):
-    """Lattice operators, spectra, and the dispersion/curvature identities."""
+    """Lattice operators, spectra, and the dispersion/curvature identities.
+
+    Every vacuum operator here is a stencil operator; no N x N matrix is
+    formed.
+    """
     with _reporting("lattice", run) as rep:
         tol, lat, frep = run.tol, run.cfg.build_lattice(), run.model.frep
         vac, md = run.vacuum(), run.mass_data()
         cl = run.cfg.build_clifford()
         wl = run.cfg.build_wilson(vac)
-        vac_op = run.stage("lattice.operator_built", build_vacuum_dirac, lat, cl, md, frep, wl)
-        shifts = None
-        if wl is not None:
-            rep.add(
-                residual_check(
-                    "lattice.wilson_flatness",
-                    vac_op.meta.get("wilson_flatness_residual", 0.0),
-                    tol.wilson_flat,
-                )
-            )
+        wilson, vac_op = run.stage("lattice.operator_built", _wilson_and_dirac, lat, cl, md, frep, wl)
+        fields = shifts = None
+        if wilson is not None:
+            fields, flatness = wilson
+            rep.add(residual_check("lattice.wilson_flatness", flatness, tol.wilson_flat))
             shifts = run.stage(
-                "lattice.wilson_charge_scalar", branch_momentum_shifts, lat, md, frep, wl
+                "lattice.wilson_charge_scalar", branch_momentum_shifts, lat, md, frep, fields
             )
         spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True,
                             herm_tol=tol.hermiticity)
@@ -338,7 +347,7 @@ def cmd_lattice(run):
             disp = float(np.max(np.abs(spec_sq - expected)))
             rep.add(residual_check("lattice.dispersion", disp, tol.dispersion * scale,
                                    "relative to the spectral scale"))
-        conn = build_vacuum_connection(lat, cl, md, frep, wl)
+        conn = build_vacuum_connection(lat, cl, md, frep, fields)
         rep.add(
             residual_check(
                 "lattice.contraction_identity", contraction_residual(conn, cl, vac_op), tol.contraction
@@ -346,8 +355,7 @@ def cmd_lattice(run):
         )
         curv = relative_curvature(conn, cl, md, frep)
         rep.add(residual_check("lattice.curvature_identity", curv.residual, tol.curvature))
-        clifford_conn = build_vacuum_connection(lat, cl, None, frep, wl)
-        lap = bochner_laplacian(clifford_conn)
+        lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
         vd = run.stage(
             "lattice.dirac_potential_multiplicative", dirac_potential, vac_op, lap,
             offsite_tol=tol.potential_offsite_error,

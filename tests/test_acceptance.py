@@ -144,7 +144,7 @@ def test_criterion_06_dirac_potential_and_density(ew_md, ew_frep):
     op = build_vacuum_dirac(lat, cl, ew_md, ew_frep)
     lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, ew_frep))
     vd = dirac_potential(op, lap)
-    assert vd.offsite_leakage() <= 1e-10
+    assert vd.meta["offsite_leakage"] <= 1e-10
     dens = lagrangian_density(vd, lat)
     trace_want = 2.0 * float(ew_md.spectrum_sq.sum())  # 2^n sum m^2 = 4
     assert abs(dens.per_site_trace - trace_want) <= 1e-9

@@ -32,6 +32,7 @@ from fermimass.lattice_dirac import (
     LatticeOperator,
     WilsonLine,
     contraction_residual,
+    hermiticity_residual,
     wilson_internal_fields,
 )
 from fermimass.model_config import encode_complex_matrix, encode_complex_vector
@@ -48,6 +49,13 @@ def dft_derivative(L, a):
     U = np.exp(2j * np.pi * np.outer(m, m) / L) / np.sqrt(L)
     k = 2.0 * np.pi * m / (L * a)
     return U @ np.diag(1j * k) @ U.conj().T
+
+
+def site_derivative(lat, axis):
+    """Oracle: the derivative along one axis on the full site space L^{2n},
+    as a Kronecker product with identities on the other axes."""
+    left, right = lat.L ** axis, lat.L ** (lat.dim - axis - 1)
+    return np.kron(np.eye(left), np.kron(lat.axis_derivative(), np.eye(right)))
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
@@ -177,7 +185,7 @@ def test_connection_zero_mass_is_plain_derivative(ew):
     lat = TorusLattice(n=1, L=2)
     conn = build_vacuum_connection(lat, ew.cl, None, ew.frep)
     for a, comp in enumerate(conn):
-        want = np.kron(lat.site_derivative(a), np.eye(6))
+        want = np.kron(site_derivative(lat, a), np.eye(6))
         assert np.abs(comp.matrix - want).max() == 0.0
 
 
@@ -232,7 +240,7 @@ def test_canonical_laplacian_extra_terms(ew):
     want = np.zeros_like(diff)
     for a in range(2):
         omega = np.kron(np.eye(lat.n_sites), np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), ew.md.D_matrix))
-        plain = np.kron(lat.site_derivative(a), np.eye(6))
+        plain = np.kron(site_derivative(lat, a), np.eye(6))
         want -= omega @ plain + plain @ omega + omega @ omega
     assert np.abs(diff - want).max() <= 1e-12
 
@@ -254,7 +262,7 @@ def test_dirac_potential_zero_mass_trace_exact_L4(ew):
     op = build_vacuum_dirac(lat, ew.cl, None, ew.frep)
     lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     vd = dirac_potential(op, lap)
-    assert vd.offsite_leakage() <= 1e-13
+    assert vd.meta["offsite_leakage"] <= 1e-13
     assert lagrangian_density(vd, lat).per_site_trace == 0.0
 
 
@@ -422,7 +430,7 @@ def dense_curvature(conn, cl, md, frep):
     lat = conn[0].lattice
     lift = np.eye(lat.n_sites)
     m2_int = -(md.D_matrix @ md.D_matrix)
-    plain = [np.kron(lat.site_derivative(a), np.eye(conn[0].fiber_dim)) for a in range(lat.dim)]
+    plain = [np.kron(site_derivative(lat, a), np.eye(conn[0].fiber_dim)) for a in range(lat.dim)]
     omega = [conn[a].matrix - plain[a] for a in range(lat.dim)]
     c = cl.xi_scale
     comps, residual = [], 0.0
@@ -511,22 +519,26 @@ def test_fiber_contraction_matches_dense_lift_bitwise(wilson_vacuum):
 
 
 def test_curvature_rejects_site_dependent_connection(ew):
-    lat = TorusLattice(n=1, L=2)
+    lat = TorusLattice(n=1, L=3)
     conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep)
-    fiber = conn[0].fiber_dim
-    bumped = conn[1].matrix.copy()
-    bumped[fiber : 2 * fiber, fiber : 2 * fiber] += 1e-3 * np.eye(fiber)
-    site_block = [conn[0], LatticeOperator(bumped, lat, ew.cl.spinor_dim, 3)]
+
+    def bumped(comp, site, entry):
+        st = comp.stencil.copy()
+        st[(site, *entry)] += 1e-3
+        return LatticeOperator(None, lat, ew.cl.spinor_dim, 3, stencil=st)
+
+    # an extra entry on the derivative's own line, and one off it
     with pytest.raises(ValueError, match="component 1 is not site-constant"):
-        relative_curvature(site_block, ew.cl, ew.md, ew.frep)
-    leaking = conn[0].matrix.copy()
-    leaking[0, fiber] += 1e-3
-    offsite = [LatticeOperator(leaking, lat, ew.cl.spinor_dim, 3), conn[1]]
+        relative_curvature([conn[0], bumped(conn[1], 1, (2, 3))], ew.cl, ew.md, ew.frep)
     with pytest.raises(ValueError, match="component 0 is not site-constant"):
-        relative_curvature(offsite, ew.cl, ew.md, ew.frep)
+        relative_curvature([bumped(conn[0], 4, (0, 0)), conn[1]], ew.cl, ew.md, ew.frep)
+    # a connection held as a dense matrix may be site-dependent: no stencil
+    dense = LatticeOperator(conn[0].matrix.copy(), lat, ew.cl.spinor_dim, 3)
+    with pytest.raises(ValueError, match="dense matrix"):
+        relative_curvature([dense, conn[1]], ew.cl, ew.md, ew.frep)
 
 
-# ----- stencils and momentum blocks against the dense products ----------
+# ----- stencil operators against the dense products ---------------------
 
 def dense_squared_spectrum(op):
     """Oracle: eigenvalues of the Hermitized dense -D @ D."""
@@ -540,9 +552,29 @@ def dense_laplacian(conn):
 
 
 def dense_potential(op, lap_matrix):
-    """Oracle: -D @ D - Laplacian on the full space, as a LatticeOperator."""
-    V = -(op.matrix @ op.matrix) - lap_matrix
-    return LatticeOperator(V, op.lattice, op.spinor_dim, op.internal_dim)
+    """Oracle: -D @ D - Laplacian on the full space."""
+    return -(op.matrix @ op.matrix) - lap_matrix
+
+
+def dense_leakage_and_trace(V, lat, fiber):
+    """Oracle: the largest entry outside the site-diagonal blocks, and the
+    fiber trace of the mean site-diagonal block."""
+    S = lat.n_sites
+    rows = V.reshape(S, fiber, S, fiber)
+    idx = np.arange(S)
+    blocks = rows[idx, :, idx, :]
+    off = rows.copy()
+    off[idx, :, idx, :] = 0.0
+    return float(np.abs(off).max()), float(np.trace(blocks.mean(axis=0)).real)
+
+
+def dense_copy(op):
+    """The operator's densified matrix, held as a dense operator."""
+    return LatticeOperator(op.matrix.copy(), op.lattice, op.spinor_dim, op.internal_dim, kind=op.kind)
+
+
+def site_index(lat, coords):
+    return int(np.ravel_multi_index(tuple(np.mod(coords, lat.L)), (lat.L,) * lat.dim))
 
 
 @pytest.fixture(
@@ -558,7 +590,10 @@ def dense_potential(op, lap_matrix):
 )
 def vacuum(request):
     """(lattice, Clifford algebra, mass data, fermions, Wilson line or None)."""
-    model, n, L, kind, wilson = request.param
+    return vacuum_objects(*request.param)
+
+
+def vacuum_objects(model, n, L, kind, wilson):
     cfg = ew_reference() if model == "ew" else two_generation_leptons()
     built = cfg.build()
     vac = minimize(built.higgs, built.seed)
@@ -581,55 +616,90 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
     conn = build_vacuum_connection(lat, cl, None, frep, wl)
     lap = bochner_laplacian(conn)
-    assert np.abs(lap.matrix - dense_laplacian(conn)).max() <= 1e-13
     vd = dirac_potential(op, lap)
-    oracle = dense_potential(op, dense_laplacian(conn))
-    assert np.abs(vd.matrix - oracle.matrix).max() <= 1e-13
-    assert abs(vd.meta["offsite_leakage"] - oracle.offsite_leakage()) <= 1e-13
+    assert lap.stencil is not None and vd.stencil is not None
+    lap_oracle = dense_laplacian(conn)
+    assert np.abs(lap.matrix - lap_oracle).max() <= 1e-13
+    oracle = dense_potential(op, lap_oracle)
+    assert np.abs(vd.matrix - oracle).max() <= 1e-13
+    leak, trace = dense_leakage_and_trace(oracle, lat, op.fiber_dim)
+    assert abs(vd.meta["offsite_leakage"] - leak) <= 1e-13
     assert vd.meta["site_block_deviation"] == 0.0
     got = lagrangian_density(vd, lat).per_site_trace
-    want = lagrangian_density(oracle, lat).per_site_trace
-    assert abs(got - want) <= 1e-13
+    assert got == float(np.trace(vd.stencil[0]).real)
+    assert abs(got - trace) <= 1e-13
     assert abs(got - cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-12
 
 
-def test_stencil_and_momentum_blocks_round_trip(vacuum):
+def test_hermiticity_residual_matches_dense_bitwise(vacuum):
     lat, cl, md, frep, wl = vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    for original in (op, *build_vacuum_connection(lat, cl, md, frep, wl)):
-        stencil = original.stencil()
-        assert stencil.shape == (lat.n_sites, op.fiber_dim, op.fiber_dim)
-        copied = LatticeOperator.from_stencil(stencil, lat, cl.spinor_dim, frep.n_total, "copy")
-        assert copied.kind == "copy" and np.array_equal(copied.matrix, original.matrix)
-        blocks = original.momentum_blocks()
-        assert blocks.shape == stencil.shape
-        back = LatticeOperator.from_momentum_blocks(
-            blocks, lat, cl.spinor_dim, frep.n_total, "round_trip"
-        )
-        assert back.kind == "round_trip" and back.matrix.shape == original.matrix.shape
-        assert np.abs(back.matrix - original.matrix).max() <= 1e-14
+    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, wl))
+    for stencil_op in (op, lap, dirac_potential(op, lap)):
+        assert hermiticity_residual(stencil_op) == hermiticity_residual(dense_copy(stencil_op))
 
 
-def test_stencil_rejects_site_dependent_operator(ew):
+def test_densified_matrix_shifts_the_stencil(vacuum):
+    lat, cl, md, frep, wl = vacuum
+    F = cl.spinor_dim * frep.n_total
+    ops = (build_vacuum_dirac(lat, cl, md, frep, wl), *build_vacuum_connection(lat, cl, md, frep, wl))
+    for op in ops:
+        assert op.stencil.shape == (lat.n_sites, F, F)
+        mat = op.matrix
+        assert op.matrix is mat  # filled in once, then kept
+        rows = mat.reshape(lat.n_sites, F, lat.n_sites, F)
+        coords = list(itertools.product(range(lat.L), repeat=lat.dim))
+        for x, cx in enumerate(coords):
+            for y, cy in enumerate(coords):
+                r = site_index(lat, np.subtract(cy, cx))
+                assert np.array_equal(rows[x, :, y, :], op.stencil[r])
+
+
+def test_stencil_checks_reject_dense_operator(ew):
     lat = TorusLattice(n=1, L=3)
     op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
     fl = fluctuation_operator(op, None, phi, ew.ymap, ew.cl, ew.frep, 0.5)
-    for method in (fl.stencil, fl.momentum_blocks):
-        with pytest.raises(ValueError, match="not translation-invariant"):
-            method()
-    lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
-    with pytest.raises(ValueError, match="not translation-invariant"):
-        dirac_potential(fl, lap)
-    # the error names the call that squares a site-dependent spectrum
-    with pytest.raises(ValueError, match=r"np\.sort\(spectrum\(op\) \*\* 2\)"):
-        spectrum(fl, square_first=True)
+    assert fl.stencil is None
+    conn = build_vacuum_connection(lat, ew.cl, None, ew.frep)
+    lap = bochner_laplacian(conn)
+    for check in (lambda: dirac_potential(fl, lap), lambda: contraction_residual(conn, ew.cl, fl),
+                  lambda: bochner_laplacian([fl, fl]), lambda: lagrangian_density(fl, lat)):
+        with pytest.raises(ValueError, match="dense matrix"):
+            check()
+    # a dense operator's squared spectrum is its dense spectrum squared
+    got = spectrum(fl, square_first=True)
+    assert np.array_equal(got, np.sort(spectrum(fl) ** 2))
     want = dense_squared_spectrum(fl)
-    assert np.abs(np.sort(spectrum(fl) ** 2) - want).max() <= 1e-12 * max(1.0, want.max())
-    # a constant fluctuation keeps the operator translation-invariant
-    const = fluctuation_operator(op, None, phi[0], ew.ymap, ew.cl, ew.frep, 0.5)
-    assert np.abs(spectrum(const, square_first=True) - dense_squared_spectrum(const)).max() <= 1e-12
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, want.max())
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (model, n, L, kind, wilson)
+        for model in ("ew", "leptons")
+        for n, L in ((1, 3), (1, 4), (2, 2), (2, 3))
+        for kind in ("fourier_spectral", "central_difference")
+        for wilson in (False, True)
+    ],
+    ids=lambda p: "-".join(map(str, p)),
+)
+def identity_vacuum(request):
+    return vacuum_objects(*request.param)
+
+
+def test_squared_spectrum_sums_to_laplacian_plus_density(identity_vacuum):
+    # tr (i D)^2 = S tr (i D)^2(0) = S (tr Laplacian(0) + tr V(0)): the
+    # eigenvalue path and the stencil-product path agree on the trace
+    lat, cl, md, frep, wl = identity_vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, wl))
+    density = lat.n_sites * lagrangian_density(dirac_potential(op, lap), lat).per_site_trace
+    total = spectrum(op, square_first=True).sum() - lat.n_sites * np.trace(lap.stencil[0]).real
+    assert abs(total - density) <= 1e-12 * max(1.0, abs(density))
+    assert abs(density - lat.n_sites * cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-10 * max(1.0, abs(density))
 
 
 def kron_lift_dirac(lat, cl, md, frep, wl=None):
@@ -640,7 +710,7 @@ def kron_lift_dirac(lat, cl, md, frep, wl=None):
     fields = wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
     mat = np.zeros((lat.n_sites * cl.spinor_dim * nf,) * 2, dtype=complex)
     for a in range(lat.dim):
-        mat += np.kron(lat.site_derivative(a), np.kron(cl.gamma[a], np.eye(nf, dtype=complex)))
+        mat += np.kron(site_derivative(lat, a), np.kron(cl.gamma[a], np.eye(nf, dtype=complex)))
         if fields is not None:
             mat += np.kron(lift, np.kron(cl.gamma[a], fields[a]))
     mat += np.kron(lift, np.kron(cl.gamma5, md.D_matrix))
@@ -656,7 +726,7 @@ def kron_lift_connection(lat, cl, md, frep, wl=None):
     fields = wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
     comps = []
     for a in range(lat.dim):
-        mat = np.kron(lat.site_derivative(a), np.eye(fiber, dtype=complex))
+        mat = np.kron(site_derivative(lat, a), np.eye(fiber, dtype=complex))
         if fields is not None:
             mat += np.kron(lift, np.kron(np.eye(cl.spinor_dim), fields[a]))
         mat += np.kron(lift, np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int))
