@@ -302,13 +302,6 @@ def _check_lattice_inputs(lat, cl, frep, md):
     return nf
 
 
-def _wilson_fields(wl, frep, lat):
-    """Per-axis Wilson fields: None, the fields as given, or built from a WilsonLine."""
-    if isinstance(wl, WilsonLine):
-        return wilson_internal_fields(wl, frep.total, lat.dim)[0]
-    return wl
-
-
 def build_vacuum_dirac(lat, cl, md, frep, wl=None):
     """The vacuum Dirac operator: derivative slash plus grading x mass.
 
@@ -322,7 +315,9 @@ def build_vacuum_dirac(lat, cl, md, frep, wl=None):
     nf = _check_lattice_inputs(lat, cl, frep, md)
     ident_f = np.eye(nf, dtype=complex)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    fields = _wilson_fields(wl, frep, lat)
+    fields = wl
+    if isinstance(wl, WilsonLine):
+        fields = wilson_internal_fields(wl, frep.total, lat.dim)[0]
     st = np.zeros((lat.n_sites, cl.spinor_dim * nf, cl.spinor_dim * nf), dtype=complex)
     for a in range(lat.dim):
         st += _derivative_stencil(lat, a, np.kron(cl.gamma[a], ident_f))
@@ -332,19 +327,19 @@ def build_vacuum_dirac(lat, cl, md, frep, wl=None):
     return LatticeOperator(None, lat, cl.spinor_dim, nf, kind="vacuum_dirac", stencil=st)
 
 
-def build_vacuum_connection(lat, cl, md, frep, wl=None):
+def build_vacuum_connection(lat, cl, md, frep, fields=None):
     """Covariant derivative components d_a + A_a + xi_a (gamma5 x D_int).
 
     Pass md=None for the plain Clifford connection (mass term omitted);
     that is the connection whose Bochner Laplacian pairs with the vacuum
     Dirac operator in the Dirac potential.  Contracting the components
-    with gamma^a reproduces build_vacuum_dirac exactly.  wl is as for
-    build_vacuum_dirac; each component is a stencil operator.
+    with gamma^a reproduces build_vacuum_dirac exactly.  fields are the
+    per-axis Wilson fields wilson_internal_fields returns, or None; each
+    component is a stencil operator.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md)
     fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    fields = _wilson_fields(wl, frep, lat)
     comps = []
     for a in range(lat.dim):
         # from zeros, so the product's signed zeros come out as +0.0
@@ -416,7 +411,8 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None):
 class LagrangianDensity:
     """Fiber trace of the Dirac potential per site, with the volume element.
 
-    per_site_trace is the scalar density the potential carries.  The trace runs over the full spinor x internal fiber; internal_trace
+    per_site_trace is the scalar density the potential carries.  The
+    trace runs over the full spinor x internal fiber; internal_trace
     divides out the spinor dimension so readings that count only the
     internal factor are recoverable.  scalar_curvature is carried as a
     symbolic zero: on a curved base the fiber trace also contains one
@@ -644,18 +640,17 @@ def _mass_blocks_full_fiber(md, nf):
     return blocks
 
 
-def branch_momentum_shifts(lat, md, frep, wl):
+def branch_momentum_shifts(lat, md, frep, fields):
     """Per-branch, per-axis momentum shifts q_a induced by a Wilson line.
 
     The shift of a branch is the charge of its eigenbundle under the
     Wilson field; the charge must be scalar on the block (guaranteed when
-    the line is valued in the unbroken algebra).  wl is None, a
-    WilsonLine, or the fields wilson_internal_fields returns for it.
+    the line is valued in the unbroken algebra).  fields are the per-axis
+    Wilson fields wilson_internal_fields returns, or None for no line.
     """
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
-    if wl is None:
+    if fields is None:
         return [(m2, [0.0] * lat.dim) for m2, _ in blocks]
-    fields = _wilson_fields(wl, frep, lat)
     out = []
     for m2, basis in blocks:
         qs = []

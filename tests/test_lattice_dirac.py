@@ -305,7 +305,8 @@ def test_wilson_line_does_not_change_potential(ew):
     lap0 = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     v0 = dirac_potential(op0, lap0)
     op1 = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wl)
-    lap1 = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep, wl))
+    fields = wilson_fields(wl, ew.frep, lat)
+    lap1 = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep, fields))
     v1 = dirac_potential(op1, lap1)
     assert np.abs(v1.matrix - v0.matrix).max() <= 1e-12
 
@@ -417,7 +418,7 @@ def test_wilson_term_drops_out_of_curvature(ew):
     # mass term, so the curvature is unchanged
     lat = TorusLattice(n=1, L=2)
     wl = wilson_from_vacuum([[0.3], [0.7]], ew.vac)
-    conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep, wl)
+    conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep, wilson_fields(wl, ew.frep, lat))
     curv = relative_curvature(conn, ew.cl, ew.md, ew.frep)
     assert curv.residual <= 1e-12
 
@@ -500,7 +501,7 @@ def wilson_vacuum(request):
 
 def test_fiber_curvature_matches_dense_formula(wilson_vacuum):
     lat, cl, md, frep, wl = wilson_vacuum
-    conn = build_vacuum_connection(lat, cl, md, frep, wl)
+    conn = build_vacuum_connection(lat, cl, md, frep, wilson_fields(wl, frep, lat))
     curv = relative_curvature(conn, cl, md, frep)
     dense, dense_residual = dense_curvature(conn, cl, md, frep)
     assert [ab for ab, _ in curv.components] == [ab for ab, _ in dense]
@@ -514,7 +515,7 @@ def test_fiber_curvature_matches_dense_formula(wilson_vacuum):
 def test_fiber_contraction_matches_dense_lift_bitwise(wilson_vacuum):
     lat, cl, md, frep, wl = wilson_vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    conn = build_vacuum_connection(lat, cl, md, frep, wl)
+    conn = build_vacuum_connection(lat, cl, md, frep, wilson_fields(wl, frep, lat))
     assert contraction_residual(conn, cl, op) == dense_contraction(conn, cl, op)
 
 
@@ -614,7 +615,7 @@ def test_block_spectrum_matches_dense_eigensolve(vacuum):
 def test_laplacian_and_potential_match_dense_products(vacuum):
     lat, cl, md, frep, wl = vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    conn = build_vacuum_connection(lat, cl, None, frep, wl)
+    conn = build_vacuum_connection(lat, cl, None, frep, wilson_fields(wl, frep, lat))
     lap = bochner_laplacian(conn)
     vd = dirac_potential(op, lap)
     assert lap.stencil is not None and vd.stencil is not None
@@ -634,7 +635,8 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
 def test_hermiticity_residual_matches_dense_bitwise(vacuum):
     lat, cl, md, frep, wl = vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, wl))
+    fields = wilson_fields(wl, frep, lat)
+    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
     for stencil_op in (op, lap, dirac_potential(op, lap)):
         assert hermiticity_residual(stencil_op) == hermiticity_residual(dense_copy(stencil_op))
 
@@ -642,7 +644,8 @@ def test_hermiticity_residual_matches_dense_bitwise(vacuum):
 def test_densified_matrix_shifts_the_stencil(vacuum):
     lat, cl, md, frep, wl = vacuum
     F = cl.spinor_dim * frep.n_total
-    ops = (build_vacuum_dirac(lat, cl, md, frep, wl), *build_vacuum_connection(lat, cl, md, frep, wl))
+    conn = build_vacuum_connection(lat, cl, md, frep, wilson_fields(wl, frep, lat))
+    ops = (build_vacuum_dirac(lat, cl, md, frep, wl), *conn)
     for op in ops:
         assert op.stencil.shape == (lat.n_sites, F, F)
         mat = op.matrix
@@ -695,11 +698,17 @@ def test_squared_spectrum_sums_to_laplacian_plus_density(identity_vacuum):
     # eigenvalue path and the stencil-product path agree on the trace
     lat, cl, md, frep, wl = identity_vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, wl))
+    fields = wilson_fields(wl, frep, lat)
+    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
     density = lat.n_sites * lagrangian_density(dirac_potential(op, lap), lat).per_site_trace
     total = spectrum(op, square_first=True).sum() - lat.n_sites * np.trace(lap.stencil[0]).real
     assert abs(total - density) <= 1e-12 * max(1.0, abs(density))
     assert abs(density - lat.n_sites * cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-10 * max(1.0, abs(density))
+
+
+def wilson_fields(wl, frep, lat):
+    """The per-axis fields of a Wilson line, or None without one."""
+    return wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
 
 
 def kron_lift_dirac(lat, cl, md, frep, wl=None):
@@ -707,7 +716,7 @@ def kron_lift_dirac(lat, cl, md, frep, wl=None):
     as a dense lift np.kron(np.eye(n_sites), block)."""
     nf = frep.n_total
     lift = np.eye(lat.n_sites)
-    fields = wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
+    fields = wilson_fields(wl, frep, lat)
     mat = np.zeros((lat.n_sites * cl.spinor_dim * nf,) * 2, dtype=complex)
     for a in range(lat.dim):
         mat += np.kron(site_derivative(lat, a), np.kron(cl.gamma[a], np.eye(nf, dtype=complex)))
@@ -723,7 +732,7 @@ def kron_lift_connection(lat, cl, md, frep, wl=None):
     fiber = cl.spinor_dim * nf
     lift = np.eye(lat.n_sites)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    fields = wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
+    fields = wilson_fields(wl, frep, lat)
     comps = []
     for a in range(lat.dim):
         mat = np.kron(site_derivative(lat, a), np.eye(fiber, dtype=complex))
@@ -745,8 +754,8 @@ def test_builders_match_kron_lift_bitwise(vacuum, tmp_path):
     dump_operator(oracle, tmp_path / "old.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
     for m in (md, None):
-        for comp, oracle in zip(build_vacuum_connection(lat, cl, m, frep, wl),
-                                kron_lift_connection(lat, cl, m, frep, wl)):
+        conn = build_vacuum_connection(lat, cl, m, frep, wilson_fields(wl, frep, lat))
+        for comp, oracle in zip(conn, kron_lift_connection(lat, cl, m, frep, wl)):
             got, want = comp.matrix.view(np.float64), oracle.view(np.float64)
             assert np.array_equal(got, want)
             # the build starts from zeros, so some -0.0 entries of the kron
@@ -765,7 +774,7 @@ def test_wilson_fields_flat_and_shift(ew):
     assert residual <= 1e-12
     op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wl)
     got = spectrum(op, square_first=True)
-    shifts = branch_momentum_shifts(lat, ew.md, ew.frep, wl)
+    shifts = branch_momentum_shifts(lat, ew.md, ew.frep, fields)
     want = expected_squared_spectrum(lat, ew.cl, ew.md, ew.frep, shifts)
     assert np.abs(got - want).max() <= 1e-9 * max(1.0, want.max())
     # two charge assignments: the massless branch does not shift, the
