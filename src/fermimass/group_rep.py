@@ -57,14 +57,14 @@ class LieAlgebraRep:
         return self.generators[0].shape[0]
 
     def element(self, coeffs):
-        """Matrix of the algebra element with the given real coefficients."""
+        """Matrix of the algebra element with the given real coefficients, or
+        the stack of matrices for a stack of coefficient vectors (last axis)."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim_g,):
+        if coeffs.shape[-1:] != (self.dim_g,):
             raise ValueError(f"expected {self.dim_g} coefficients, got shape {coeffs.shape}")
-        X = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
-        for c, G in zip(coeffs, self.generators):
-            X += c * G
-        return X
+        # summed from 0 one generator after the other, as in X = 0; X += c_k G_k
+        terms = coeffs[..., None, None] * np.asarray(self.generators)
+        return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
 def closure_residual(generators):

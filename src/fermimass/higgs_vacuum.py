@@ -37,20 +37,21 @@ class NonConvergence(RuntimeError):
 
 
 def realify(z):
-    """Interleaved real coordinates (Re z_1, Im z_1, ...) of a complex vector."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    out = np.empty(2 * z.shape[0])
-    out[0::2] = z.real
-    out[1::2] = z.imag
+    """Interleaved real coordinates (Re z_1, Im z_1, ...) of a complex vector,
+    or of each vector along the last axis of a stack."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
     return out
 
 
 def complexify(x):
     """Inverse of realify."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] % 2:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] % 2:
         raise ValueError("realified vectors have even length")
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,10 @@ def goldstone_split(rep, z0, cut=None):
 
 
 def unitary_gauge_project(split, phi):
-    """Project a Higgs state onto the physical (unitary gauge) subspace."""
+    """Project a Higgs state, or each state along the last axis of a stack,
+    onto the physical (unitary gauge) subspace."""
     _, physical = split
-    x = realify(phi)
-    return complexify(physical @ (physical.T @ x))
+    return complexify((realify(phi) @ physical) @ physical.T)
 
 
 @dataclass(frozen=True)

@@ -511,7 +511,10 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
     unitary_split given, each state is first projected onto the physical
     subspace.  t = 0 returns a bitwise copy of the vacuum operator, and
     the difference from the vacuum operator is site-diagonal (no
-    derivative terms) for any t.
+    derivative terms) for any t.  The site blocks
+    gamma5 x G(phi_x) + sum_a gamma^a x A_a(x) are built for all sites at
+    once and added to the vacuum's diagonal blocks; every entry is the
+    one the sum with the dense site-diagonal fluctuation matrix gives.
     """
     lat = vac_op.lattice
     S = lat.n_sites
@@ -526,13 +529,13 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
     else:
         phis = np.asarray(phi_fl, dtype=complex)
         if phis.ndim == 1:
-            phis = np.broadcast_to(phis, (S, phis.shape[0])).copy()
+            phis = np.broadcast_to(phis, (S, phis.shape[0]))
         if phis.shape != (S, ymap.n_higgs):
             raise ValueError(
                 f"Higgs fluctuation has shape {phis.shape}, expected ({S}, {ymap.n_higgs})"
             )
     if unitary_split is not None:
-        phis = np.array([unitary_gauge_project(unitary_split, p) for p in phis])
+        phis = unitary_gauge_project(unitary_split, phis)
     gauge = None
     if A_fl is not None:
         gauge = np.asarray(A_fl, dtype=float)
@@ -541,21 +544,31 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
                 f"gauge fluctuation has shape {gauge.shape}, expected "
                 f"({lat.dim}, {S}, {frep.total.dim_g})"
             )
-    fl = np.zeros_like(vac_op.matrix)
-    for x in range(S):
-        blk = np.kron(cl.gamma5, apply_yukawa(ymap, phis[x]))
-        if gauge is not None:
-            for a in range(lat.dim):
-                blk += np.kron(cl.gamma[a], frep.total.element(gauge[a, x]))
-        fl[x * fiber : (x + 1) * fiber, x * fiber : (x + 1) * fiber] = blk
-    return LatticeOperator(
-        vac_op.matrix + float(t) * fl, lat, vac_op.spinor_dim, nf,
-        kind="fluctuated_dirac", meta={"t": float(t)},
-    )
+    # np.kron of a (1, p, p) and an (S, q, q) stack is the stack of the S
+    # site blocks' Kronecker products
+    blk = np.kron(cl.gamma5[None], apply_yukawa(ymap, phis))
+    if gauge is not None:
+        for a in range(lat.dim):
+            blk += np.kron(cl.gamma[a][None], frep.total.element(gauge[a]))
+    t = float(t)
+    # off the site blocks the dense sum added t * (0 + 0j), which turns a
+    # -0.0 of the vacuum into +0.0 for t > 0; adding it keeps those bits
+    out = vac_op.matrix + t * np.zeros((), dtype=complex)
+    sites = np.arange(S)
+    vac4 = vac_op.matrix.reshape(S, fiber, S, fiber)
+    out.reshape(S, fiber, S, fiber)[sites, :, sites, :] = vac4[sites, :, sites, :] + t * blk
+    return LatticeOperator(out, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": t})
 
 
 def gauge_transform(op, u_site, unitary_tol=None):
-    """Conjugate an operator by site-wise unitaries on the internal factor."""
+    """Conjugate an operator by site-wise unitaries on the internal factor.
+
+    U = sum_x |x><x| x 1_spinor x u_x is block-diagonal, so U M U^dagger is
+    formed per block: u_x multiplies the internal index of block row x,
+    and u_y^dagger that of block column y (as (U (U M)^dagger)^dagger).  No
+    N x N product is formed.  A non-unitary u_x raises a ValueError that
+    names the first such site.
+    """
     unitary_tol = DEFAULT.unitary if unitary_tol is None else unitary_tol
     lat = op.lattice
     S = lat.n_sites
@@ -565,35 +578,39 @@ def gauge_transform(op, u_site, unitary_tol=None):
         u = np.broadcast_to(u, (S, nf, nf))
     if u.shape != (S, nf, nf):
         raise ValueError(f"gauge field has shape {u.shape}, expected ({S}, {nf}, {nf})")
-    eye = np.eye(nf)
-    for x in range(S):
-        dev = float(np.max(np.abs(u[x].conj().T @ u[x] - eye)))
-        if dev > unitary_tol:
-            raise ValueError(f"gauge matrix at site {x} is not unitary (residual {dev:.3e})")
-    fiber = op.fiber_dim
-    U = np.zeros_like(op.matrix)
-    spin_eye = np.eye(op.spinor_dim)
-    for x in range(S):
-        U[x * fiber : (x + 1) * fiber, x * fiber : (x + 1) * fiber] = np.kron(spin_eye, u[x])
-    return LatticeOperator(
-        U @ op.matrix @ U.conj().T, lat, op.spinor_dim, nf, kind=op.kind, meta=dict(op.meta)
-    )
+    dev = np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(nf)), axis=(1, 2))
+    bad = np.flatnonzero(dev > unitary_tol)
+    if bad.size:
+        raise ValueError(f"gauge matrix at site {bad[0]} is not unitary (residual {dev[bad[0]]:.3e})")
+
+    def rows(M):
+        return (u[:, None] @ M.reshape(S, op.spinor_dim, nf, -1)).reshape(M.shape)
+
+    moved = np.ascontiguousarray(rows(rows(op.matrix).conj().T).conj().T)
+    return LatticeOperator(moved, lat, op.spinor_dim, nf, kind=op.kind, meta=dict(op.meta))
+
+
+def _hermitian_pair(op):
+    """(H, H^dagger) for H = i * op: dense matrices, or the stencils, where
+    the block of H^dagger coupling site 0 to site r is H(-r)^dagger."""
+    if op.stencil is None:
+        H = 1j * op.matrix
+        return H, H.conj().T
+    H = 1j * op.stencil
+    return H, H[_negated_sites(op.lattice)].conj().transpose(0, 2, 1)
+
+
+def _residual(H, H_dag):
+    return float(np.max(np.abs(H - H_dag))), max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
 
 
 def hermiticity_residual(op):
     """(max |H - H^dagger|, max(1, max |H|)) for H = i * op.
 
-    For a stencil operator the block of H - H^dagger coupling site 0 to
-    site r is H(r) - H(-r)^dagger, and every other block row is a shift of
+    For a stencil operator every block row of H - H^dagger is a shift of
     site 0's, so the stencil gives the dense matrix's two numbers bit for bit.
     """
-    if op.stencil is None:
-        H = 1j * op.matrix
-        dev = H - H.conj().T
-    else:
-        H = 1j * op.stencil
-        dev = H - H[_negated_sites(op.lattice)].conj().transpose(0, 2, 1)
-    return float(np.max(np.abs(dev))), max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
+    return _residual(*_hermitian_pair(op))
 
 
 def spectrum(op, square_first=False, herm_tol=None):
@@ -606,10 +623,12 @@ def spectrum(op, square_first=False, herm_tol=None):
     diagonalized on its own.  Otherwise i*op is diagonalized densely (a
     stencil operator's matrix is filled in first), as site-dependent
     fluctuations and gauge transforms need; with square_first those
-    eigenvalues are squared and sorted.
+    eigenvalues are squared and sorted.  A dense operator's H = i*op and
+    H^dagger serve both the check and the Hermitization.
     """
     herm_tol = DEFAULT.hermiticity if herm_tol is None else herm_tol
-    dev, scale = hermiticity_residual(op)
+    H, H_dag = _hermitian_pair(op)
+    dev, scale = _residual(H, H_dag)
     if dev > herm_tol * scale:
         raise NonHermitian(
             f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
@@ -622,8 +641,10 @@ def spectrum(op, square_first=False, herm_tol=None):
         M = -(B @ B)
         M = 0.5 * (M + M.conj().transpose(0, 2, 1))
         return np.sort(np.linalg.eigvalsh(M).reshape(-1))
-    H = 1j * op.matrix
-    vals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    if op.stencil is not None:
+        H = 1j * op.matrix
+        H_dag = H.conj().T
+    vals = np.linalg.eigvalsh(0.5 * (H + H_dag))
     return np.sort(vals ** 2) if square_first else vals
 
 

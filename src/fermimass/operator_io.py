@@ -9,7 +9,10 @@ Operator container (JSON text):
      "entries": [[re, im], ...]}
 
 Entries are row-major over the full matrix, whose side is the product of
-factor_dims.  Spectra are CSV files with header ``index,eigenvalue`` and
+factor_dims, and spinor_dim is 2^n.  The writer encodes the whole document
+with json's C encoder; the loader reads the entries as one float array and
+raises a ValueError naming the file for any container that does not have
+this form.  Spectra are CSV files with header ``index,eigenvalue`` and
 17 significant digits, sorted ascending.
 """
 
@@ -26,7 +29,7 @@ OPERATOR_SCHEMA_VERSION = 1
 def dump_operator(op, path):
     """Write a lattice operator to a self-describing JSON container."""
     lat = op.lattice
-    flat = op.matrix.reshape(-1)
+    M = op.matrix
     doc = {
         "format": OPERATOR_FORMAT,
         "schema_version": OPERATOR_SCHEMA_VERSION,
@@ -36,35 +39,48 @@ def dump_operator(op, path):
         "spacing": lat.a,
         "derivative_kind": lat.derivative_kind,
         "factor_dims": [lat.n_sites, op.spinor_dim, op.internal_dim],
-        "entries": [[float(v.real), float(v.imag)] for v in flat],
+        "entries": np.stack([M.real.ravel(), M.imag.ravel()], 1).tolist(),
     }
+    # json.dump streams through the pure-Python encoder; json.dumps uses
+    # the C one, and the bytes are the same
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_operator(path):
     """Read a lattice operator dumped by dump_operator."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != OPERATOR_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != OPERATOR_FORMAT:
         raise ValueError(f"{path}: not a {OPERATOR_FORMAT} container")
     if doc.get("schema_version") != OPERATOR_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {doc.get('schema_version')}")
-    lat = TorusLattice(
-        n=int(doc["n"]),
-        L=int(doc["sites_per_dim"]),
-        a=float(doc["spacing"]),
-        derivative_kind=doc["derivative_kind"],
-    )
-    n_sites, spinor_dim, internal_dim = (int(v) for v in doc["factor_dims"])
+    try:
+        lat = TorusLattice(
+            n=int(doc["n"]),
+            L=int(doc["sites_per_dim"]),
+            a=float(doc["spacing"]),
+            derivative_kind=doc["derivative_kind"],
+        )
+        n_sites, spinor_dim, internal_dim = (int(v) for v in doc["factor_dims"])
+        entries = doc["entries"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed container header ({type(exc).__name__}: {exc})") from exc
     if n_sites != lat.n_sites:
         raise ValueError(f"{path}: factor_dims[0] = {n_sites} does not match L^2n = {lat.n_sites}")
+    if spinor_dim != 2 ** lat.n:
+        raise ValueError(f"{path}: factor_dims[1] = {spinor_dim} does not match 2^n = {2 ** lat.n}")
     side = n_sites * spinor_dim * internal_dim
-    entries = doc["entries"]
-    if len(entries) != side * side:
-        raise ValueError(f"{path}: expected {side * side} entries, found {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    if not isinstance(entries, list) or len(entries) != side * side:
+        found = len(entries) if isinstance(entries, list) else type(entries).__name__
+        raise ValueError(f"{path}: expected {side * side} entries, found {found}")
+    try:
+        pairs = np.array(entries)
+    except ValueError:  # ragged: entries of different lengths
+        pairs = None
+    if pairs is None or pairs.shape != (side * side, 2) or pairs.dtype.kind not in "biuf":
+        raise ValueError(f"{path}: entries must be [re, im] pairs of numbers")
+    flat = np.ascontiguousarray(pairs, dtype=float).view(complex)
     return LatticeOperator(
         flat.reshape(side, side), lat, spinor_dim, internal_dim, kind=doc.get("kind", "")
     )

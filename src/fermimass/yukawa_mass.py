@@ -98,17 +98,18 @@ class YukawaMap:
 
 
 def apply_yukawa(ymap, phi):
-    """Odd anti-Hermitian endomorphism of the fermion fiber for a Higgs state."""
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if phi.shape[0] != ymap.n_higgs:
-        raise ValueError(f"Higgs state has length {phi.shape[0]}, coupling expects {ymap.n_higgs}")
+    """Odd anti-Hermitian endomorphism of the fermion fiber for a Higgs state,
+    or the stack of them for a stack of states (last axis)."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=complex))
+    if phi.shape[-1] != ymap.n_higgs:
+        raise ValueError(f"Higgs state has length {phi.shape[-1]}, coupling expects {ymap.n_higgs}")
     flags = np.array(ymap.conj_flags)
     phi_eff = np.where(flags, phi.conj(), phi)
-    M = np.tensordot(ymap.tensor, phi_eff, axes=([2], [0]))
+    M = np.einsum("lrh,...h->...lr", ymap.tensor, phi_eff)
     nl, nr = ymap.n_left, ymap.n_right
-    G = np.zeros((nl + nr, nl + nr), dtype=complex)
-    G[:nl, nl:] = 1j * M
-    G[nl:, :nl] = 1j * M.conj().T
+    G = np.zeros(phi.shape[:-1] + (nl + nr, nl + nr), dtype=complex)
+    G[..., :nl, nl:] = 1j * M
+    G[..., nl:, :nl] = 1j * np.swapaxes(M.conj(), -1, -2)
     return G
 
 

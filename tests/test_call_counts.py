@@ -1,12 +1,30 @@
 """Work done by one CLI run: each representation is decoded once per model,
 each pipeline stage runs at most once per run, a failing one included, and
-the lattice command forms no N x N matrix."""
+the lattice command forms no N x N matrix.  The dense site-dependent path
+does no per-site or per-entry work in Python."""
 
+import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fermimass import cli, ew_reference, group_rep, lattice_dirac, model_config, reports, save_model
+from fermimass import (
+    TorusLattice,
+    build_clifford,
+    build_vacuum_dirac,
+    cli,
+    ew_reference,
+    group_rep,
+    lattice_dirac,
+    mass_matrix,
+    minimize,
+    model_config,
+    operator_io,
+    reports,
+    save_model,
+    yukawa_mass,
+)
 
 
 @pytest.fixture()
@@ -72,3 +90,47 @@ def test_lattice_path_never_densifies(monkeypatch, capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2 ** 20
+
+
+def test_dump_operator_uses_the_c_json_encoder(monkeypatch, tmp_path, ew_md, ew_frep):
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("dump_operator went through json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    op = build_vacuum_dirac(TorusLattice(n=1, L=2), build_clifford(1), ew_md, ew_frep)
+    operator_io.dump_operator(op, tmp_path / "op.json")
+    assert operator_io.load_operator(tmp_path / "op.json").matrix.shape == op.matrix.shape
+
+
+def fluctuation_calls(monkeypatch, L):
+    """Calls of the site-block helpers made by one fluctuation_operator call
+    with gauge and Higgs fluctuations at n=1 and L sites per axis."""
+    built = ew_reference().build()
+    vac = minimize(built.higgs, built.seed)
+    lat, cl = TorusLattice(n=1, L=L), build_clifford(1)
+    op = build_vacuum_dirac(lat, cl, mass_matrix(built.ymap, vac), built.frep)
+    rng = np.random.default_rng(L)
+    A = rng.standard_normal((lat.dim, lat.n_sites, built.frep.total.dim_g))
+    phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
+    seen = {"apply_yukawa": 0, "element": 0, "kron": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as m:
+        for holder, name in ((lattice_dirac, "apply_yukawa"), (yukawa_mass, "apply_yukawa"),
+                             (group_rep.LieAlgebraRep, "element"), (np, "kron")):
+            m.setattr(holder, name, counted(name, getattr(holder, name)))
+        lattice_dirac.fluctuation_operator(
+            op, A, phi, built.ymap, cl, built.frep, 0.5,
+            unitary_split=(vac.goldstone_basis, vac.physical_basis),
+        )
+    return seen
+
+
+def test_fluctuation_work_does_not_grow_with_sites(monkeypatch):
+    assert fluctuation_calls(monkeypatch, 4) == fluctuation_calls(monkeypatch, 8)

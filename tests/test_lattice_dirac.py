@@ -894,6 +894,69 @@ def test_fluctuation_pure_gauge_preserves_spectrum(ew):
         assert np.abs(s0 - s1).max() <= 1e-10 * max(1.0, np.abs(s0).max())
 
 
+def bits(m):
+    """The raw bits of a complex array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def fluctuation_oracle(vac_op, A_fl, phis, ymap, cl, frep, t, unitary_split=None):
+    """Oracle: the per-site build, one state's projection, coupling and
+    Kronecker products at a time, written into a dense site-diagonal
+    fluctuation matrix that is added to the vacuum's."""
+    S, fiber = vac_op.lattice.n_sites, vac_op.fiber_dim
+    fl = np.zeros_like(vac_op.matrix)
+    for x in range(S):
+        phi = phis[x]
+        if unitary_split is not None:
+            physical = unitary_split[1]
+            r = np.empty(2 * phi.shape[0])
+            r[0::2], r[1::2] = phi.real, phi.imag
+            r = physical @ (physical.T @ r)
+            phi = r[0::2] + 1j * r[1::2]
+        M = np.tensordot(ymap.tensor, np.where(ymap.conj_flags, phi.conj(), phi), axes=([2], [0]))
+        nl = ymap.n_left
+        G = np.zeros((nl + ymap.n_right,) * 2, dtype=complex)
+        G[:nl, nl:] = 1j * M
+        G[nl:, :nl] = 1j * M.conj().T
+        blk = np.kron(cl.gamma5, G)
+        if A_fl is not None:
+            for a in range(len(A_fl)):
+                X = np.zeros((frep.n_total,) * 2, dtype=complex)
+                for c, gen in zip(A_fl[a, x], frep.total.generators):
+                    X += c * gen
+                blk += np.kron(cl.gamma[a], X)
+        fl[x * fiber : (x + 1) * fiber, x * fiber : (x + 1) * fiber] = blk
+    return vac_op.matrix + float(t) * fl
+
+
+@pytest.fixture(scope="module", params=[(1, 3), (2, 2)], ids=["n1-L3", "n2-L2"])
+def fluctuation_case(request, ew):
+    """(vacuum operator, gauge fluctuation, Higgs fluctuation, unitary split)
+    with a Wilson line, seeded."""
+    n, L = request.param
+    lat, cl = TorusLattice(n=n, L=L), build_clifford(n)
+    wl = wilson_from_vacuum([[0.25], [0.1], [0.4], [0.05]][: 2 * n], ew.vac)
+    op = build_vacuum_dirac(lat, cl, ew.md, ew.frep, wl)
+    rng = np.random.default_rng(7 + n)
+    A = 0.3 * rng.standard_normal((lat.dim, lat.n_sites, ew.frep.total.dim_g))
+    phi = 0.3 * (rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2)))
+    return op, cl, A, phi, (ew.vac.goldstone_basis, ew.vac.physical_basis)
+
+
+@pytest.mark.parametrize("with_gauge", [True, False], ids=["gauge", "higgs-only"])
+@pytest.mark.parametrize("projected", [True, False], ids=["unitary-split", "no-split"])
+def test_fluctuation_matches_per_site_oracle_bitwise(ew, fluctuation_case, with_gauge, projected):
+    op, cl, A, phi, split = fluctuation_case
+    A = A if with_gauge else None
+    split = split if projected else None
+    # the negated vacuum is a dense operator whose off-site zeros are -0.0
+    negated = LatticeOperator(-op.matrix, op.lattice, op.spinor_dim, op.internal_dim)
+    for vac, t in itertools.product((op, negated), (0.25, 1.0, -0.5)):
+        got = fluctuation_operator(vac, A, phi, ew.ymap, cl, ew.frep, t, unitary_split=split)
+        want = fluctuation_oracle(vac, A, phi, ew.ymap, cl, ew.frep, t, unitary_split=split)
+        assert np.array_equal(bits(got.matrix), bits(want))
+
+
 # ----- gauge transformations -----------------------------------------------
 
 def test_gauge_transform_identity(ew):
@@ -938,6 +1001,48 @@ def test_gauge_transform_rejects_non_unitary(ew):
         gauge_transform(op, 2.0 * np.eye(3, dtype=complex))
 
 
+def gauge_oracle(op, us):
+    """Oracle: the dense product U M U^dagger with the block-diagonal U."""
+    fiber = op.fiber_dim
+    U = np.zeros_like(op.matrix)
+    for x, u in enumerate(us):
+        U[x * fiber : (x + 1) * fiber, x * fiber : (x + 1) * fiber] = np.kron(np.eye(op.spinor_dim), u)
+    return U @ op.matrix @ U.conj().T
+
+
+def site_unitaries(frep, n_sites, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([exp_map(frep.total, rng.standard_normal(frep.total.dim_g)) for _ in range(n_sites)])
+
+
+def test_gauge_transform_matches_dense_product(ew, fluctuation_case):
+    op, cl, A, phi, split = fluctuation_case
+    fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 1.0, unitary_split=split)
+    us = site_unitaries(ew.frep, op.lattice.n_sites, 5)
+    out = gauge_transform(fl, us)
+    want = gauge_oracle(fl, us)
+    assert np.abs(out.matrix - want).max() <= 1e-14 * max(1.0, np.abs(fl.matrix).max())
+    assert (out.kind, out.meta) == (fl.kind, fl.meta)
+
+
+def test_gauge_transform_identity_exact_on_fluctuation(ew, fluctuation_case):
+    op, cl, A, phi, _ = fluctuation_case
+    fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 0.5)
+    eye = np.broadcast_to(np.eye(3, dtype=complex), (op.lattice.n_sites, 3, 3))
+    assert np.array_equal(gauge_transform(fl, eye).matrix, fl.matrix)
+
+
+@pytest.mark.parametrize("k", [0, 5, 8])
+def test_gauge_transform_names_the_non_unitary_site(ew, k):
+    lat = TorusLattice(n=1, L=3)
+    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
+    us = site_unitaries(ew.frep, lat.n_sites, 11)
+    us[k] *= 1.5
+    us[-1] *= 2.0  # a later bad site is not the one named
+    with pytest.raises(ValueError, match=f"at site {k} is not unitary"):
+        gauge_transform(op, us)
+
+
 # ----- spectrum -------------------------------------------------------------
 
 def test_spectrum_zero_operator(ew):
@@ -962,3 +1067,15 @@ def test_spectrum_square_consistency(ew):
     sq = spectrum(op, square_first=True)
     lin = spectrum(op)
     assert np.abs(np.sort(lin ** 2) - sq).max() <= 1e-9 * max(1.0, sq.max())
+
+
+@pytest.mark.parametrize("square_first", [False, True])
+def test_dense_spectrum_matches_hermitized_eigensolve_bitwise(ew, fluctuation_case, square_first):
+    op, cl, A, phi, split = fluctuation_case
+    fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 0.75, unitary_split=split)
+    moved = gauge_transform(fl, site_unitaries(ew.frep, op.lattice.n_sites, 9))
+    for dense in (fl, moved):
+        H = 1j * dense.matrix
+        want = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+        want = np.sort(want ** 2) if square_first else want
+        assert np.array_equal(spectrum(dense, square_first=square_first), want)
