@@ -75,8 +75,8 @@ class TorusLattice:
             raise ValueError("half-dimension n must be a positive integer")
         if self.L < 1:
             raise ValueError("need at least one site per axis")
-        if self.a <= 0:
-            raise ValueError("lattice spacing must be positive")
+        if not 0 < self.a < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"lattice spacing must be finite and positive, got {self.a!r}")
         if self.derivative_kind not in DERIVATIVE_KINDS:
             raise ValueError(
                 f"unknown derivative kind {self.derivative_kind!r}, expected one of {DERIVATIVE_KINDS}"

@@ -96,7 +96,8 @@ def _require(mapping, key, path, kind=None):
     if key not in mapping:
         raise ModelError(f"{path}.{key}: missing")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is an int subclass, but a JSON true is not a number
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ModelError(f"{path}.{key}: unexpected type {type(value).__name__}")
     return value
 
@@ -291,12 +292,14 @@ class ModelConfig:
         n = _require(self.lattice, "n", path, int)
         L = _require(self.lattice, "sites_per_dim", path, int)
         a = _require(self.lattice, "spacing", path, (int, float))
+        if not 0 < a < np.inf:  # NaN fails both comparisons
+            raise ModelError(f"{path}.spacing: expected a finite positive number, got {a!r}")
         kind = self.lattice.get("derivative", "fourier_spectral")
         if kind not in DERIVATIVE_KINDS:
             raise ModelError(f"{path}.derivative: unknown kind {kind!r}")
         try:
             return TorusLattice(n=n, L=L, a=float(a), derivative_kind=kind)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ModelError(f"{path}: {exc}") from exc
 
     def build_clifford(self):

@@ -1,35 +1,48 @@
 """Self-describing dump formats for lattice operators and spectra.
 
-Operator container (JSON text):
+Operator container (JSON text, schema_version 2):
 
-    {"format": "torus-lattice-operator", "schema_version": 1,
+    {"format": "torus-lattice-operator", "schema_version": 2,
      "kind": "...", "n": 1, "sites_per_dim": 4, "spacing": 1.0,
      "derivative_kind": "fourier_spectral",
      "factor_dims": [n_sites, spinor_dim, internal_dim],
-     "entries": [[re, im], ...]}
+     "entries": "<base64 text>"}
 
-Entries are row-major over the full matrix, whose side is the product of
-factor_dims, and spinor_dim is 2^n.  The writer encodes the whole document
-with json's C encoder; the loader reads the entries as one float array and
-raises a ValueError naming the file for any container that does not have
-this form.  Spectra are CSV files with header ``index,eigenvalue`` and
-17 significant digits, sorted ascending.
+The matrix side is the product of factor_dims, and spinor_dim is 2^n.
+``entries`` is one ASCII string,
+
+    base64(zlib.compress(M as little-endian complex128 bytes, level 1)),
+
+with M row-major over the full matrix, so every entry keeps its bits:
+signed zeros, subnormals, infinities and NaN.  The loader inflates at
+most side^2 * 16 + 1 bytes, whatever the stream would give, and raises a
+ValueError naming the file for any container that does not have this
+form, schema_version 1 (``[re, im]`` text entries) included; such a file
+is converted by loading it with commit 7c9f074, the last that reads
+schema 1, and dumping the operator again with this module.  The dump's
+bytes depend on the zlib build; the loaded matrix does not.  Spectra are
+CSV files with header ``index,eigenvalue`` and 17 significant digits,
+sorted ascending.
 """
 
+import base64
 import json
+import sys
+import zlib
 
 import numpy as np
 
 from .lattice_dirac import LatticeOperator, TorusLattice
 
 OPERATOR_FORMAT = "torus-lattice-operator"
-OPERATOR_SCHEMA_VERSION = 1
+OPERATOR_SCHEMA_VERSION = 2
+HEADER_KEYS = ("n", "sites_per_dim", "spacing", "derivative_kind", "factor_dims", "entries")
 
 
 def dump_operator(op, path):
     """Write a lattice operator to a self-describing JSON container."""
     lat = op.lattice
-    M = op.matrix
+    packed = zlib.compress(np.ascontiguousarray(op.matrix, dtype="<c16"), 1)
     doc = {
         "format": OPERATOR_FORMAT,
         "schema_version": OPERATOR_SCHEMA_VERSION,
@@ -39,12 +52,73 @@ def dump_operator(op, path):
         "spacing": lat.a,
         "derivative_kind": lat.derivative_kind,
         "factor_dims": [lat.n_sites, op.spinor_dim, op.internal_dim],
-        "entries": np.stack([M.real.ravel(), M.imag.ravel()], 1).tolist(),
+        "entries": base64.b64encode(packed).decode("ascii"),
     }
     # json.dump streams through the pure-Python encoder; json.dumps uses
     # the C one, and the bytes are the same
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _is_integer(value):
+    # bool is an int subclass, but a JSON true is not a size
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _lattice(doc, path):
+    """The container's lattice, factor dims and kind, every header field checked."""
+
+    def malformed(detail):
+        return ValueError(f"{path}: malformed container header ({detail})")
+
+    missing = [key for key in HEADER_KEYS if key not in doc]
+    if missing:
+        raise malformed(f"missing {', '.join(missing)}")
+    n, L, a, dims = doc["n"], doc["sites_per_dim"], doc["spacing"], doc["factor_dims"]
+    kind = doc.get("kind", "")
+    if not (_is_integer(n) and _is_integer(L)):
+        raise malformed(f"n and sites_per_dim must be integers, got {n!r} and {L!r}")
+    if isinstance(a, bool) or not isinstance(a, (int, float)):
+        raise malformed(f"spacing must be a number, got {a!r}")
+    if not (isinstance(dims, list) and len(dims) == 3 and all(_is_integer(v) and v >= 1 for v in dims)):
+        raise malformed(f"factor_dims must be three positive integers, got {dims!r}")
+    if not isinstance(kind, str):
+        raise malformed(f"kind must be a string, got {kind!r}")
+    try:
+        lat = TorusLattice(n=n, L=L, a=float(a), derivative_kind=doc["derivative_kind"])
+    except (OverflowError, ValueError) as exc:
+        raise malformed(exc) from exc
+    n_sites, spinor_dim, internal_dim = dims
+    if n_sites != lat.n_sites:
+        raise ValueError(f"{path}: factor_dims[0] = {n_sites} does not match L^2n = {lat.n_sites}")
+    if spinor_dim != 2 ** lat.n:
+        raise ValueError(f"{path}: factor_dims[1] = {spinor_dim} does not match 2^n = {2 ** lat.n}")
+    return lat, spinor_dim, internal_dim, kind
+
+
+def _entries(text, side, path):
+    """Decode the entries string to a writeable native (side, side) complex matrix."""
+    if not isinstance(text, str):
+        raise ValueError(f"{path}: entries must be a base64 string, found {type(text).__name__}")
+    try:
+        packed = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{path}: entries are not base64 ({exc})") from exc
+    expected = side * side * 16
+    inflate = zlib.decompressobj()
+    try:
+        # never more than one byte past the matrix, whatever the stream holds
+        raw = inflate.decompress(packed, min(expected + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise ValueError(f"{path}: entries are not a zlib stream ({exc})") from exc
+    if len(raw) != expected:
+        found = f"more than {expected}" if len(raw) > expected else len(raw)
+        raise ValueError(f"{path}: expected {expected} bytes of complex128 entries, inflated {found}")
+    if not inflate.eof:
+        raise ValueError(f"{path}: entries end inside their zlib stream")
+    if inflate.unused_data:
+        raise ValueError(f"{path}: entries hold bytes after the end of their zlib stream")
+    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(side, side)
 
 
 def load_operator(path):
@@ -55,35 +129,10 @@ def load_operator(path):
         raise ValueError(f"{path}: not a {OPERATOR_FORMAT} container")
     if doc.get("schema_version") != OPERATOR_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {doc.get('schema_version')}")
-    try:
-        lat = TorusLattice(
-            n=int(doc["n"]),
-            L=int(doc["sites_per_dim"]),
-            a=float(doc["spacing"]),
-            derivative_kind=doc["derivative_kind"],
-        )
-        n_sites, spinor_dim, internal_dim = (int(v) for v in doc["factor_dims"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed container header ({type(exc).__name__}: {exc})") from exc
-    if n_sites != lat.n_sites:
-        raise ValueError(f"{path}: factor_dims[0] = {n_sites} does not match L^2n = {lat.n_sites}")
-    if spinor_dim != 2 ** lat.n:
-        raise ValueError(f"{path}: factor_dims[1] = {spinor_dim} does not match 2^n = {2 ** lat.n}")
-    side = n_sites * spinor_dim * internal_dim
-    if not isinstance(entries, list) or len(entries) != side * side:
-        found = len(entries) if isinstance(entries, list) else type(entries).__name__
-        raise ValueError(f"{path}: expected {side * side} entries, found {found}")
-    try:
-        pairs = np.array(entries)
-    except ValueError:  # ragged: entries of different lengths
-        pairs = None
-    if pairs is None or pairs.shape != (side * side, 2) or pairs.dtype.kind not in "biuf":
-        raise ValueError(f"{path}: entries must be [re, im] pairs of numbers")
-    flat = np.ascontiguousarray(pairs, dtype=float).view(complex)
-    return LatticeOperator(
-        flat.reshape(side, side), lat, spinor_dim, internal_dim, kind=doc.get("kind", "")
-    )
+    lat, spinor_dim, internal_dim, kind = _lattice(doc, path)
+    side = lat.n_sites * spinor_dim * internal_dim
+    matrix = _entries(doc["entries"], side, path)
+    return LatticeOperator(matrix, lat, spinor_dim, internal_dim, kind=kind)
 
 
 def write_spectrum_csv(values, path):

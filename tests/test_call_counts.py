@@ -102,6 +102,17 @@ def test_dump_operator_uses_the_c_json_encoder(monkeypatch, tmp_path, ew_md, ew_
     assert operator_io.load_operator(tmp_path / "op.json").matrix.shape == op.matrix.shape
 
 
+def test_dump_operator_writes_compressed_binary_entries(tmp_path, ew_md, ew_frep):
+    """The entries are one string, and the file is under a quarter of the
+    matrix's raw complex128 bytes: neither text pairs nor uncompressed bytes."""
+    op = build_vacuum_dirac(TorusLattice(n=1, L=8), build_clifford(1), ew_md, ew_frep)
+    path = tmp_path / "op.json"
+    operator_io.dump_operator(op, path)
+    side = op.matrix.shape[0]
+    assert isinstance(json.loads(path.read_text())["entries"], str)
+    assert path.stat().st_size < 16 * side * side / 4
+
+
 def fluctuation_calls(monkeypatch, L):
     """Calls of the site-block helpers made by one fluctuation_operator call
     with gauge and Higgs fluctuations at n=1 and L sites per axis."""

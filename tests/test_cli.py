@@ -104,6 +104,28 @@ def test_invalid_json_is_input_error(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc["lattice"].update(spacing=float("inf")), "lattice.spacing"),
+        (lambda doc: doc["lattice"].update(spacing=float("nan")), "lattice.spacing"),
+        (lambda doc: doc["lattice"].update(n=True), "lattice.n"),
+        (lambda doc: doc["lattice"].update(sites_per_dim=True), "lattice.sites_per_dim"),
+        (lambda doc: doc.update(schema_version=True), "schema_version"),
+    ],
+    ids=["infinite-spacing", "nan-spacing", "bool-n", "bool-sites", "bool-schema-version"],
+)
+def test_non_finite_spacing_and_bool_integers_are_input_errors(capsys, tmp_path, edit, named):
+    doc = ew_reference().to_json_dict()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lattice", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_invariant_violation_is_exit_one(capsys, tmp_path):
     # perturbed right hypercharge: equivariance and lemma clauses fail
     from fermimass.reference import ew_reference as build

@@ -88,6 +88,9 @@ def test_lattice_validation():
         TorusLattice(n=0, L=4)
     with pytest.raises(ValueError):
         TorusLattice(n=1, L=4, a=-1.0)
+    for a in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TorusLattice(n=1, L=4, a=a)
     with pytest.raises(ValueError):
         TorusLattice(n=1, L=4, derivative_kind="upwind")
 

@@ -1,5 +1,7 @@
+import base64
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -30,9 +32,9 @@ def special_operator():
     return LatticeOperator(m, TorusLattice(n=1, L=2, a=0.5), 2, 1, kind="special")
 
 
-def dump_oracle(op, path):
-    """Oracle: the entry-by-entry list and json.dump, which streams through
-    json's pure-Python encoder."""
+def dump_schema1(op, path):
+    """The schema 1 container of earlier releases: entries as [re, im] text
+    pairs, written entry by entry with json.dump."""
     lat = op.lattice
     doc = {
         "format": "torus-lattice-operator",
@@ -50,12 +52,26 @@ def dump_oracle(op, path):
         fh.write("\n")
 
 
-def test_dump_bytes_match_the_entrywise_encoder(tmp_path, ew_md, ew_frep):
+def b64(data):
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_entries(entries, side):
+    """Independent decode of a schema 2 entries string."""
+    raw = zlib.decompress(base64.b64decode(entries))
+    return np.frombuffer(raw, dtype="<c16").reshape(side, side)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_entries_are_zlib_compressed_little_endian_complex128(tmp_path, ew_md, ew_frep):
     vacuum = build_vacuum_dirac(TorusLattice(n=1, L=3), build_clifford(1), ew_md, ew_frep)
     for op in (special_operator(), vacuum):
         dump_operator(op, tmp_path / "op.json")
-        dump_oracle(op, tmp_path / "oracle.json")
-        assert (tmp_path / "op.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+        doc = json.loads((tmp_path / "op.json").read_text())
+        assert same_bits(decode_entries(doc["entries"], op.matrix.shape[0]), op.matrix)
 
 
 def test_round_trip_is_bit_for_bit(tmp_path):
@@ -63,9 +79,9 @@ def test_round_trip_is_bit_for_bit(tmp_path):
     path = tmp_path / "op.json"
     dump_operator(op, path)
     back = load_operator(path).matrix
-    assert back.shape == op.matrix.shape
-    assert np.array_equal(back.view(np.uint64), op.matrix.view(np.uint64))
+    assert same_bits(back, op.matrix)
     assert np.signbit(back.real).sum() == np.signbit(op.matrix.real).sum() > 0
+    assert back.flags.writeable and back.dtype == np.dtype(complex)
 
 
 DROP = object()
@@ -81,10 +97,13 @@ def rewrite(path, **changes):
     path.write_text(json.dumps(doc))
 
 
-def set_entry(i, value):
+def restream(edit):
+    """Change of the entries string: edit(matrix bytes, zlib stream) gives
+    the bytes to base64-encode in its place."""
+
     def change(entries):
-        entries[i] = value
-        return entries
+        stream = base64.b64decode(entries)
+        return b64(edit(zlib.decompress(stream), stream))
 
     return change
 
@@ -92,25 +111,43 @@ def set_entry(i, value):
 @pytest.mark.parametrize(
     "change",
     [
-        {"entries": set_entry(5, "0.5")},
-        {"entries": set_entry(5, None)},
-        {"entries": set_entry(5, [0.5, "0.0"])},
-        {"entries": set_entry(5, [0.5, None])},
-        {"entries": set_entry(5, [0.5])},
-        {"entries": set_entry(5, [0.5, 0.0, 0.0])},
-        {"entries": set_entry(5, {"re": 0.5})},
-        {"entries": lambda e: [v + [0.0] for v in e]},
-        {"entries": "dense"},
         {"factor_dims": [4, 1, 2]},
         {"factor_dims": [4, 2]},
         {"factor_dims": None},
+        {"factor_dims": [4, 2, -1]},
+        {"factor_dims": [4, 2, 0]},
+        {"factor_dims": [4, 2, True]},
+        {"factor_dims": [4, 2, 1.0]},
         {"n": "one"},
+        {"n": 1.5},
+        {"n": True},
+        {"sites_per_dim": 2.9},
+        {"spacing": float("nan")},
+        {"spacing": float("inf")},
+        {"spacing": "0.5"},
+        {"spacing": 0},
+        {"kind": 5},
+        {"kind": None},
         {"entries": DROP},
         {"spacing": DROP},
+        {"entries": lambda e: [[0.5, 0.0]] * 64},
+        {"entries": None},
+        {"entries": lambda e: e[:12] + "*" + e[12:]},
+        {"entries": lambda e: e[:12] + "\u00e9" + e[12:]},
+        {"entries": restream(lambda raw, z: raw)},
+        {"entries": restream(lambda raw, z: z[:-4])},
+        {"entries": restream(lambda raw, z: z[: len(z) // 2])},
+        {"entries": restream(lambda raw, z: z + b"\x00")},
+        {"entries": restream(lambda raw, z: z + z)},
+        {"entries": restream(lambda raw, z: zlib.compress(raw[:-16]))},
+        {"entries": restream(lambda raw, z: zlib.compress(raw + raw[:16]))},
     ],
-    ids=["string-entry", "null-entry", "string-part", "null-part", "short-entry", "long-entry",
-         "object-entry", "all-long", "entries-not-a-list", "spinor-dim", "two-dims", "no-dims",
-         "bad-n", "no-entries", "no-spacing"],
+    ids=["spinor-dim", "two-dims", "no-dims", "negative-dim", "zero-dim", "bool-dim", "float-dim",
+         "bad-n", "fractional-n", "bool-n", "fractional-L", "nan-spacing", "infinite-spacing",
+         "string-spacing", "zero-spacing", "int-kind", "null-kind", "no-entries", "no-spacing",
+         "entries-a-list", "entries-null", "non-base64-char", "non-ascii-char", "not-zlib",
+         "truncated-stream", "half-stream", "trailing-byte", "second-stream", "16-bytes-short",
+         "16-bytes-long"],
 )
 def test_operator_load_rejects_malformed_container(tmp_path, change):
     path = tmp_path / "op.json"
@@ -120,13 +157,43 @@ def test_operator_load_rejects_malformed_container(tmp_path, change):
         load_operator(path)
 
 
-def test_operator_load_accepts_bool_and_int_entries(tmp_path):
+def test_operator_load_bounds_the_inflated_size(tmp_path, monkeypatch):
+    """A stream of zeros 100 times the matrix size is refused after at most
+    side^2 * 16 + 1 inflated bytes."""
     path = tmp_path / "op.json"
     dump_operator(special_operator(), path)
-    rewrite(path, entries=lambda e: [[True, 2]] + [[0, False]] * (len(e) - 1))
-    back = load_operator(path).matrix.reshape(-1)
-    assert back[0] == 1.0 + 2.0j
-    assert not np.any(back[1:])
+    limit = 8 * 8 * 16 + 1
+    rewrite(path, entries=b64(zlib.compress(bytes(100 * (limit - 1)))))
+    inflated = []
+    decompressobj = zlib.decompressobj
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            self.inner = decompressobj(*args, **kwargs)
+
+        def decompress(self, data, max_length=0):
+            out = self.inner.decompress(data, max_length)
+            inflated.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    def unbounded(*args, **kwargs):
+        raise AssertionError("load_operator inflated without a bound")
+
+    monkeypatch.setattr(zlib, "decompressobj", Recording)
+    monkeypatch.setattr(zlib, "decompress", unbounded)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_operator(path)
+    assert inflated and sum(inflated) <= limit
+
+
+def test_operator_load_rejects_schema_1(tmp_path):
+    path = tmp_path / "op.json"
+    dump_schema1(special_operator(), path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported schema_version 1")):
+        load_operator(path)
 
 
 def test_operator_round_trip_exact(tmp_path, ew_md, ew_frep):
@@ -136,7 +203,7 @@ def test_operator_round_trip_exact(tmp_path, ew_md, ew_frep):
     path = tmp_path / "op.json"
     dump_operator(op, path)
     back = load_operator(path)
-    assert np.array_equal(back.matrix, op.matrix)
+    assert same_bits(back.matrix, op.matrix)
     assert back.lattice == lat
     assert back.spinor_dim == op.spinor_dim
     assert back.internal_dim == op.internal_dim
@@ -151,10 +218,10 @@ def test_operator_container_is_self_describing(tmp_path, ew_md, ew_frep):
     dump_operator(op, path)
     doc = json.loads(path.read_text())
     assert doc["format"] == "torus-lattice-operator"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["factor_dims"] == [4, 2, 3]
-    assert len(doc["entries"]) == 24 * 24
-    assert all(len(e) == 2 for e in doc["entries"][:10])
+    assert isinstance(doc["entries"], str)
+    assert decode_entries(doc["entries"], 24).shape == (24, 24)
 
 
 def test_operator_load_rejects_bad_container(tmp_path):
@@ -164,19 +231,6 @@ def test_operator_load_rejects_bad_container(tmp_path):
         load_operator(path)
     path.write_text(json.dumps(["torus-lattice-operator"]))
     with pytest.raises(ValueError, match="container"):
-        load_operator(path)
-
-
-def test_operator_load_rejects_truncated_entries(tmp_path, ew_md, ew_frep):
-    lat = TorusLattice(n=1, L=2)
-    cl = build_clifford(1)
-    op = build_vacuum_dirac(lat, cl, ew_md, ew_frep)
-    path = tmp_path / "op.json"
-    dump_operator(op, path)
-    doc = json.loads(path.read_text())
-    doc["entries"] = doc["entries"][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="entries"):
         load_operator(path)
 
 
