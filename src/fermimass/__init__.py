@@ -55,7 +55,6 @@ from .yukawa_mass import (
     BlockStructureViolation,
     ChiralFermionRep,
     LemmaReport,
-    LemmaViolation,
     MassBlock,
     MassData,
     YukawaMap,

@@ -387,8 +387,8 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None):
     NotMultiplicationOperator when the off-site blocks V(r), r != 0,
     exceed the hard threshold, which signals inconsistent derivative kinds
     or a Laplacian built from the wrong connection.  The off-site leakage
-    and the site-to-site block deviation are recorded in meta; the
-    deviation is 0, as a stencil holds one block for every site.
+    is recorded in meta.  A stencil holds one block for every site, so
+    the potential is site-constant by construction.
     """
     offsite_tol = DEFAULT.potential_offsite_error if offsite_tol is None else offsite_tol
     D, lap = _stencil(dirac_op), _stencil(laplacian)
@@ -403,7 +403,7 @@ def dirac_potential(dirac_op, laplacian, offsite_tol=None):
         )
     return LatticeOperator(
         None, dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
-        meta={"offsite_leakage": leak, "site_block_deviation": 0.0}, stencil=V,
+        meta={"offsite_leakage": leak}, stencil=V,
     )
 
 
@@ -414,22 +414,15 @@ class LagrangianDensity:
     per_site_trace is the scalar density the potential carries.  The
     trace runs over the full spinor x internal fiber; internal_trace
     divides out the spinor dimension so readings that count only the
-    internal factor are recoverable.  scalar_curvature is carried as a
-    symbolic zero: on a curved base the fiber trace also contains one
-    quarter of the base scalar curvature, and consistency with the
-    gravitational field equations then constrains the base to be an
-    Einstein manifold; that constraint is recorded here, not solved.
+    internal factor are recoverable.  On a curved base the fiber trace
+    would also hold r/4 of the base scalar curvature r, and the base would
+    have to be an Einstein manifold.
     """
 
     per_site_trace: float
     volume_element: float
     spinor_dim: int
     internal_trace: float
-    scalar_curvature: float = 0.0
-    curvature_note: str = (
-        "flat base: scalar curvature 0; a curved base would add r/4 inside the fiber "
-        "trace and must be an Einstein manifold (constraint recorded, not solved)"
-    )
 
 
 def lagrangian_density(v_op, lat):

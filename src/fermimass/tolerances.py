@@ -47,12 +47,9 @@ class Tolerances:
     potential_offsite_error: float = 1e-8
     # Dirac potential off-site leakage: report-level check
     potential_offsite: float = 1e-10
-    # site-to-site variation of the Dirac potential blocks
-    potential_constancy: float = 1e-10
     # per-site trace of the Dirac potential vs the mass-square trace
-    potential_trace: float = 1e-9
-    # density identity against the mean squared mass
-    density_identity: float = 1e-12
+    # 2^n sum m^2, relative to max(1, |2^n sum m^2|)
+    potential_trace: float = 1e-12
     # curvature of the vacuum connection vs mass-square times xi wedge xi
     curvature: float = 1e-12
     # Wilson line flatness [A_a, A_b]

@@ -26,10 +26,6 @@ class BlockStructureViolation(ValueError):
     """An endomorphism expected to be odd has nonzero diagonal blocks."""
 
 
-class LemmaViolation(RuntimeError):
-    """A consistency check on the mass matrix failed; see the message."""
-
-
 @dataclass(frozen=True)
 class ChiralFermionRep:
     """Left/right fermion representations with their graded direct sum."""
@@ -269,67 +265,17 @@ def reconstruction_residual(md):
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Residuals of the structural checks on a vacuum mass matrix."""
+    """Residuals of the structural checks on a vacuum mass matrix; the
+    reports test each against its tolerance."""
 
     commutant_residual: float
     orbit_deviation: float
     orbit_transport_residual: float
     reconstruction_residual: float
-    commutant_tol: float
-    orbit_tol: float
-    reconstruction_tol: float
-
-    @property
-    def commutant_pass(self):
-        return self.commutant_residual <= self.commutant_tol
-
-    @property
-    def orbit_pass(self):
-        # orbit invariance means equivalent vacua along the orbit: equal
-        # spectra multisets AND unitary transport of the mass matrix itself
-        return (
-            self.orbit_deviation <= self.orbit_tol
-            and self.orbit_transport_residual <= self.orbit_tol
-        )
-
-    @property
-    def reconstruction_pass(self):
-        return self.reconstruction_residual <= self.reconstruction_tol
-
-    @property
-    def passed(self):
-        return self.commutant_pass and self.orbit_pass and self.reconstruction_pass
-
-    def failed_clauses(self):
-        out = []
-        if not self.commutant_pass:
-            out.append(
-                "commutant: the mass matrix does not commute with the unbroken generators "
-                f"(residual {self.commutant_residual:.3e} > {self.commutant_tol:.0e})"
-            )
-        if not self.orbit_pass:
-            out.append(
-                "orbit invariance: vacua along the orbit are not equivalent "
-                f"(spectrum deviation {self.orbit_deviation:.3e}, transport residual "
-                f"{self.orbit_transport_residual:.3e}, tolerance {self.orbit_tol:.0e}); "
-                "the coupling tensor is likely not equivariant"
-            )
-        if not self.reconstruction_pass:
-            out.append(
-                "eigenbundle reconstruction: the blocks do not rebuild the squared mass "
-                f"(residual {self.reconstruction_residual:.3e} > {self.reconstruction_tol:.0e})"
-            )
-        return out
-
-    def raise_if_failed(self):
-        failed = self.failed_clauses()
-        if failed:
-            raise LemmaViolation("; ".join(failed))
 
 
-def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204,
-                 commutant_tol=None, orbit_tol=None, reconstruction_tol=None):
-    """Check the structural claims about a vacuum mass matrix.
+def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204):
+    """Residuals of the structural claims about a vacuum mass matrix:
 
     (a) the mass endomorphism commutes with every unbroken generator,
     (b) vacua along the orbit are equivalent: the squared-mass multiset is
@@ -338,10 +284,6 @@ def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204,
         one, and
     (c) the eigenvalue blocks reconstruct the squared mass matrix.
     """
-    commutant_tol = DEFAULT.commutant if commutant_tol is None else commutant_tol
-    orbit_tol = DEFAULT.orbit_spectrum if orbit_tol is None else orbit_tol
-    reconstruction_tol = DEFAULT.reconstruction if reconstruction_tol is None else reconstruction_tol
-
     iso_mats = [frep.total.element(c) for c in vac.isotropy.basis]
     comm = commutant_check(iso_mats, md.D_matrix)
 
@@ -365,7 +307,4 @@ def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204,
         orbit_deviation=orbit_dev,
         orbit_transport_residual=transport,
         reconstruction_residual=reconstruction_residual(md),
-        commutant_tol=commutant_tol,
-        orbit_tol=orbit_tol,
-        reconstruction_tol=reconstruction_tol,
     )

@@ -223,7 +223,7 @@ def test_u1_massless_model_flat_and_zero_spectrum(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["data"]["flat"] is True
-    assert doc["data"]["density"] == 0.0
+    assert doc["data"]["per_site_trace"] == 0.0
 
 
 def test_u1_massive_model_verifies(capsys, tmp_path):
@@ -251,6 +251,47 @@ def test_non_equivariant_model_is_exit_one_with_a_report(capsys, tmp_path):
     assert (code, err) == (1, "")
     failed = {c["id"] for c in json.loads(out)["checks"] if not c["passed"]}
     assert {"masses.equivariance", "lattice.wilson_charge_scalar"} <= failed
+
+
+def test_wilson_flatness_error_reads_the_run_tolerance(capsys, tmp_path):
+    # su(2) stays unbroken under a u(1)-charged singlet Higgs, so a Wilson
+    # line along two su(2) directions is not flat: |[A_0, A_1]| = 0.09 / 2.
+    # The override wilson_flat = 1.0 must reach the hard flatness error too.
+    cfg = ew_reference()
+    zero = [[[0.0, 0.0]]]
+    cfg.representations["higgs_singlet"] = [zero, zero, zero, [[[0.0, -1.0]]]]
+    cfg.higgs = dict(cfg.higgs, rep="higgs_singlet", seed=[[1.0, 0.0]])
+    cfg.fermions = {"rep_left": "lepton_left", "rep_right": "lepton_left"}
+    cfg.yukawa = {"tensor": [[[[0.0, 0.0]]] * 2] * 2, "conjugate_higgs": [False]}
+    cfg.wilson = {"theta": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0]]}
+    cfg.tolerances = {"wilson_flat": 1.0}
+    path = tmp_path / "su2-wilson.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "lattice", "--model", str(path))
+    assert (code, err) == (1, "")
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    flat = checks["lattice.wilson_flatness"]
+    assert flat["value"] == pytest.approx(0.045, rel=1e-12)
+    assert (flat["tol"], flat["passed"]) == (1.0, True)
+    assert [cid for cid, c in checks.items() if not c["passed"]] == ["lattice.wilson_charge_scalar"]
+
+
+def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):
+    # v = 2000 and y = 50 put 2^n sum m^2 at 4e10, where the per-site trace
+    # rounds to ~8e-6 absolute (2e-16 relative); the lattice checks are
+    # relative to the model's scale, so none of them fails.  The orbit
+    # checks are not scaled yet, so the exit code is not asserted.
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2000.0}, seed=[[0.0, 0.0], [1000.0, 0.0]])
+    tensor = cfg.yukawa["tensor"]
+    tensor[0][0][0] = tensor[1][0][1] = [50.0, 0.0]
+    path = tmp_path / "ew-large.json"
+    save_model(cfg, path)
+    _, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert err == ""
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["lattice.potential_trace"]["value"] > 0.0
+    assert [cid for cid, c in checks.items() if cid.startswith("lattice.") and not c["passed"]] == []
 
 
 def test_tightened_hermiticity_is_a_failing_check(capsys, tmp_path):

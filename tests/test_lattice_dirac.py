@@ -277,7 +277,6 @@ def test_dirac_potential_ew_is_mass_square(ew):
     want = np.kron(np.eye(lat.n_sites), np.kron(np.eye(2), ew.md.mass_square_fiber()))
     assert np.abs(vd.matrix - want).max() <= 1e-12
     assert vd.meta["offsite_leakage"] <= 1e-10
-    assert vd.meta["site_block_deviation"] <= 1e-10
     dens = lagrangian_density(vd, lat)
     # fiber trace of Id_2 x diag(M M^+, M^+ M) with squared masses {0,1,1}
     assert abs(dens.per_site_trace - 4.0) <= 1e-9
@@ -628,7 +627,6 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
     assert np.abs(vd.matrix - oracle).max() <= 1e-13
     leak, trace = dense_leakage_and_trace(oracle, lat, op.fiber_dim)
     assert abs(vd.meta["offsite_leakage"] - leak) <= 1e-13
-    assert vd.meta["site_block_deviation"] == 0.0
     got = lagrangian_density(vd, lat).per_site_trace
     assert got == float(np.trace(vd.stencil[0]).real)
     assert abs(got - trace) <= 1e-13

@@ -129,10 +129,12 @@ def test_tolerance_overrides():
     assert scaled.dispersion == pytest.approx(1e-5)
 
 
-def test_unknown_tolerance_rejected():
+@pytest.mark.parametrize("name", ["disperzion", "density_identity", "potential_constancy"])
+def test_unknown_tolerance_rejected(name):
+    # a misspelt knob, and the two knobs of the removed lattice checks
     cfg = ew_reference()
-    cfg.tolerances = {"disperzion": 1e-6}
-    with pytest.raises(ModelError, match="disperzion"):
+    cfg.tolerances = {name: 1e-6}
+    with pytest.raises(ModelError, match=name):
         cfg.build_tolerances()
 
 
