@@ -30,7 +30,6 @@ from .lattice_dirac import (
     NonHermitian,
     NotMultiplicationOperator,
     TorusLattice,
-    WilsonLine,
     bochner_laplacian,
     branch_momentum_shifts,
     build_vacuum_connection,
@@ -44,8 +43,7 @@ from .lattice_dirac import (
     mean_mass,
     relative_curvature,
     spectrum,
-    wilson_from_vacuum,
-    wilson_internal_fields,
+    wilson_flatness,
 )
 from .model_config import ModelConfig, ModelError, load_model, save_model
 from .operator_io import dump_operator, load_operator, read_spectrum_csv, write_spectrum_csv

@@ -92,12 +92,6 @@ class IsotropyResult:
     basis: tuple
     dim: int
 
-    def basis_matrix(self):
-        """(dim, dim_g) array of the basis rows; empty rows if dim == 0."""
-        if self.dim == 0:
-            return np.zeros((0, 0))
-        return np.array(self.basis)
-
 
 def direct_sum(reps):
     """Block-diagonal direct sum of representations of the same algebra."""

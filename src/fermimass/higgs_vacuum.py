@@ -68,6 +68,8 @@ class HiggsModel:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(np.isfinite, self.params)):
+            raise ValueError(f"potential parameters must be finite, got {self.params}")
         if self.potential_kind not in POTENTIAL_KINDS:
             raise ValueError(
                 f"unknown potential kind {self.potential_kind!r}, expected one of {POTENTIAL_KINDS}"

@@ -214,81 +214,25 @@ def _negated_sites(lat):
     return np.ravel_multi_index(-np.indices(grid).reshape(lat.dim, -1), grid, mode="wrap")
 
 
-@dataclass(frozen=True)
-class WilsonLine:
-    """Constant flat connection coefficients valued in the unbroken algebra.
+def wilson_flatness(fields):
+    """max |[A_a, A_b]| over the axis pairs of a Wilson field stack.
 
-    theta has one row per axis; each row holds coefficients over the
-    isotropy basis, which itself is a list of coefficient vectors over
-    the representation generators.
+    A constant vacuum connection is flat when this vanishes; the reports
+    test it against tol.wilson_flat.
     """
-
-    theta: np.ndarray
-    isotropy_basis: np.ndarray
-
-    def __post_init__(self):
-        theta = np.atleast_2d(np.asarray(self.theta, dtype=float))
-        basis = np.asarray(self.isotropy_basis, dtype=float)
-        if basis.ndim != 2:
-            basis = basis.reshape(0, 0) if basis.size == 0 else np.atleast_2d(basis)
-        if theta.shape[1] != basis.shape[0]:
-            raise ValueError(
-                f"theta rows have length {theta.shape[1]}, isotropy basis has {basis.shape[0]} elements"
-            )
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "isotropy_basis", basis)
-
-    @property
-    def n_axes(self):
-        return self.theta.shape[0]
-
-    def axis_coefficients(self):
-        """(n_axes, dim_g) coefficients of A_a over the generators."""
-        return self.theta @ self.isotropy_basis
+    return max((float(np.max(np.abs(A @ B - B @ A))) for A, B in itertools.combinations(fields, 2)),
+               default=0.0)
 
 
-def wilson_from_vacuum(theta, vac):
-    """Wilson line with coefficients over the vacuum's isotropy basis."""
-    basis = vac.isotropy.basis_matrix()
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if basis.size == 0:
-        basis = np.zeros((theta.shape[1], 0)) if theta.shape[1] == 0 else basis
-    return WilsonLine(theta=theta, isotropy_basis=basis)
-
-
-def wilson_internal_fields(wl, rep, n_axes, flat_tol=None):
-    """Per-axis anti-Hermitian matrices of the Wilson line in a representation.
-
-    Validates the flatness [A_a, A_b] = 0 required of a constant vacuum
-    connection; returns (fields, flatness_residual).
-    """
-    flat_tol = DEFAULT.wilson_flat if flat_tol is None else flat_tol
-    if wl.n_axes != n_axes:
-        raise ValueError(f"Wilson line has {wl.n_axes} axis rows, lattice needs {n_axes}")
-    coeffs = wl.axis_coefficients()
-    if coeffs.shape[1] not in (0, rep.dim_g):
+def _check_fields(lat, nf, fields):
+    """A ValueError unless fields is None or a (2n, N_F, N_F) stack."""
+    if fields is not None and np.shape(fields) != (lat.dim, nf, nf):
         raise ValueError(
-            f"Wilson coefficients act on {coeffs.shape[1]} generators, representation has {rep.dim_g}"
+            f"Wilson fields have shape {np.shape(fields)}, the lattice needs ({lat.dim}, {nf}, {nf})"
         )
-    d = rep.rep_dim
-    fields = []
-    for a in range(n_axes):
-        A = np.zeros((d, d), dtype=complex)
-        for k in range(coeffs.shape[1]):
-            A += coeffs[a, k] * rep.generators[k]
-        fields.append(A)
-    residual = 0.0
-    for a in range(n_axes):
-        for b in range(a + 1, n_axes):
-            residual = max(residual, float(np.max(np.abs(fields[a] @ fields[b] - fields[b] @ fields[a]))))
-    if residual > flat_tol:
-        raise ValueError(
-            f"Wilson line is not flat: max |[A_a, A_b]| = {residual:.3e} > {flat_tol:.0e}"
-        )
-    return fields, residual
 
 
-def _check_lattice_inputs(lat, cl, frep, md):
+def _check_lattice_inputs(lat, cl, frep, md, fields):
     if cl.signature != "euclidean":
         raise ValueError("lattice operators require the euclidean algebra; "
                          "lorentzian algebras are for algebraic checks only")
@@ -299,25 +243,23 @@ def _check_lattice_inputs(lat, cl, frep, md):
         raise ValueError(
             f"mass endomorphism has shape {md.D_matrix.shape}, fermion fiber is C^{nf}"
         )
+    _check_fields(lat, nf, fields)
     return nf
 
 
-def build_vacuum_dirac(lat, cl, md, frep, wl=None):
+def build_vacuum_dirac(lat, cl, md, frep, fields=None):
     """The vacuum Dirac operator: derivative slash plus grading x mass.
 
-    With a Wilson line (a WilsonLine, or the fields wilson_internal_fields
-    returns for it) the derivative is covariant, gamma^a (d_a + A_a); the
-    mass term is gamma5 x D_int.  i times the result is Hermitian.  The
+    With the fields of a Wilson line (the stack ModelConfig.build_wilson
+    returns) the derivative is covariant, gamma^a (d_a + A_a); the mass
+    term is gamma5 x D_int.  i times the result is Hermitian.  The
     operator is built as its stencil, adding the site-constant terms at
     r = 0 in the order of the dense sum, so its matrix is the dense
     build's bit for bit.
     """
-    nf = _check_lattice_inputs(lat, cl, frep, md)
+    nf = _check_lattice_inputs(lat, cl, frep, md, fields)
     ident_f = np.eye(nf, dtype=complex)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    fields = wl
-    if isinstance(wl, WilsonLine):
-        fields = wilson_internal_fields(wl, frep.total, lat.dim)[0]
     st = np.zeros((lat.n_sites, cl.spinor_dim * nf, cl.spinor_dim * nf), dtype=complex)
     for a in range(lat.dim):
         st += _derivative_stencil(lat, a, np.kron(cl.gamma[a], ident_f))
@@ -334,10 +276,10 @@ def build_vacuum_connection(lat, cl, md, frep, fields=None):
     that is the connection whose Bochner Laplacian pairs with the vacuum
     Dirac operator in the Dirac potential.  Contracting the components
     with gamma^a reproduces build_vacuum_dirac exactly.  fields are the
-    per-axis Wilson fields wilson_internal_fields returns, or None; each
+    Wilson fields ModelConfig.build_wilson returns, or None; each
     component is a stencil operator.
     """
-    nf = _check_lattice_inputs(lat, cl, frep, md)
+    nf = _check_lattice_inputs(lat, cl, frep, md, fields)
     fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
     comps = []
@@ -659,9 +601,10 @@ def branch_momentum_shifts(lat, md, frep, fields):
 
     The shift of a branch is the charge of its eigenbundle under the
     Wilson field; the charge must be scalar on the block (guaranteed when
-    the line is valued in the unbroken algebra).  fields are the per-axis
-    Wilson fields wilson_internal_fields returns, or None for no line.
+    the line is valued in the unbroken algebra).  fields are the Wilson
+    fields ModelConfig.build_wilson returns, or None for no line.
     """
+    _check_fields(lat, frep.n_total, fields)
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
     if fields is None:
         return [(m2, [0.0] * lat.dim) for m2, _ in blocks]

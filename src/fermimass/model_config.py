@@ -17,12 +17,13 @@ level keys:
 
 ``algebra.representations`` maps a name to the list, one entry per
 generator, of rep_dim x rep_dim matrices.  All numeric invariants
-(anti-Hermiticity, closure, bounded potential, tensor shapes) are
-re-validated on load and reported with the JSON path of the offending
-entry.
+(anti-Hermiticity, closure, bounded potential, tensor shapes, finite
+numbers) are re-validated on load and reported with the JSON path of the
+offending entry.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .clifford import build_clifford
 from .group_rep import LieAlgebraRep
 from .higgs_vacuum import HiggsModel, invariance_residual
-from .lattice_dirac import DERIVATIVE_KINDS, TorusLattice, wilson_from_vacuum
+from .lattice_dirac import DERIVATIVE_KINDS, TorusLattice
 from .tolerances import DEFAULT
 from .yukawa_mass import ChiralFermionRep, YukawaMap
 
@@ -52,14 +53,23 @@ def encode_complex_vector(z):
     return [[float(v.real), float(v.imag)] for v in z]
 
 
+def _real(v):
+    """v as a float, or None unless it is a finite JSON number."""
+    # bool is an int subclass, but a JSON true is not a number
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _pair(obj, path):
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        raise ModelError(f"{path}: expected a [re, im] number pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    parts = [_real(v) for v in obj] if isinstance(obj, (list, tuple)) and len(obj) == 2 else [None]
+    if None in parts:
+        raise ModelError(f"{path}: expected a [re, im] pair of finite numbers, got {obj!r}")
+    return complex(*parts)
 
 
 def decode_complex_vector(obj, path, length=None):
@@ -236,7 +246,7 @@ class ModelConfig:
         try:
             higgs = HiggsModel(rep=higgs_rep, potential_kind=kind, params=params)
         except ValueError as exc:
-            raise ModelError(f"{path}: {exc}") from exc
+            raise ModelError(f"{path}.params: {exc}") from exc
         nh = higgs_rep.rep_dim
         seed = decode_complex_vector(_require(self.higgs, "seed", path), "higgs.seed", length=nh)
 
@@ -305,30 +315,46 @@ class ModelConfig:
     def build_clifford(self):
         return build_clifford(self.build_lattice().n, "euclidean")
 
-    def build_wilson(self, vac):
+    def wilson_theta(self):
+        """wilson.theta as a (2n, width) array, or None without a Wilson line.
+
+        One row per lattice axis, all of one width, each entry a finite
+        real number; the width is checked against the vacuum by build_wilson.
+        """
         if self.wilson is None:
             return None
-        path = "wilson"
-        theta = _require(self.wilson, "theta", path, list)
-        lat = self.build_lattice()
-        if len(theta) != lat.dim:
-            raise ModelError(f"{path}.theta: expected {lat.dim} axis rows, got {len(theta)}")
+        path = "wilson.theta"
+        theta = _require(self.wilson, "theta", "wilson", list)
+        dim = self.build_lattice().dim
+        if len(theta) != dim:
+            raise ModelError(f"{path}: expected {dim} axis rows, got {len(theta)}")
         rows = []
         for a, row in enumerate(theta):
-            if not isinstance(row, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-            ):
-                raise ModelError(f"{path}.theta[{a}]: expected a list of real coefficients")
-            rows.append([float(v) for v in row])
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ModelError(f"{path}.theta: ragged rows")
-        if width != vac.isotropy.dim:
+            values = [_real(v) for v in row] if isinstance(row, list) else [None]
+            if None in values:
+                raise ModelError(f"{path}[{a}]: expected a list of finite real coefficients")
+            rows.append(values)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ModelError(f"{path}: ragged rows")
+        return np.array(rows, dtype=float)
+
+    def build_wilson(self, vac):
+        """The Wilson line's fields on the fermions, or None without a line.
+
+        A_a is the algebra element theta[a] @ B in the fermion
+        representation, with B the (dim_iso, dim_g) isotropy basis of vac:
+        a (2n, N_F, N_F) stack of anti-Hermitian matrices.
+        """
+        theta = self.wilson_theta()
+        if theta is None:
+            return None
+        if theta.shape[1] != vac.isotropy.dim:
             raise ModelError(
-                f"{path}.theta: rows have {width} coefficients, the vacuum isotropy "
+                f"wilson.theta: rows have {theta.shape[1]} coefficients, the vacuum isotropy "
                 f"algebra has dimension {vac.isotropy.dim}"
             )
-        return wilson_from_vacuum(np.array(rows), vac)
+        basis = np.reshape(vac.isotropy.basis, (vac.isotropy.dim, self.dim_g))
+        return self.build().frep.total.element(theta @ basis)
 
     def build_tolerances(self, scale=1.0):
         try:
@@ -347,11 +373,8 @@ def validate_model(cfg):
     if not cfg.generator_labels:
         raise ModelError("algebra.generator_labels: at least one generator required")
     built = cfg.build()
-    lat = cfg.build_lattice()
-    if cfg.wilson is not None:
-        theta = _require(cfg.wilson, "theta", "wilson", list)
-        if len(theta) != lat.dim:
-            raise ModelError(f"wilson.theta: expected {lat.dim} axis rows, got {len(theta)}")
+    cfg.build_lattice()
+    cfg.wilson_theta()
     tol = cfg.build_tolerances()
     res = invariance_residual(built.higgs, n_samples=6, seed=7)
     if res > tol.invariance:

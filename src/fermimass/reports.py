@@ -28,7 +28,7 @@ from .lattice_dirac import (
     mean_mass,
     relative_curvature,
     spectrum,
-    wilson_internal_fields,
+    wilson_flatness,
 )
 from .model_config import encode_complex_matrix, encode_complex_vector
 from .yukawa_mass import (
@@ -147,7 +147,6 @@ def _float_list(values):
 STAGE_ERRORS = {
     "vacuum.minimum_found": (SaddleConverged, NonConvergence),
     "masses.block_structure": BlockStructureViolation,
-    "lattice.operator_built": ValueError,
     "lattice.wilson_charge_scalar": ValueError,
     "lattice.hermiticity": NonHermitian,
     "lattice.dirac_potential_multiplicative": NotMultiplicationOperator,
@@ -304,15 +303,6 @@ def cmd_masses(run):
     return rep
 
 
-def _wilson_and_dirac(lat, cl, md, frep, wl, flat_tol):
-    """The Wilson line's (fields, flatness residual), built once (None without
-    a line), and the vacuum Dirac operator built from those fields."""
-    if wl is None:
-        return None, build_vacuum_dirac(lat, cl, md, frep)
-    wilson = wilson_internal_fields(wl, frep.total, lat.dim, flat_tol=flat_tol)
-    return wilson, build_vacuum_dirac(lat, cl, md, frep, wilson[0])
-
-
 def cmd_lattice(run):
     """Lattice operators, spectra, and the dispersion/curvature identities.
 
@@ -323,13 +313,11 @@ def cmd_lattice(run):
         tol, lat, frep = run.tol, run.cfg.build_lattice(), run.model.frep
         vac, md = run.vacuum(), run.mass_data()
         cl = run.cfg.build_clifford()
-        wl = run.cfg.build_wilson(vac)
-        wilson, vac_op = run.stage("lattice.operator_built", _wilson_and_dirac, lat, cl, md, frep, wl,
-                                   tol.wilson_flat)
-        fields = shifts = None
-        if wilson is not None:
-            fields, flatness = wilson
-            rep.add(residual_check("lattice.wilson_flatness", flatness, tol.wilson_flat))
+        fields = run.cfg.build_wilson(vac)
+        vac_op = build_vacuum_dirac(lat, cl, md, frep, fields)
+        shifts = None
+        if fields is not None:
+            rep.add(residual_check("lattice.wilson_flatness", wilson_flatness(fields), tol.wilson_flat))
             shifts = run.stage(
                 "lattice.wilson_charge_scalar", branch_momentum_shifts, lat, md, frep, fields
             )
@@ -382,8 +370,8 @@ def cmd_lattice(run):
                 "flat": curv.is_flat(tol.curvature),
             }
         )
-        if wl is not None:
-            rep.data["wilson_theta"] = [list(map(float, row)) for row in wl.theta]
+        if fields is not None:
+            rep.data["wilson_theta"] = run.cfg.wilson_theta().tolist()
             rep.data["wilson_shift_table"] = [
                 {"m2": float(m2), "momentum_shift_per_axis": [float(q) for q in qs]}
                 for m2, qs in shifts

@@ -6,6 +6,7 @@ reaches all of them.  Field names double as the override keys accepted in
 model files.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -57,12 +58,13 @@ class Tolerances:
 
     def scale(self, factor):
         """Return a copy with every threshold multiplied by factor."""
-        if factor <= 0:
+        if not factor > 0:  # NaN included
             raise ValueError("tolerance scale factor must be positive")
         return Tolerances(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
     def with_overrides(self, overrides):
-        """Return a copy with named thresholds replaced."""
+        """Return a copy with named thresholds replaced, each by a finite
+        non-negative number."""
         if not overrides:
             return self
         known = {f.name for f in fields(self)}
@@ -70,7 +72,13 @@ class Tolerances:
         if bad:
             raise ValueError(f"unknown tolerance name(s): {', '.join(bad)}")
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update({k: float(v) for k, v in overrides.items()})
+        for name, value in overrides.items():
+            try:
+                values[name] = float(value)
+            except (TypeError, ValueError, OverflowError):
+                values[name] = math.nan
+            if not 0.0 <= values[name] < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name}: expected a finite non-negative number, got {value!r}")
         return Tolerances(**values)
 
 

@@ -4,6 +4,7 @@ Every test prints one PASS line on success (visible with pytest -s; the
 per-test verdict lines of pytest -v carry the same information).
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -32,9 +33,8 @@ from fermimass import (
     minimize,
     relative_curvature,
     spectrum,
-    wilson_from_vacuum,
 )
-from fermimass.lattice_dirac import TorusLattice, wilson_internal_fields
+from fermimass.lattice_dirac import TorusLattice
 from fermimass.yukawa_mass import mass_data_from_operator, reconstruction_residual
 from conftest import ew_perturbed_objects
 
@@ -204,12 +204,11 @@ def test_criterion_08_gauge_covariance(ew_cfg, ew_higgs, ew_vac, ew_frep, ew_yma
     _announce(8, "gauge covariance: unbroken entrywise, constant G and pure gauge spectral")
 
 
-def test_criterion_09_wilson_holonomy(ew_vac, ew_frep, ew_md):
+def test_criterion_09_wilson_holonomy(ew_cfg, ew_vac, ew_frep, ew_md):
     cl = build_clifford(1)
     lat = TorusLattice(n=1, L=4, a=1.0)
     for theta in ([[0.25], [0.0]], [[0.1], [0.35]]):
-        wl = wilson_from_vacuum(theta, ew_vac)
-        fields, _ = wilson_internal_fields(wl, ew_frep.total, 2)
+        fields = dataclasses.replace(ew_cfg, wilson={"theta": theta}).build_wilson(ew_vac)
         # two charge assignments on the fermion fiber: the massless branch
         # carries zero charge, the massive branch a nonzero one
         charges = {
@@ -219,7 +218,7 @@ def test_criterion_09_wilson_holonomy(ew_vac, ew_frep, ew_md):
         }
         nonzero = {q for q in charges if abs(q) > 1e-12}
         assert 0.0 in charges and nonzero
-        op = build_vacuum_dirac(lat, cl, ew_md, ew_frep, wl)
+        op = build_vacuum_dirac(lat, cl, ew_md, ew_frep, fields)
         got = spectrum(op, square_first=True)
         # branch-resolved closed form: momenta shift by the branch charge
         shifts = branch_momentum_shifts(lat, ew_md, ew_frep, fields)

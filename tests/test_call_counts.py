@@ -49,8 +49,7 @@ def counts(monkeypatch):
     # one counter for both bindings of the name
     count(reports, "branch_momentum_shifts")
     count(lattice_dirac, "branch_momentum_shifts")
-    count(reports, "wilson_internal_fields")
-    count(lattice_dirac, "wilson_internal_fields")
+    count(model_config.ModelConfig, "build_wilson")
     return seen
 
 
@@ -59,7 +58,7 @@ def test_verify_all_builds_each_object_once(counts, capsys):
     # three representations, each decoded once, plus the fermions' direct
     # sum; the Wilson line's fields and momentum shifts are computed once
     assert counts == {"build_rep": 3, "__post_init__": 4, "minimize": 1, "mass_matrix": 1,
-                      "branch_momentum_shifts": 1, "wilson_internal_fields": 1}
+                      "branch_momentum_shifts": 1, "build_wilson": 1}
 
 
 def test_failed_minimization_runs_once(counts, capsys, tmp_path):

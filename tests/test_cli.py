@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -40,6 +41,20 @@ def u1_model(coupling=0.0):
         yukawa={"tensor": tensor_entry, "conjugate_higgs": [False]},
         lattice={"n": 1, "sites_per_dim": 2, "spacing": 1.0, "derivative": "fourier_spectral"},
     )
+
+
+def su2_unbroken_model():
+    """ew-reference with a u(1)-charged singlet Higgs, so su(2) stays
+    unbroken, and a Wilson line along two su(2) directions, which is not
+    flat: |[A_0, A_1]| = 0.09 / 2."""
+    cfg = ew_reference()
+    zero = [[[0.0, 0.0]]]
+    cfg.representations["higgs_singlet"] = [zero, zero, zero, [[[0.0, -1.0]]]]
+    cfg.higgs = dict(cfg.higgs, rep="higgs_singlet", seed=[[1.0, 0.0]])
+    cfg.fermions = {"rep_left": "lepton_left", "rep_right": "lepton_left"}
+    cfg.yukawa = {"tensor": [[[[0.0, 0.0]]] * 2] * 2, "conjugate_higgs": [False]}
+    cfg.wilson = {"theta": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0]]}
+    return cfg
 
 
 def run(capsys, *argv):
@@ -158,7 +173,7 @@ def test_tol_scale_tightening_fails(capsys, model_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("scale", ["0", "-1"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
 def test_check_rejects_non_positive_tol_scale(capsys, model_path, scale):
     code, out, err = run(capsys, "check", "--model", model_path, "--tol-scale", scale)
     assert (code, out) == (2, "")
@@ -253,17 +268,25 @@ def test_non_equivariant_model_is_exit_one_with_a_report(capsys, tmp_path):
     assert {"masses.equivariance", "lattice.wilson_charge_scalar"} <= failed
 
 
-def test_wilson_flatness_error_reads_the_run_tolerance(capsys, tmp_path):
-    # su(2) stays unbroken under a u(1)-charged singlet Higgs, so a Wilson
-    # line along two su(2) directions is not flat: |[A_0, A_1]| = 0.09 / 2.
-    # The override wilson_flat = 1.0 must reach the hard flatness error too.
-    cfg = ew_reference()
-    zero = [[[0.0, 0.0]]]
-    cfg.representations["higgs_singlet"] = [zero, zero, zero, [[[0.0, -1.0]]]]
-    cfg.higgs = dict(cfg.higgs, rep="higgs_singlet", seed=[[1.0, 0.0]])
-    cfg.fermions = {"rep_left": "lepton_left", "rep_right": "lepton_left"}
-    cfg.yukawa = {"tensor": [[[[0.0, 0.0]]] * 2] * 2, "conjugate_higgs": [False]}
-    cfg.wilson = {"theta": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.0]]}
+def test_nonflat_wilson_line_fails_the_flatness_check(capsys, tmp_path):
+    # at the default tolerances the line's flatness is a failing check, and
+    # the report goes on to the next stage
+    path = tmp_path / "su2-wilson.json"
+    save_model(su2_unbroken_model(), path)
+    code, out, err = run(capsys, "lattice", "--model", str(path))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    checks = {c["id"]: c for c in doc["checks"]}
+    flat = checks["lattice.wilson_flatness"]
+    assert flat["value"] == pytest.approx(0.045, rel=1e-12)
+    assert (flat["tol"], flat["passed"]) == (1e-12, False)
+    assert [cid for cid, c in checks.items() if not c["passed"]] == [
+        "lattice.wilson_flatness", "lattice.wilson_charge_scalar"]
+    assert "Wilson charge is not scalar" in doc["data"]["error"]
+
+
+def test_wilson_flat_override_reaches_the_flatness_check(capsys, tmp_path):
+    cfg = su2_unbroken_model()
     cfg.tolerances = {"wilson_flat": 1.0}
     path = tmp_path / "su2-wilson.json"
     save_model(cfg, path)
@@ -274,6 +297,61 @@ def test_wilson_flatness_error_reads_the_run_tolerance(capsys, tmp_path):
     assert flat["value"] == pytest.approx(0.045, rel=1e-12)
     assert (flat["tol"], flat["passed"]) == (1.0, True)
     assert [cid for cid, c in checks.items() if not c["passed"]] == ["lattice.wilson_charge_scalar"]
+
+
+def _set(doc, path, value):
+    """doc with the entry at a key path (a list of keys and indices) replaced."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("theta, where", [
+    ([[0.25], [0.0, 0.1]], "wilson.theta: ragged rows"),
+    ("0.25", "wilson.theta: unexpected type str"),
+    (True, "wilson.theta: unexpected type bool"),
+    ([[0.25], 0.0], r"wilson.theta\[1\]"),
+    ([[0.25], ["0.0"]], r"wilson.theta\[1\]"),
+    ([[0.25], [False]], r"wilson.theta\[1\]"),
+    ([[float("nan")], [0.0]], r"wilson.theta\[0\]"),
+    ([[0.25], [float("-inf")]], r"wilson.theta\[1\]"),
+    ([[0.25], [10 ** 400]], r"wilson.theta\[1\]"),
+], ids=["ragged", "string", "bool", "row-number", "row-string", "row-bool", "nan", "inf",
+        "huge-int"])
+def test_check_rejects_malformed_wilson_theta(capsys, tmp_path, theta, where):
+    # check and lattice read wilson.theta with the same parser
+    cfg = ew_reference()
+    cfg.wilson = {"theta": theta}
+    path = tmp_path / "theta.json"
+    save_model(cfg, path)
+    for command in ("check", "lattice"):
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert (code, out) == (2, "")
+        assert re.match(rf"error: {where}", err)
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (["algebra", "representations", "higgs_doublet", 2, 0, 0], [float("nan"), 0.0],
+     r"algebra.representations.higgs_doublet\[2\]\[0\]\[0\]"),
+    (["higgs", "seed", 1], [1.0, float("inf")], r"higgs.seed\[1\]"),
+    (["yukawa", "tensor", 1, 0, 1], [float("nan"), 0.0], r"yukawa.tensor\[1\]\[0\]\[1\]"),
+    (["higgs", "params", "lam"], float("nan"), "higgs.params"),
+    (["higgs", "params", "v"], float("inf"), "higgs.params"),
+    (["tolerances", "dispersion"], float("nan"), "tolerances: dispersion"),
+    (["tolerances", "dispersion"], -1e-9, "tolerances: dispersion"),
+    (["tolerances", "dispersion"], None, "tolerances: dispersion"),
+], ids=["generator", "seed", "yukawa", "lam", "v", "tolerance-nan", "tolerance-negative",
+        "tolerance-null"])
+def test_check_rejects_non_finite_numbers(capsys, tmp_path, path, value, where):
+    doc = ew_reference().to_json_dict()
+    doc["tolerances"] = {}
+    _set(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, out) == (2, "")
+    assert re.match(rf"error: {where}", err), err
 
 
 def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):

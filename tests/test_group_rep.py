@@ -131,7 +131,7 @@ def test_isotropy_dim_invariant_along_orbit():
 def test_isotropy_basis_orthonormal():
     rep = ew_rep(+1.0, 2, "higgs")
     iso = isotropy_algebra(rep, np.zeros(2))
-    B = iso.basis_matrix()
+    B = np.array(iso.basis)
     assert np.abs(B @ B.T - np.eye(iso.dim)).max() <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -26,19 +27,18 @@ from fermimass import (
     minimize,
     relative_curvature,
     spectrum,
-    wilson_from_vacuum,
+    wilson_flatness,
 )
 from fermimass.lattice_dirac import (
     LatticeOperator,
-    WilsonLine,
     contraction_residual,
     hermiticity_residual,
-    wilson_internal_fields,
 )
 from fermimass.model_config import encode_complex_matrix, encode_complex_vector
 from fermimass.operator_io import dump_operator
 from fermimass.yukawa_mass import mass_data_from_operator
 from conftest import S1, S2, S3
+from test_cli import su2_unbroken_model, u1_model
 
 
 # ----- derivatives and momenta ------------------------------------------
@@ -108,6 +108,18 @@ def ew(ew_cfg, ew_vac, ew_frep, ew_ymap, ew_md):
         cl = build_clifford(1)
 
     return Bundle
+
+
+def wilson_fields(cfg, vac, theta):
+    """The Wilson fields cfg.build_wilson makes of theta, one row per axis."""
+    line = dataclasses.replace(cfg, lattice=dict(cfg.lattice, n=len(theta) // 2),
+                               wilson={"theta": theta})
+    return line.build_wilson(vac)
+
+
+# a Wilson line over the one-dimensional isotropy algebra; its first 2n
+# rows serve the 2n-torus
+THETA = [[0.25], [0.1], [0.4], [0.05]]
 
 
 def free_expected(lat, mult):
@@ -302,12 +314,11 @@ def test_dirac_potential_rejects_mixed_derivative_kinds(ew):
 
 def test_wilson_line_does_not_change_potential(ew):
     lat = TorusLattice(n=1, L=2)
-    wl = wilson_from_vacuum([[0.4], [0.1]], ew.vac)
+    fields = wilson_fields(ew.cfg, ew.vac, [[0.4], [0.1]])
     op0 = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
     lap0 = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     v0 = dirac_potential(op0, lap0)
-    op1 = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wl)
-    fields = wilson_fields(wl, ew.frep, lat)
+    op1 = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, fields)
     lap1 = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep, fields))
     v1 = dirac_potential(op1, lap1)
     assert np.abs(v1.matrix - v0.matrix).max() <= 1e-12
@@ -419,8 +430,8 @@ def test_wilson_term_drops_out_of_curvature(ew):
     # a flat Wilson line valued in the unbroken algebra commutes with the
     # mass term, so the curvature is unchanged
     lat = TorusLattice(n=1, L=2)
-    wl = wilson_from_vacuum([[0.3], [0.7]], ew.vac)
-    conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep, wilson_fields(wl, ew.frep, lat))
+    fields = wilson_fields(ew.cfg, ew.vac, [[0.3], [0.7]])
+    conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep, fields)
     curv = relative_curvature(conn, ew.cl, ew.md, ew.frep)
     assert curv.residual <= 1e-12
 
@@ -491,19 +502,13 @@ def two_generation_leptons():
     ids=lambda p: "-".join(map(str, p)),
 )
 def wilson_vacuum(request):
-    """(lattice, Clifford algebra, mass data, fermions, Wilson line) of a vacuum."""
-    model, n, L, kind = request.param
-    cfg = ew_reference() if model == "ew" else two_generation_leptons()
-    built = cfg.build()
-    vac = minimize(built.higgs, built.seed)
-    md = mass_matrix(built.ymap, vac)
-    wl = wilson_from_vacuum([[0.25], [0.1], [0.4], [0.05]][: 2 * n], vac)
-    return TorusLattice(n=n, L=L, derivative_kind=kind), build_clifford(n), md, built.frep, wl
+    """(lattice, Clifford algebra, mass data, fermions, Wilson fields) of a vacuum."""
+    return vacuum_objects(*request.param, wilson=True)
 
 
 def test_fiber_curvature_matches_dense_formula(wilson_vacuum):
-    lat, cl, md, frep, wl = wilson_vacuum
-    conn = build_vacuum_connection(lat, cl, md, frep, wilson_fields(wl, frep, lat))
+    lat, cl, md, frep, fields = wilson_vacuum
+    conn = build_vacuum_connection(lat, cl, md, frep, fields)
     curv = relative_curvature(conn, cl, md, frep)
     dense, dense_residual = dense_curvature(conn, cl, md, frep)
     assert [ab for ab, _ in curv.components] == [ab for ab, _ in dense]
@@ -515,9 +520,9 @@ def test_fiber_curvature_matches_dense_formula(wilson_vacuum):
 
 
 def test_fiber_contraction_matches_dense_lift_bitwise(wilson_vacuum):
-    lat, cl, md, frep, wl = wilson_vacuum
-    op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    conn = build_vacuum_connection(lat, cl, md, frep, wilson_fields(wl, frep, lat))
+    lat, cl, md, frep, fields = wilson_vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, fields)
+    conn = build_vacuum_connection(lat, cl, md, frep, fields)
     assert contraction_residual(conn, cl, op) == dense_contraction(conn, cl, op)
 
 
@@ -592,7 +597,7 @@ def site_index(lat, coords):
     ids=lambda p: "-".join(map(str, p)),
 )
 def vacuum(request):
-    """(lattice, Clifford algebra, mass data, fermions, Wilson line or None)."""
+    """(lattice, Clifford algebra, mass data, fermions, Wilson fields or None)."""
     return vacuum_objects(*request.param)
 
 
@@ -601,13 +606,13 @@ def vacuum_objects(model, n, L, kind, wilson):
     built = cfg.build()
     vac = minimize(built.higgs, built.seed)
     md = mass_matrix(built.ymap, vac)
-    wl = wilson_from_vacuum([[0.25], [0.1], [0.4], [0.05]][: 2 * n], vac) if wilson else None
-    return TorusLattice(n=n, L=L, derivative_kind=kind), build_clifford(n), md, built.frep, wl
+    fields = wilson_fields(cfg, vac, THETA[: 2 * n]) if wilson else None
+    return TorusLattice(n=n, L=L, derivative_kind=kind), build_clifford(n), md, built.frep, fields
 
 
 def test_block_spectrum_matches_dense_eigensolve(vacuum):
-    lat, cl, md, frep, wl = vacuum
-    op = build_vacuum_dirac(lat, cl, md, frep, wl)
+    lat, cl, md, frep, fields = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, fields)
     want = dense_squared_spectrum(op)
     got = spectrum(op, square_first=True)
     assert got.shape == want.shape
@@ -615,9 +620,9 @@ def test_block_spectrum_matches_dense_eigensolve(vacuum):
 
 
 def test_laplacian_and_potential_match_dense_products(vacuum):
-    lat, cl, md, frep, wl = vacuum
-    op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    conn = build_vacuum_connection(lat, cl, None, frep, wilson_fields(wl, frep, lat))
+    lat, cl, md, frep, fields = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, fields)
+    conn = build_vacuum_connection(lat, cl, None, frep, fields)
     lap = bochner_laplacian(conn)
     vd = dirac_potential(op, lap)
     assert lap.stencil is not None and vd.stencil is not None
@@ -634,19 +639,18 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
 
 
 def test_hermiticity_residual_matches_dense_bitwise(vacuum):
-    lat, cl, md, frep, wl = vacuum
-    op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    fields = wilson_fields(wl, frep, lat)
+    lat, cl, md, frep, fields = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, fields)
     lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
     for stencil_op in (op, lap, dirac_potential(op, lap)):
         assert hermiticity_residual(stencil_op) == hermiticity_residual(dense_copy(stencil_op))
 
 
 def test_densified_matrix_shifts_the_stencil(vacuum):
-    lat, cl, md, frep, wl = vacuum
+    lat, cl, md, frep, fields = vacuum
     F = cl.spinor_dim * frep.n_total
-    conn = build_vacuum_connection(lat, cl, md, frep, wilson_fields(wl, frep, lat))
-    ops = (build_vacuum_dirac(lat, cl, md, frep, wl), *conn)
+    conn = build_vacuum_connection(lat, cl, md, frep, fields)
+    ops = (build_vacuum_dirac(lat, cl, md, frep, fields), *conn)
     for op in ops:
         assert op.stencil.shape == (lat.n_sites, F, F)
         mat = op.matrix
@@ -697,9 +701,8 @@ def identity_vacuum(request):
 def test_squared_spectrum_sums_to_laplacian_plus_density(identity_vacuum):
     # tr (i D)^2 = S tr (i D)^2(0) = S (tr Laplacian(0) + tr V(0)): the
     # eigenvalue path and the stencil-product path agree on the trace
-    lat, cl, md, frep, wl = identity_vacuum
-    op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    fields = wilson_fields(wl, frep, lat)
+    lat, cl, md, frep, fields = identity_vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, fields)
     lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
     density = lat.n_sites * lagrangian_density(dirac_potential(op, lap), lat).per_site_trace
     total = spectrum(op, square_first=True).sum() - lat.n_sites * np.trace(lap.stencil[0]).real
@@ -707,17 +710,11 @@ def test_squared_spectrum_sums_to_laplacian_plus_density(identity_vacuum):
     assert abs(density - lat.n_sites * cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-10 * max(1.0, abs(density))
 
 
-def wilson_fields(wl, frep, lat):
-    """The per-axis fields of a Wilson line, or None without one."""
-    return wilson_internal_fields(wl, frep.total, lat.dim)[0] if wl is not None else None
-
-
-def kron_lift_dirac(lat, cl, md, frep, wl=None):
+def kron_lift_dirac(lat, cl, md, frep, fields=None):
     """Oracle: the vacuum Dirac operator with every site-diagonal term added
     as a dense lift np.kron(np.eye(n_sites), block)."""
     nf = frep.n_total
     lift = np.eye(lat.n_sites)
-    fields = wilson_fields(wl, frep, lat)
     mat = np.zeros((lat.n_sites * cl.spinor_dim * nf,) * 2, dtype=complex)
     for a in range(lat.dim):
         mat += np.kron(site_derivative(lat, a), np.kron(cl.gamma[a], np.eye(nf, dtype=complex)))
@@ -727,13 +724,12 @@ def kron_lift_dirac(lat, cl, md, frep, wl=None):
     return mat
 
 
-def kron_lift_connection(lat, cl, md, frep, wl=None):
+def kron_lift_connection(lat, cl, md, frep, fields=None):
     """Oracle: the connection components, built the same way."""
     nf = frep.n_total
     fiber = cl.spinor_dim * nf
     lift = np.eye(lat.n_sites)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    fields = wilson_fields(wl, frep, lat)
     comps = []
     for a in range(lat.dim):
         mat = np.kron(site_derivative(lat, a), np.eye(fiber, dtype=complex))
@@ -745,9 +741,9 @@ def kron_lift_connection(lat, cl, md, frep, wl=None):
 
 
 def test_builders_match_kron_lift_bitwise(vacuum, tmp_path):
-    lat, cl, md, frep, wl = vacuum
-    op = build_vacuum_dirac(lat, cl, md, frep, wl)
-    want = kron_lift_dirac(lat, cl, md, frep, wl).view(np.float64)
+    lat, cl, md, frep, fields = vacuum
+    op = build_vacuum_dirac(lat, cl, md, frep, fields)
+    want = kron_lift_dirac(lat, cl, md, frep, fields).view(np.float64)
     got = op.matrix.view(np.float64)
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     dump_operator(op, tmp_path / "new.json")
@@ -755,8 +751,8 @@ def test_builders_match_kron_lift_bitwise(vacuum, tmp_path):
     dump_operator(oracle, tmp_path / "old.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
     for m in (md, None):
-        conn = build_vacuum_connection(lat, cl, m, frep, wilson_fields(wl, frep, lat))
-        for comp, oracle in zip(conn, kron_lift_connection(lat, cl, m, frep, wl)):
+        conn = build_vacuum_connection(lat, cl, m, frep, fields)
+        for comp, oracle in zip(conn, kron_lift_connection(lat, cl, m, frep, fields)):
             got, want = comp.matrix.view(np.float64), oracle.view(np.float64)
             assert np.array_equal(got, want)
             # the build starts from zeros, so some -0.0 entries of the kron
@@ -768,12 +764,41 @@ def test_builders_match_kron_lift_bitwise(vacuum, tmp_path):
 
 # ----- Wilson lines ---------------------------------------------------------
 
+def wilson_oracle(theta, vac, rep):
+    """Oracle: A_a = sum_k c_ak G_k with c = theta @ (isotropy basis), summed
+    from zero one generator after the other."""
+    basis = np.array(vac.isotropy.basis, dtype=float).reshape(vac.isotropy.dim, rep.dim_g)
+    fields = []
+    for row in np.asarray(theta, dtype=float) @ basis:
+        A = np.zeros((rep.rep_dim, rep.rep_dim), dtype=complex)
+        for k in range(rep.dim_g):
+            A += row[k] * rep.generators[k]
+        fields.append(A)
+    return np.array(fields)
+
+
+@pytest.mark.parametrize("model", ["ew", "leptons", "su2-unbroken", "u1"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_build_wilson_is_the_generator_sum_bitwise(model, n):
+    cfg = {"ew": ew_reference, "leptons": two_generation_leptons,
+           "su2-unbroken": su2_unbroken_model, "u1": lambda: u1_model(0.3)}[model]()
+    built = cfg.build()
+    vac = minimize(built.higgs, built.seed)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        theta = rng.standard_normal((2 * n, vac.isotropy.dim))
+        theta[rng.random(theta.shape) < 0.2] = -0.0
+        got = wilson_fields(cfg, vac, theta.tolist())
+        want = wilson_oracle(theta, vac, built.frep.total)
+        assert got.shape == (2 * n, built.frep.n_total, built.frep.n_total)
+        assert np.array_equal(bits(got), bits(want))
+
+
 def test_wilson_fields_flat_and_shift(ew):
     lat = TorusLattice(n=1, L=4)
-    wl = wilson_from_vacuum([[0.25], [0.0]], ew.vac)
-    fields, residual = wilson_internal_fields(wl, ew.frep.total, 2)
-    assert residual <= 1e-12
-    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wl)
+    fields = wilson_fields(ew.cfg, ew.vac, [[0.25], [0.0]])
+    assert wilson_flatness(fields) <= 1e-12
+    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, fields)
     got = spectrum(op, square_first=True)
     shifts = branch_momentum_shifts(lat, ew.md, ew.frep, fields)
     want = expected_squared_spectrum(lat, ew.cl, ew.md, ew.frep, shifts)
@@ -789,25 +814,30 @@ def test_wilson_neutral_branch_keeps_free_momenta(ew):
     # Aharonov-Bohm style check: the zero-charge massless branch keeps the
     # free momentum set while the charged branch moves
     lat = TorusLattice(n=1, L=4)
-    wl = wilson_from_vacuum([[0.25], [0.0]], ew.vac)
-    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wl)
+    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, wilson_fields(ew.cfg, ew.vac, [[0.25], [0.0]]))
     got = spectrum(op, square_first=True)
     free = free_expected(lat, 2)  # massless branch: one fiber dim, spinor 2
     for v in free:
         assert np.min(np.abs(got - v)) <= 1e-9 * max(1.0, free.max())
 
 
-def test_wilson_nonflat_rejected(ew):
-    # coefficients over two non-commuting directions are not a vacuum line
-    basis = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    wl = WilsonLine(theta=np.array([[1.0, 0.0], [0.0, 1.0]]), isotropy_basis=basis)
-    with pytest.raises(ValueError, match="flat"):
-        wilson_internal_fields(wl, ew.frep.total, 2)
+def test_wilson_flatness_of_a_nonflat_line(ew):
+    # A_0 = T1 and A_1 = T2 of the doublet: [A_0, A_1] = T3 = -i sigma_3 / 2
+    fields = ew.frep.total.element(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+    assert wilson_flatness(fields) == 0.5
+    assert wilson_flatness(fields[:1]) == 0.0
+    assert wilson_flatness(wilson_fields(ew.cfg, ew.vac, THETA)) == 0.0
 
 
-def test_wilson_theta_shape_validation(ew):
-    with pytest.raises(ValueError):
-        WilsonLine(theta=np.array([[1.0, 2.0]]), isotropy_basis=ew.vac.isotropy.basis_matrix())
+@pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 3), (2, 4, 4)])
+def test_builders_reject_misshapen_wilson_fields(ew, shape):
+    lat = TorusLattice(n=1, L=2)
+    fields = np.zeros(shape, dtype=complex)
+    for build in (lambda: build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep, fields),
+                  lambda: build_vacuum_connection(lat, ew.cl, ew.md, ew.frep, fields),
+                  lambda: branch_momentum_shifts(lat, ew.md, ew.frep, fields)):
+        with pytest.raises(ValueError, match=r"Wilson fields have shape .*\(2, 3, 3\)"):
+            build()
 
 
 # ----- fluctuations ---------------------------------------------------------
@@ -936,8 +966,7 @@ def fluctuation_case(request, ew):
     with a Wilson line, seeded."""
     n, L = request.param
     lat, cl = TorusLattice(n=n, L=L), build_clifford(n)
-    wl = wilson_from_vacuum([[0.25], [0.1], [0.4], [0.05]][: 2 * n], ew.vac)
-    op = build_vacuum_dirac(lat, cl, ew.md, ew.frep, wl)
+    op = build_vacuum_dirac(lat, cl, ew.md, ew.frep, wilson_fields(ew.cfg, ew.vac, THETA[: 2 * n]))
     rng = np.random.default_rng(7 + n)
     A = 0.3 * rng.standard_normal((lat.dim, lat.n_sites, ew.frep.total.dim_g))
     phi = 0.3 * (rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2)))
