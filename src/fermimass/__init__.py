@@ -13,7 +13,6 @@ from .group_rep import (
 )
 from .higgs_vacuum import (
     HiggsModel,
-    NonConvergence,
     SaddleConverged,
     VacuumSolution,
     goldstone_split,

@@ -7,10 +7,11 @@ fixed package-wide: C^N is identified with R^{2N} by interleaving,
 (Re z_1, Im z_1, Re z_2, Im z_2, ...).  All real gradients, Hessians and
 basis vectors below use it.
 
-The minimizer runs backtracking gradient descent followed by a Newton
-polish restricted to the orthogonal complement of the orbit directions.
-The full Hessian is singular along the orbit at any minimum, so the
-projection is what restores quadratic convergence.
+The gradient of V(z) = p(|z|^2) is 2 p'(|z|^2) z, parallel to z, so
+the minimum on the ray through a seed solves a one-dimensional problem:
+minimize p over s >= 0, where the candidates are 0 and the roots of p'.
+The minimizer returns that global minimum on the seed's ray, with the
+chosen root polished by a few Newton steps on p'.
 """
 
 from dataclasses import dataclass
@@ -30,10 +31,6 @@ class SaddleConverged(RuntimeError):
         super().__init__(message)
         self.z0 = np.asarray(z0, dtype=complex)
         self.transversal_eigs = np.asarray(transversal_eigs, dtype=float)
-
-
-class NonConvergence(RuntimeError):
-    """The minimizer ran out of iterations before reaching the tolerance."""
 
 
 def realify(z):
@@ -191,66 +188,39 @@ class VacuumSolution:
         return self.physical_basis.shape[1]
 
 
-def minimize(model, seed, gd_max_iter=2000, newton_max_iter=60, grad_tol=None, cut=None):
-    """Find a minimum of the potential starting from a seed point.
+def minimize(model, seed, cut=None):
+    """The global minimum of the potential on the seed's ray, with its
+    symmetry-breaking data.
 
-    Raises SaddleConverged when the transversal Hessian at the critical
-    point is not positive definite (for instance the symmetric origin of
-    a mexican hat), and NonConvergence when iterations run out.
+    The gradient 2 p'(|z|^2) z is parallel to z, so the result is
+    sqrt(s*) * seed / |seed|, where s* minimizes p over 0 and the positive
+    real parts of the roots of p'.  Every candidate lies in [0, inf), so s*
+    is the global minimum of p there.  Up to four Newton steps on p' polish
+    s*, each taken only where p''(s*) > 0 and it reduces |p'(s*)|.  A zero
+    seed gives the origin.
+
+    Raises SaddleConverged when the transversal Hessian at the result is not
+    positive definite: a zero seed at a symmetric origin that is not a
+    minimum, or a degenerate minimum.
     """
-    grad_tol = DEFAULT.gradient_norm if grad_tol is None else grad_tol
     z = np.asarray(seed, dtype=complex).reshape(-1)
     if z.shape[0] != model.rep.rep_dim:
         raise ValueError(f"seed has length {z.shape[0]}, representation acts on C^{model.rep.rep_dim}")
-    x = realify(z)
-
-    def gnorm(xv):
-        return float(np.linalg.norm(gradient(model, complexify(xv))))
-
-    # Phase 1: backtracking gradient descent down to a coarse neighborhood.
-    for _ in range(gd_max_iter):
-        g = gradient(model, complexify(x))
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-3 * max(1.0, float(np.linalg.norm(x))):
-            break
-        f0 = potential_eval(model, complexify(x))
-        t = 1.0
-        while t > 1e-18:
-            xn = x - t * g
-            if potential_eval(model, complexify(xn)) <= f0 - 1e-4 * t * gn * gn:
+    norm = float(np.linalg.norm(z))
+    z0 = z
+    if norm > 0.0:
+        c = model.poly_coefficients()
+        c1 = _poly_derivative(c)
+        c2 = _poly_derivative(c1)
+        roots = np.polynomial.polynomial.polyroots(c1).real
+        s = min([0.0, *roots[roots > 0.0]], key=lambda t: _poly_eval(c, t))
+        for _ in range(4):
+            d1, d2 = _poly_eval(c1, s), _poly_eval(c2, s)
+            t = s - d1 / d2 if s > 0.0 and d2 > 0.0 else 0.0
+            if not (t > 0.0 and abs(_poly_eval(c1, t)) < abs(d1)):
                 break
-            t *= 0.5
-        x = x - t * g
-
-    # Phase 2: Newton polish transversal to the orbit.
-    for _ in range(newton_max_iter):
-        zc = complexify(x)
-        g = gradient(model, zc)
-        gn = float(np.linalg.norm(g))
-        if gn <= 0.25 * grad_tol * max(1.0, float(np.linalg.norm(x))):
-            break
-        _, physical = goldstone_split(model.rep, zc, cut=cut)
-        if physical.shape[1] == 0:
-            break
-        H = hessian(model, zc)
-        Hp = physical.T @ H @ physical
-        try:
-            step = -physical @ np.linalg.solve(Hp, physical.T @ g)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"projected Hessian is singular at |z| = {np.linalg.norm(zc):.6g}") from exc
-        for _ in range(30):
-            if gnorm(x + step) <= gn or np.linalg.norm(step) < 1e-16:
-                break
-            step = 0.5 * step
-        x = x + step
-
-    z0 = complexify(x)
-    gn = float(np.linalg.norm(gradient(model, z0)))
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if gn > grad_tol * scale:
-        raise NonConvergence(
-            f"gradient norm {gn:.3e} above tolerance {grad_tol * scale:.3e} after the iteration budget"
-        )
+            s = t
+        z0 = z * (np.sqrt(s) / norm)
 
     iso = isotropy_algebra(model.rep, z0, cut=cut)
     goldstone, physical = goldstone_split(model.rep, z0, cut=cut)

@@ -236,13 +236,17 @@ class ModelConfig:
         if kind == "mexican_hat":
             if not isinstance(params_obj, dict) or set(params_obj) != {"lam", "v"}:
                 raise ModelError(f"{path}.params: mexican_hat takes exactly {{lam, v}}")
-            params = (params_obj["lam"], params_obj["v"])
+            named = {f"{path}.params.{k}": params_obj[k] for k in ("lam", "v")}
         elif kind == "custom_polynomial":
             if not isinstance(params_obj, list) or not params_obj:
                 raise ModelError(f"{path}.params: custom_polynomial takes ascending coefficients")
-            params = tuple(params_obj)
+            named = {f"{path}.params[{i}]": c for i, c in enumerate(params_obj)}
         else:
             raise ModelError(f"{path}.potential: unknown kind {kind!r}")
+        for where, value in named.items():
+            if _real(value) is None:
+                raise ModelError(f"{where}: expected a finite real number, got {value!r}")
+        params = tuple(named.values())
         try:
             higgs = HiggsModel(rep=higgs_rep, potential_kind=kind, params=params)
         except ValueError as exc:

@@ -57,8 +57,8 @@ class Tolerances:
     wilson_flat: float = 1e-12
 
     def scale(self, factor):
-        """Return a copy with every threshold multiplied by factor."""
-        if not factor > 0:  # NaN included
+        """Return a copy with every threshold multiplied by a finite positive factor."""
+        if not 0.0 < factor < math.inf:  # NaN fails both comparisons
             raise ValueError("tolerance scale factor must be positive")
         return Tolerances(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
 

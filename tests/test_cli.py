@@ -173,7 +173,7 @@ def test_tol_scale_tightening_fails(capsys, model_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
 def test_check_rejects_non_positive_tol_scale(capsys, model_path, scale):
     code, out, err = run(capsys, "check", "--model", model_path, "--tol-scale", scale)
     assert (code, out) == (2, "")
@@ -336,8 +336,8 @@ def test_check_rejects_malformed_wilson_theta(capsys, tmp_path, theta, where):
      r"algebra.representations.higgs_doublet\[2\]\[0\]\[0\]"),
     (["higgs", "seed", 1], [1.0, float("inf")], r"higgs.seed\[1\]"),
     (["yukawa", "tensor", 1, 0, 1], [float("nan"), 0.0], r"yukawa.tensor\[1\]\[0\]\[1\]"),
-    (["higgs", "params", "lam"], float("nan"), "higgs.params"),
-    (["higgs", "params", "v"], float("inf"), "higgs.params"),
+    (["higgs", "params", "lam"], float("nan"), "higgs.params.lam"),
+    (["higgs", "params", "v"], float("inf"), "higgs.params.v"),
     (["tolerances", "dispersion"], float("nan"), "tolerances: dispersion"),
     (["tolerances", "dispersion"], -1e-9, "tolerances: dispersion"),
     (["tolerances", "dispersion"], None, "tolerances: dispersion"),
@@ -354,22 +354,58 @@ def test_check_rejects_non_finite_numbers(capsys, tmp_path, path, value, where):
     assert re.match(rf"error: {where}", err), err
 
 
+@pytest.mark.parametrize("params, where", [
+    ({"lam": "1", "v": 2.0}, "higgs.params.lam"),
+    ({"lam": 1.0, "v": True}, "higgs.params.v"),
+    ({"lam": 1.0, "v": 10 ** 400}, "higgs.params.v"),
+    ([0.0, -1.0, "0.25"], r"higgs.params\[2\]"),
+    ([0.0, False, 0.25], r"higgs.params\[1\]"),
+    ([float("nan"), -1.0, 0.25], r"higgs.params\[0\]"),
+    ([0.0, -1.0, float("inf")], r"higgs.params\[2\]"),
+], ids=["lam-string", "v-bool", "v-huge-int", "coefficient-string", "coefficient-bool",
+        "coefficient-nan", "coefficient-inf"])
+def test_check_rejects_higgs_params_that_are_not_finite_numbers(capsys, tmp_path, params, where):
+    cfg = ew_reference()
+    kind = "mexican_hat" if isinstance(params, dict) else "custom_polynomial"
+    cfg.higgs = dict(cfg.higgs, potential=kind, params=params)
+    path = tmp_path / "params.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "check", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert re.match(rf"error: {where}: expected a finite real number", err), err
+
+
 def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):
     # v = 2000 and y = 50 put 2^n sum m^2 at 4e10, where the per-site trace
-    # rounds to ~8e-6 absolute (2e-16 relative); the lattice checks are
-    # relative to the model's scale, so none of them fails.  The orbit
-    # checks are not scaled yet, so the exit code is not asserted.
+    # rounds to ~8e-6 absolute (2e-16 relative) and the orbit deviation of
+    # m^2 = 1e10 to ~6e-6; every check is relative to the model's scale
     cfg = ew_reference()
     cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2000.0}, seed=[[0.0, 0.0], [1000.0, 0.0]])
     tensor = cfg.yukawa["tensor"]
     tensor[0][0][0] = tensor[1][0][1] = [50.0, 0.0]
     path = tmp_path / "ew-large.json"
     save_model(cfg, path)
-    _, out, err = run(capsys, "verify-all", "--model", str(path))
-    assert err == ""
-    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["data"]["break"]["z0"] == [[0.0, 0.0], [2000.0, 0.0]]
+    checks = {c["id"]: c for c in doc["checks"]}
     assert checks["lattice.potential_trace"]["value"] > 0.0
-    assert [cid for cid, c in checks.items() if cid.startswith("lattice.") and not c["passed"]] == []
+    assert checks["masses.orbit_invariance"]["tol"] == pytest.approx(1e-9 * 1e10, rel=1e-12)
+
+
+def test_small_vev_breaks_from_a_unit_seed(capsys, tmp_path):
+    # v = 2e-3 from the seed (0, 1), far outside the vacuum sphere
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2e-3}, seed=[[0.0, 0.0], [1.0, 0.0]])
+    path = tmp_path / "ew-small.json"
+    save_model(cfg, path)
+    for command in ("break", "masses", "verify-all"):
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert (code, err) == (0, ""), out
+    z0 = json.loads(out)["data"]["break"]["z0"]
+    assert z0[0] == [0.0, 0.0]
+    assert z0[1] == [pytest.approx(2e-3, rel=1e-15), 0.0]
 
 
 def test_tightened_hermiticity_is_a_failing_check(capsys, tmp_path):

@@ -7,6 +7,9 @@ contract across refactors; a deliberate change to the report format
 regenerates them with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+which prints every case whose exit code changed and every check whose
+passed flag flipped against the files it overwrites.
 """
 
 import contextlib
@@ -111,16 +114,73 @@ def test_report_bytes_exit_code_and_stderr(name, tmp_path):
     assert out.encode("utf-8") == (GOLDEN / filename).read_bytes()
 
 
+def verdicts(text, filename):
+    """check id -> passed flag of a report in the golden file's format."""
+    if filename.endswith(".csv"):
+        rows = (line.rsplit(",", 1) for line in text.splitlines())
+        return {key[len("check."):-len(".passed")]: flag == "true" for key, flag in rows
+                if key.startswith("check.") and key.endswith(".passed")}
+    return {c["id"]: c["passed"] for c in json.loads(text)["checks"]} if text else {}
+
+
+def verdict_changes(name, filename, old, new):
+    """Lines naming a changed exit code and each check whose passed flag
+    differs between two (exit code, stdout) runs of a case written to
+    filename; a check present in one run only counts as a change."""
+    (old_code, old_out), (code, out) = old, new
+    lines = [f"{name}: exit {old_code} -> {code}"] if old_code != code else []
+    before, after = verdicts(old_out, filename), verdicts(out, filename)
+    for check_id in sorted(set(before) | set(after)):
+        if before.get(check_id) != after.get(check_id):
+            lines.append(f"{name}: {check_id} passed {before.get(check_id)} -> {after.get(check_id)}")
+    return lines
+
+
+def _flip_json(text):
+    doc = json.loads(text)
+    check = next(c for c in doc["checks"] if c["id"] == "masses.commutant")
+    check["passed"] = not check["passed"]
+    return json.dumps(doc)
+
+
+def _flip_csv(text):
+    return text.replace("check.masses.commutant.passed,true", "check.masses.commutant.passed,false")
+
+
+@pytest.mark.parametrize("filename, flip", [("verify_all_ew.json", _flip_json),
+                                            ("verify_all_ew_csv.csv", _flip_csv)])
+def test_verdict_changes_name_each_flipped_flag_and_exit_code(filename, flip):
+    text = (GOLDEN / filename).read_text(encoding="utf-8")
+    assert verdict_changes("case", filename, (0, text), (0, text)) == []
+    assert verdict_changes("case", filename, (0, text), (1, flip(text))) == [
+        "case: exit 0 -> 1", "case: masses.commutant passed True -> False"]
+    # an input error's empty report drops every check
+    gone = verdict_changes("case", filename, (0, text), (2, ""))
+    assert gone[0] == "case: exit 0 -> 2"
+    assert len(gone) == 1 + len(verdicts(text, filename)) == 16
+    assert all(line.endswith("passed True -> None") for line in gone[1:])
+
+
 def regenerate():
+    """Rewrite every golden file and print each verdict that changed."""
     GOLDEN.mkdir(exist_ok=True)
-    status = {}
+    status_path = GOLDEN / "status.json"
+    old_status = json.loads(status_path.read_text(encoding="utf-8")) if status_path.exists() else {}
+    status, changes = {}, []
     with tempfile.TemporaryDirectory() as workdir:
         for name in sorted(CASES):
             code, out, err, filename = produce(name, workdir)
-            (GOLDEN / filename).write_bytes(out.encode("utf-8"))
+            path = GOLDEN / filename
+            if name in old_status and path.exists():
+                old = (old_status[name]["exit"], path.read_text(encoding="utf-8"))
+                changes += verdict_changes(name, filename, old, (code, out))
+            else:
+                changes.append(f"{name}: new case, exit {code}")
+            path.write_bytes(out.encode("utf-8"))
             status[name] = {"exit": code, "stderr": err}
     text = json.dumps(status, sort_keys=True, indent=2) + "\n"
-    (GOLDEN / "status.json").write_bytes(text.encode("utf-8"))
+    status_path.write_bytes(text.encode("utf-8"))
+    print("\n".join(changes) if changes else "no exit code or passed flag changed")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from fermimass import (
     HiggsModel,
-    NonConvergence,
     SaddleConverged,
     exp_map,
     goldstone_split,
@@ -116,10 +116,53 @@ def test_minimize_from_origin_reports_saddle():
     assert err.value.transversal_eigs.min() < 0.0
 
 
-def test_minimize_runs_out_of_iterations():
-    model = mexican_hat_on(su2_doublet(), lam=1.0, v=2.0)
-    with pytest.raises(NonConvergence):
-        minimize(model, np.array([0.1, 0.3]), gd_max_iter=1, newton_max_iter=0)
+@pytest.mark.parametrize("v, seed", [(2e-3, (0.0, 1.0)), (2000.0, (0.0, 1000.0))])
+def test_minimize_lands_on_the_seed_ray_at_any_vev(v, seed):
+    # oracle: z0 = v * seed / |seed|, far inside or outside the vacuum sphere
+    model = mexican_hat_on(ew_rep(+1.0, 2, "higgs"), lam=1.0, v=v)
+    vac = minimize(model, np.array(seed))
+    assert vac.z0[0] == 0.0
+    assert vac.z0[1].imag == 0.0
+    assert vac.z0[1].real == pytest.approx(v, rel=1e-15)
+    assert (vac.goldstone_count, vac.physical_count, vac.isotropy.dim) == (3, 1, 1)
+
+
+def _custom(derivative_roots):
+    """p(s) with p'(s) = prod (s - r) and p(0) = 0."""
+    return HiggsModel(rep=su2_doublet(), potential_kind="custom_polynomial",
+                      params=P.polyint(P.polyfromroots(derivative_roots)))
+
+
+def test_minimize_returns_the_global_well_on_the_ray():
+    # p' = (s - 1)(s - 2)(s - 4): wells at s = 1 (p = -37/12) and s = 4
+    # (p = -16/3); the seed sits next to the shallow one
+    model = _custom([1.0, 2.0, 4.0])
+    vac = minimize(model, np.array([0.0, 0.9]))
+    assert np.abs(vac.z0 - np.array([0.0, 2.0])).max() <= 1e-14
+    assert vac.value == pytest.approx(-16.0 / 3.0, rel=1e-14)
+
+
+def test_minimize_at_the_origin_breaks_nothing():
+    # p = s + s^2 is increasing on s >= 0: the minimum is the origin, with
+    # the full algebra unbroken
+    model = HiggsModel(rep=su2_doublet(), potential_kind="custom_polynomial", params=(0.0, 1.0, 1.0))
+    vac = minimize(model, np.array([0.3, 0.4j]))
+    assert np.array_equal(vac.z0, np.zeros(2))
+    assert (vac.goldstone_count, vac.physical_count, vac.isotropy.dim) == (0, 4, 3)
+    assert vac.transversal_hessian_eigs == pytest.approx([2.0] * 4, abs=0.0)
+
+
+def test_minimize_keeps_relative_accuracy_in_large_units():
+    # degree 6 with wells at s = 500, 3000 and 11000; the deepest is the last
+    roots = np.array([0.5, 2.0, 3.0, 7.3, 11.0]) * 1e3
+    model = _custom(roots)
+    vac = minimize(model, np.array([0.0, 1.0]))
+    s = float(np.vdot(vac.z0, vac.z0).real)
+    assert s == pytest.approx(11000.0, rel=1e-13)
+    c1 = P.polyder(model.poly_coefficients())
+    # |p'(s*)| at the rounding level of evaluating p' there
+    assert abs(P.polyval(s, c1)) <= 1e-12 * P.polyval(s, np.abs(c1))
+    assert vac.value < min(potential_eval(model, np.array([0.0, np.sqrt(r)])) for r in roots[[0, 2]])
 
 
 def test_minimize_electroweak_breaking_pattern():
