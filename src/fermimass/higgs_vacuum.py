@@ -188,7 +188,7 @@ class VacuumSolution:
         return self.physical_basis.shape[1]
 
 
-def minimize(model, seed, cut=None):
+def minimize(model, seed, cut=None, saddle_floor=None):
     """The global minimum of the potential on the seed's ray, with its
     symmetry-breaking data.
 
@@ -201,8 +201,11 @@ def minimize(model, seed, cut=None):
 
     Raises SaddleConverged when the transversal Hessian at the result is not
     positive definite: a zero seed at a symmetric origin that is not a
-    minimum, or a degenerate minimum.
+    minimum, or a degenerate minimum.  An eigenvalue counts as zero at or
+    below saddle_floor times the largest |eigenvalue|, so the verdict does
+    not depend on the potential's units.
     """
+    saddle_floor = DEFAULT.saddle_floor if saddle_floor is None else saddle_floor
     z = np.asarray(seed, dtype=complex).reshape(-1)
     if z.shape[0] != model.rep.rep_dim:
         raise ValueError(f"seed has length {z.shape[0]}, representation acts on C^{model.rep.rep_dim}")
@@ -230,7 +233,7 @@ def minimize(model, seed, cut=None):
     else:
         trans = np.zeros(0)
     if trans.size:
-        floor = 1e-10 * max(1.0, float(np.max(np.abs(trans))))
+        floor = saddle_floor * float(np.max(np.abs(trans)))
         if float(trans.min()) <= floor:
             raise SaddleConverged(
                 z0,

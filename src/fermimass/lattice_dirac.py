@@ -33,7 +33,12 @@ Bochner Laplacian and the Dirac potential are stencil products, circular
 convolutions over the axis lines on which the stencils are nonzero.  A
 stencil operator's dense matrix is filled in only when read, as dumps,
 fluctuations and gauge transforms do; those site-dependent operators
-stay dense.
+stay dense.  A dense operator's spectrum comes from its chirality split
+when it has one: i*op is odd under a grading of the fiber slots (for a
+fluctuation or a transform by the gauge group, gamma5 x chi with chi =
++1 on the left fermions and -1 on the right ones), so its eigenvalues
+are plus and minus the singular values of one half-size block.  An
+operator without such a grading takes the full Hermitized eigensolve.
 
 The central_difference derivative kind is provided for robustness cross
 checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
@@ -536,7 +541,11 @@ def _hermitian_pair(op):
 
 
 def _residual(H, H_dag):
-    return float(np.max(np.abs(H - H_dag))), max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
+    """(max |H - H^dagger|, max(1, max |H|, max |H^dagger|)); the last two
+    are equal for a full pair, and together cover the two off-diagonal
+    blocks of a chirally split one."""
+    peak = max(float(np.max(np.abs(X), initial=0.0)) for X in (H, H_dag))
+    return float(np.max(np.abs(H - H_dag), initial=0.0)), max(1.0, peak)
 
 
 def hermiticity_residual(op):
@@ -548,6 +557,60 @@ def hermiticity_residual(op):
     return _residual(*_hermitian_pair(op))
 
 
+def _validate_hermitian(residual, herm_tol):
+    dev, scale = residual
+    if dev > herm_tol * scale:
+        raise NonHermitian(
+            f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
+        )
+
+
+def _chirality(op):
+    """The fiber slots of the + class of a grading under which i*op is odd,
+    as a boolean mask, or None when there is no such grading.
+
+    Slots f and f' are coupled when some site block of op has a nonzero
+    (f, f') entry; a grading exists when this graph has a 2-colouring, and
+    then every block of i*op between two slots of one class is exactly
+    zero.  Each connected set of slots takes + at its lowest slot; an
+    isolated slot is +.  For the Dirac operators of this package, their
+    fluctuations and their transforms by the gauge group this is the +
+    class of gamma5 x chi, chi = +1 on the left fermions and -1 on the
+    right ones.
+    """
+    F = op.fiber_dim
+    if op.stencil is not None:
+        coupled = np.any(op.stencil != 0, axis=0)
+    else:
+        S = op.lattice.n_sites
+        coupled = np.any(op.matrix.reshape(S, F, S, F) != 0, axis=(0, 2))
+    coupled = coupled | coupled.T
+    colour = np.full(F, -1)
+    for root in range(F):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        todo = [root]
+        while todo:
+            f = todo.pop()
+            for g in np.flatnonzero(coupled[f]):
+                if colour[g] < 0:
+                    colour[g] = 1 - colour[f]
+                    todo.append(g)
+                elif colour[g] == colour[f]:
+                    return None
+    return colour == 0
+
+
+def _chiral_blocks(op, plus):
+    """(H_{+-}, (H_{-+})^dagger) for H = i * op, with rows and columns in
+    site-major order: the off-diagonal blocks of H between the slots of
+    the + class (plus, a fiber mask) and those of the - class."""
+    slots = np.arange(op.matrix.shape[0]).reshape(-1, op.fiber_dim)
+    P, M = slots[:, plus].ravel(), slots[:, ~plus].ravel()
+    return 1j * op.matrix[np.ix_(P, M)], (1j * op.matrix[np.ix_(M, P)]).conj().T
+
+
 def spectrum(op, square_first=False, herm_tol=None):
     """Sorted real eigenvalues of i*op, or of (i*op)^2 when square_first.
 
@@ -555,31 +618,45 @@ def spectrum(op, square_first=False, herm_tol=None):
     square_first a stencil operator is diagonalized per momentum: block m
     of the stencil's FFT over the site grid is
     B(k) = sum_r B(r) exp(-2 pi i m.r / L), and each Hermitized -B(k)^2 is
-    diagonalized on its own.  Otherwise i*op is diagonalized densely (a
-    stencil operator's matrix is filled in first), as site-dependent
-    fluctuations and gauge transforms need; with square_first those
-    eigenvalues are squared and sorted.  A dense operator's H = i*op and
-    H^dagger serve both the check and the Hermitization.
+    diagonalized on its own.  Otherwise the spectrum comes from the dense
+    matrix (a stencil operator's is filled in first), as site-dependent
+    fluctuations and gauge transforms need, through its chirality split
+    when it has one (_chirality): i*op = [[0, C], [C^dagger, 0]] in the
+    grading's basis, so the eigenvalues are +-svd(C), with |p - q| more
+    zeros when the two classes hold p and q rows.  C is the Hermitized
+    (+, -) block, and only C's singular values are computed, at half the
+    side of the full matrix.  An operator without a grading, a gauge
+    transform by chirality-mixing unitaries say, takes the full Hermitized
+    eigensolve.  With square_first these eigenvalues are squared and
+    sorted.  A dense operator's Hermiticity is read off the blocks it is
+    diagonalized from; the same-class blocks of a split operator are exactly
+    zero, so these are the full matrix's two numbers bit for bit.
     """
     herm_tol = DEFAULT.hermiticity if herm_tol is None else herm_tol
-    H, H_dag = _hermitian_pair(op)
-    dev, scale = _residual(H, H_dag)
-    if dev > herm_tol * scale:
-        raise NonHermitian(
-            f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
-        )
-    if square_first and op.stencil is not None:
-        lat, F = op.lattice, op.fiber_dim
-        grid = (lat.L,) * lat.dim
-        B = np.fft.fftn(op.stencil.reshape(*grid, F, F), axes=tuple(range(lat.dim)))
-        B = B.reshape(lat.n_sites, F, F)
-        M = -(B @ B)
-        M = 0.5 * (M + M.conj().transpose(0, 2, 1))
-        return np.sort(np.linalg.eigvalsh(M).reshape(-1))
     if op.stencil is not None:
+        _validate_hermitian(hermiticity_residual(op), herm_tol)
+        if square_first:
+            lat, F = op.lattice, op.fiber_dim
+            grid = (lat.L,) * lat.dim
+            B = np.fft.fftn(op.stencil.reshape(*grid, F, F), axes=tuple(range(lat.dim)))
+            B = B.reshape(lat.n_sites, F, F)
+            M = -(B @ B)
+            M = 0.5 * (M + M.conj().transpose(0, 2, 1))
+            return np.sort(np.linalg.eigvalsh(M).reshape(-1))
+    plus = _chirality(op)
+    if plus is None:
         H = 1j * op.matrix
-        H_dag = H.conj().T
-    vals = np.linalg.eigvalsh(0.5 * (H + H_dag))
+        blocks = (H, H.conj().T)
+    else:
+        blocks = _chiral_blocks(op, plus)
+    if op.stencil is None:
+        _validate_hermitian(_residual(*blocks), herm_tol)
+    A = 0.5 * (blocks[0] + blocks[1])
+    if plus is None:
+        vals = np.linalg.eigvalsh(A)
+    else:
+        sv = np.linalg.svd(A, compute_uv=False)
+        vals = np.sort(np.concatenate([-sv, np.zeros(abs(A.shape[0] - A.shape[1])), sv]))
     return np.sort(vals ** 2) if square_first else vals
 
 
@@ -596,14 +673,16 @@ def _mass_blocks_full_fiber(md, nf):
     return blocks
 
 
-def branch_momentum_shifts(lat, md, frep, fields):
+def branch_momentum_shifts(lat, md, frep, fields, charge_tol=None):
     """Per-branch, per-axis momentum shifts q_a induced by a Wilson line.
 
     The shift of a branch is the charge of its eigenbundle under the
     Wilson field; the charge must be scalar on the block (guaranteed when
-    the line is valued in the unbroken algebra).  fields are the Wilson
-    fields ModelConfig.build_wilson returns, or None for no line.
+    the line is valued in the unbroken algebra): its spread may reach
+    charge_tol * max(1, |q|).  fields are the Wilson fields
+    ModelConfig.build_wilson returns, or None for no line.
     """
+    charge_tol = DEFAULT.wilson_charge_scalar if charge_tol is None else charge_tol
     _check_fields(lat, frep.n_total, fields)
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
     if fields is None:
@@ -615,7 +694,7 @@ def branch_momentum_shifts(lat, md, frep, fields):
             E = basis.conj().T @ (-1j * fields[a]) @ basis
             q = float(np.mean(np.diag(E).real))
             spread = float(np.max(np.abs(E - q * np.eye(E.shape[0]))))
-            if spread > 1e-10 * max(1.0, abs(q)):
+            if spread > charge_tol * max(1.0, abs(q)):
                 raise ValueError(
                     f"Wilson charge is not scalar on the m^2={m2:.6g} block "
                     f"(spread {spread:.3e}); branch-resolved momenta are undefined"

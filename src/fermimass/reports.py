@@ -184,7 +184,8 @@ class Run:
 
     def vacuum(self):
         m = self.model
-        return self.stage("vacuum.minimum_found", minimize, m.higgs, m.seed, cut=self.tol.nullspace_cut)
+        return self.stage("vacuum.minimum_found", minimize, m.higgs, m.seed, cut=self.tol.nullspace_cut,
+                          saddle_floor=self.tol.saddle_floor)
 
     def mass_data(self):
         tol = self.tol
@@ -261,11 +262,13 @@ def cmd_masses(run):
         vac, md = run.vacuum(), run.mass_data()
         lemma = lemma_verify(m.ymap, md, vac, m.frep, m.higgs, n_moves=ORBIT_MOVES, seed=RNG_SEED)
         rep.add(residual_check("masses.commutant", lemma.commutant_residual, tol.commutant))
+        m2_scale = float(np.max(md.spectrum_sq, initial=1.0))
         rep.add(residual_check("masses.orbit_invariance", lemma.orbit_deviation,
-                               tol.orbit_spectrum * float(np.max(md.spectrum_sq, initial=1.0))))
+                               tol.orbit_spectrum * m2_scale))
         rep.add(
             residual_check(
-                "masses.orbit_transport", lemma.orbit_transport_residual, tol.orbit_spectrum,
+                "masses.orbit_transport", lemma.orbit_transport_residual,
+                tol.orbit_spectrum * np.sqrt(m2_scale),
                 "unitary transport of the mass matrix along the orbit",
             )
         )
@@ -319,7 +322,8 @@ def cmd_lattice(run):
         if fields is not None:
             rep.add(residual_check("lattice.wilson_flatness", wilson_flatness(fields), tol.wilson_flat))
             shifts = run.stage(
-                "lattice.wilson_charge_scalar", branch_momentum_shifts, lat, md, frep, fields
+                "lattice.wilson_charge_scalar", branch_momentum_shifts, lat, md, frep, fields,
+                charge_tol=tol.wilson_charge_scalar,
             )
         spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True,
                             herm_tol=tol.hermiticity)
@@ -344,7 +348,8 @@ def cmd_lattice(run):
         )
         rep.add(
             residual_check(
-                "lattice.potential_offsite", vd.meta["offsite_leakage"], tol.potential_offsite
+                "lattice.potential_offsite", vd.meta["offsite_leakage"],
+                tol.potential_offsite * float(np.max(md.spectrum_sq, initial=1.0)),
             )
         )
         dens = lagrangian_density(vd, lat)

@@ -26,6 +26,9 @@ class Tolerances:
     gradient_norm: float = 1e-8
     # Hessian restricted to Goldstone directions must vanish to this
     goldstone_flat: float = 1e-7
+    # a transversal Hessian eigenvalue at or below saddle_floor * max |eig|
+    # makes a critical point a saddle
+    saddle_floor: float = 1e-10
     # Yukawa equivariance residual
     equivariance: float = 1e-12
     # diagonal blocks of an odd endomorphism
@@ -55,6 +58,8 @@ class Tolerances:
     curvature: float = 1e-12
     # Wilson line flatness [A_a, A_b]
     wilson_flat: float = 1e-12
+    # spread of a Wilson charge on a mass block, relative to max(1, |charge|)
+    wilson_charge_scalar: float = 1e-10
 
     def scale(self, factor):
         """Return a copy with every threshold multiplied by a finite positive factor."""

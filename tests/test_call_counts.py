@@ -144,3 +144,37 @@ def fluctuation_calls(monkeypatch, L):
 
 def test_fluctuation_work_does_not_grow_with_sites(monkeypatch):
     assert fluctuation_calls(monkeypatch, 4) == fluctuation_calls(monkeypatch, 8)
+
+
+def test_dense_spectrum_is_one_half_size_svd(monkeypatch):
+    # a fluctuation and its gauge transform are odd under gamma5 x chi, so
+    # each spectrum is one SVD of the (+, -) block and no full eigensolve;
+    # a stray nonzero in a same-class block would fall back unnoticed
+    built = ew_reference().build()
+    vac = minimize(built.higgs, built.seed)
+    lat, cl = TorusLattice(n=1, L=4), build_clifford(1)
+    op = build_vacuum_dirac(lat, cl, mass_matrix(built.ymap, vac), built.frep)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((lat.dim, lat.n_sites, built.frep.total.dim_g))
+    phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
+    fl = lattice_dirac.fluctuation_operator(op, A, phi, built.ymap, cl, built.frep, 0.5,
+                                            unitary_split=(vac.goldstone_basis, vac.physical_basis))
+    us = [group_rep.exp_map(built.frep.total, rng.standard_normal(built.frep.total.dim_g))
+          for _ in range(lat.n_sites)]
+    moved = lattice_dirac.gauge_transform(fl, np.array(us))
+    side = fl.matrix.shape[0]
+    for dense in (fl, moved):
+        shapes = {"svd": [], "eigvalsh": []}
+
+        def recorded(name, original):
+            def call(a, *args, **kwargs):
+                shapes[name].append(a.shape)
+                return original(a, *args, **kwargs)
+
+            return call
+
+        with monkeypatch.context() as m:
+            for name in shapes:
+                m.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+            lattice_dirac.spectrum(dense)
+        assert shapes == {"svd": [(side // 2, side // 2)], "eigvalsh": []}

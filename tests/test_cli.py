@@ -268,6 +268,21 @@ def test_non_equivariant_model_is_exit_one_with_a_report(capsys, tmp_path):
     assert {"masses.equivariance", "lattice.wilson_charge_scalar"} <= failed
 
 
+def test_wilson_charge_override_reaches_the_charge_check(capsys, tmp_path):
+    # the perturbed coupling's charge spreads by 5.6e-3 on the m^2 = 1
+    # block; a loose enough threshold lets the run go on to the dispersion
+    cfg = ew_reference(y_right=-2.1)
+    cfg.tolerances = {"wilson_charge_scalar": 1.0}
+    path = tmp_path / "perturbed.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "lattice", "--model", str(path))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert "error" not in doc["data"]
+    assert [c["id"] for c in doc["checks"] if not c["passed"]] == [
+        "lattice.dispersion", "lattice.curvature_identity"]
+
+
 def test_nonflat_wilson_line_fails_the_flatness_check(capsys, tmp_path):
     # at the default tolerances the line's flatness is a failing check, and
     # the report goes on to the next stage
@@ -406,6 +421,52 @@ def test_small_vev_breaks_from_a_unit_seed(capsys, tmp_path):
     z0 = json.loads(out)["data"]["break"]["z0"]
     assert z0[0] == [0.0, 0.0]
     assert z0[1] == [pytest.approx(2e-3, rel=1e-15), 0.0]
+
+
+def test_tiny_vev_breaks_from_a_unit_seed(capsys, tmp_path):
+    # v = 2e-6 puts the radial Hessian 8 lam v^2 at 3.2e-11; the saddle
+    # floor is relative to the Hessian's own scale, so this is a minimum
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2e-6}, seed=[[0.0, 0.0], [1.0, 0.0]])
+    path = tmp_path / "ew-tiny.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, ""), out
+    doc = json.loads(out)
+    assert doc["data"]["break"]["z0"][1] == [pytest.approx(2e-6, rel=1e-15), 0.0]
+    assert doc["data"]["break"]["transversal_hessian_eigs"] == [pytest.approx(3.2e-11, rel=1e-9)]
+
+
+def test_saddle_floor_override_reaches_the_minimizer(capsys, tmp_path):
+    # ew-reference has one transversal direction, so a floor of 1 times the
+    # largest eigenvalue makes its minimum a degenerate critical point
+    cfg = ew_reference()
+    cfg.tolerances = {"saddle_floor": 1.0}
+    path = tmp_path / "ew-floor.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "break", "--model", str(path))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert [c["id"] for c in doc["checks"]] == ["vacuum.minimum_found"]
+    assert doc["checks"][0]["note"].startswith("SaddleConverged: ")
+
+
+def test_verdicts_hold_at_a_large_vev_and_a_larger_coupling(capsys, tmp_path):
+    # v = 2000 and y = 5000 put m^2 at 1e14: the orbit transport of the
+    # mass matrix rounds to ~5e-9 and the Dirac potential's off-site blocks
+    # to ~4e-10, both at the 1e-16 level of the model's own scale
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2000.0}, seed=[[0.0, 0.0], [1000.0, 0.0]])
+    tensor = cfg.yukawa["tensor"]
+    tensor[0][0][0] = tensor[1][0][1] = [5000.0, 0.0]
+    path = tmp_path / "ew-heavy.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, ""), out
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    m2 = (5000.0 * 2000.0) ** 2
+    assert checks["masses.orbit_transport"]["tol"] == pytest.approx(1e-9 * 5000.0 * 2000.0, rel=1e-12)
+    assert checks["lattice.potential_offsite"]["tol"] == pytest.approx(1e-10 * m2, rel=1e-12)
 
 
 def test_tightened_hermiticity_is_a_failing_check(capsys, tmp_path):

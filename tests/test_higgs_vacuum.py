@@ -116,7 +116,7 @@ def test_minimize_from_origin_reports_saddle():
     assert err.value.transversal_eigs.min() < 0.0
 
 
-@pytest.mark.parametrize("v, seed", [(2e-3, (0.0, 1.0)), (2000.0, (0.0, 1000.0))])
+@pytest.mark.parametrize("v, seed", [(2e-3, (0.0, 1.0)), (2000.0, (0.0, 1000.0)), (2e-6, (0.0, 1.0))])
 def test_minimize_lands_on_the_seed_ray_at_any_vev(v, seed):
     # oracle: z0 = v * seed / |seed|, far inside or outside the vacuum sphere
     model = mexican_hat_on(ew_rep(+1.0, 2, "higgs"), lam=1.0, v=v)

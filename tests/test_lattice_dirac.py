@@ -31,6 +31,9 @@ from fermimass import (
 )
 from fermimass.lattice_dirac import (
     LatticeOperator,
+    _chiral_blocks,
+    _chirality,
+    _residual,
     contraction_residual,
     hermiticity_residual,
 )
@@ -1099,13 +1102,65 @@ def test_spectrum_square_consistency(ew):
     assert np.abs(np.sort(lin ** 2) - sq).max() <= 1e-9 * max(1.0, sq.max())
 
 
+def chiral_svd_spectrum(op, grading):
+    """Oracle: +-svd of the Hermitized (+, -) block of i*op in the basis of a
+    diagonal grading, with one zero for each row the classes differ by."""
+    plus = np.tile(np.diag(grading).real > 0, op.lattice.n_sites)
+    H = 1j * op.matrix
+    C = 0.5 * (H[np.ix_(plus, ~plus)] + H[np.ix_(~plus, plus)].conj().T)
+    sv = np.linalg.svd(C, compute_uv=False)
+    return np.sort(np.concatenate([-sv, np.zeros(abs(C.shape[0] - C.shape[1])), sv]))
+
+
+def ew_grading(ew, cl):
+    """Gamma = gamma5 x chi, chi = +1 on the left fermions, -1 on the right."""
+    return np.kron(cl.gamma5, np.diag([1.0] * ew.md.n_left + [-1.0] * ew.md.n_right))
+
+
+def hermitized_eigvalsh(op):
+    H = 1j * op.matrix
+    return np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+
+
+def chirality_mixing_unitaries(n_sites, nf, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_sites, nf, nf)) + 1j * rng.standard_normal((n_sites, nf, nf))
+    return np.linalg.qr(z)[0]
+
+
 @pytest.mark.parametrize("square_first", [False, True])
-def test_dense_spectrum_matches_hermitized_eigensolve_bitwise(ew, fluctuation_case, square_first):
+def test_dense_spectrum_is_the_chiral_svd(ew, fluctuation_case, square_first):
+    # Gamma = gamma5 x chi is odd for fluctuations and gauge transforms: the
+    # spectrum is +-svd of one block, which agrees with the full eigensolve
+    # to rounding; a chirality-mixing transform has no grading and takes
+    # the full eigensolve itself
     op, cl, A, phi, split = fluctuation_case
     fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 0.75, unitary_split=split)
     moved = gauge_transform(fl, site_unitaries(ew.frep, op.lattice.n_sites, 9))
+    grading = ew_grading(ew, cl)
+
+    def squared(vals):
+        return np.sort(vals ** 2) if square_first else vals
+
     for dense in (fl, moved):
-        H = 1j * dense.matrix
-        want = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-        want = np.sort(want ** 2) if square_first else want
-        assert np.array_equal(spectrum(dense, square_first=square_first), want)
+        got = spectrum(dense, square_first=square_first)
+        assert np.array_equal(got, squared(chiral_svd_spectrum(dense, grading)))
+        scale = max(1.0, np.abs(dense.matrix).max()) ** (2 if square_first else 1)
+        assert np.abs(got - squared(hermitized_eigvalsh(dense))).max() <= 1e-12 * scale
+    mixed = gauge_transform(fl, chirality_mixing_unitaries(op.lattice.n_sites, 3, 4))
+    assert np.array_equal(spectrum(mixed, square_first=square_first),
+                          squared(hermitized_eigvalsh(mixed)))
+
+
+def test_chiral_blocks_give_the_full_hermiticity_residual_bitwise(ew, fluctuation_case):
+    op, cl, A, phi, split = fluctuation_case
+    fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 0.5, unitary_split=split)
+    # a one-sided error between a + and a - slot keeps the split and makes
+    # the residual nonzero
+    fl.matrix[0, fl.fiber_dim + 2] += 1e-12
+    moved = gauge_transform(fl, site_unitaries(ew.frep, op.lattice.n_sites, 3))
+    for dense in (fl, moved):
+        plus = _chirality(dense)
+        assert np.array_equal(plus, np.diag(ew_grading(ew, cl)).real > 0)
+        assert _residual(*_chiral_blocks(dense, plus)) == hermiticity_residual(dense)
+    assert hermiticity_residual(fl)[0] > 0.0
