@@ -27,7 +27,6 @@ from .lattice_dirac import (
     LagrangianDensity,
     LatticeOperator,
     NonHermitian,
-    NotMultiplicationOperator,
     TorusLattice,
     bochner_laplacian,
     branch_momentum_shifts,

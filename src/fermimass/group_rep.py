@@ -2,16 +2,15 @@
 
 The linear algebra of symmetry breaking lives here: infinitesimal orbit
 directions, isotropy (unbroken) subalgebras computed as real null spaces,
-commutant residuals, and finite transformations via the matrix
-exponential.  Lie algebra elements are always real coefficient vectors
-over the fixed generator list; reductive algebras with abelian factors
-are admitted.
+commutant residuals, and finite transformations as the spectral
+exponential of the Hermitian matrix i*X.  Lie algebra elements are always
+real coefficient vectors over the fixed generator list; reductive algebras
+with abelian factors are admitted.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .tolerances import DEFAULT
 
@@ -105,9 +104,10 @@ def direct_sum(reps):
                 f"cannot form a direct sum: {r.label or 'rep'} has {r.dim_g} "
                 f"generators, expected {dim_g}"
             )
-    gens = []
-    for k in range(dim_g):
-        gens.append(block_diag(*[np.asarray(r.generators[k], dtype=complex) for r in reps]))
+    edges = np.cumsum([0] + [r.rep_dim for r in reps])
+    gens = np.zeros((dim_g, edges[-1], edges[-1]), dtype=complex)
+    for r, lo, hi in zip(reps, edges, edges[1:]):
+        gens[:, lo:hi, lo:hi] = r.generators
     label = "+".join(r.label for r in reps if r.label)
     return LieAlgebraRep(generators=tuple(gens), label=label)
 
@@ -158,5 +158,11 @@ def commutant_check(matrices, candidate):
 
 
 def exp_map(rep, coeffs):
-    """Unitary matrix exponential of the algebra element with these coefficients."""
-    return expm(rep.element(coeffs))
+    """Unitary matrix exponential of the algebra element with these coefficients.
+
+    The element X is anti-Hermitian, so i*X is Hermitian; from its
+    eigendecomposition i*X = V diag(w) V^dagger, exp(X) = V diag(exp(-i w))
+    V^dagger, which is unitary by construction.
+    """
+    w, V = np.linalg.eigh(1j * rep.element(coeffs))
+    return (V * np.exp(-1j * w)) @ V.conj().T

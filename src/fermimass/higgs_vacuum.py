@@ -85,6 +85,12 @@ class HiggsModel:
                 raise ValueError(
                     "potential is not bounded from below: leading coefficient must be positive"
                 )
+        try:
+            finite = bool(np.isfinite(self.poly_coefficients()).all())
+        except OverflowError:  # a float power past the largest double
+            finite = False
+        if not finite:
+            raise ValueError(f"the coefficients of p(s) overflow for parameters {self.params}")
 
     def poly_coefficients(self):
         """Ascending coefficients of p(s), s = |z|^2."""

@@ -17,7 +17,7 @@ V_D equals the squared-mass block exactly on the flat torus.  The
 Laplacian fed to the Dirac potential must come from the Clifford
 connection (mass term omitted); the canonical connection adds zero- and
 first-order xi terms and produces a non-multiplication remainder, which
-dirac_potential rejects.
+dirac_potential records as its off-site leakage.
 
 Tensor factors are ordered site x spinor x internal throughout, with
 sites enumerated row-major over the 2n axes (axis 0 slowest).  This
@@ -56,10 +56,6 @@ from .tolerances import DEFAULT
 from .yukawa_mass import apply_yukawa
 
 DERIVATIVE_KINDS = ("fourier_spectral", "central_difference")
-
-
-class NotMultiplicationOperator(RuntimeError):
-    """The Dirac potential has off-site entries above tolerance."""
 
 
 class NonHermitian(RuntimeError):
@@ -326,28 +322,22 @@ def bochner_laplacian(conn):
                            kind="bochner_laplacian", stencil=lap)
 
 
-def dirac_potential(dirac_op, laplacian, offsite_tol=None):
-    """V = (i D)^2 - Laplacian, validated to be a multiplication operator.
+def dirac_potential(dirac_op, laplacian):
+    """V = (i D)^2 - Laplacian, with its off-site leakage recorded in meta.
 
     Both operators must be stencil operators (a ValueError says so
-    otherwise); (i D)^2 is a stencil product (_product_stencil).  Raises
-    NotMultiplicationOperator when the off-site blocks V(r), r != 0,
-    exceed the hard threshold, which signals inconsistent derivative kinds
-    or a Laplacian built from the wrong connection.  The off-site leakage
-    is recorded in meta.  A stencil holds one block for every site, so
-    the potential is site-constant by construction.
+    otherwise); (i D)^2 is a stencil product (_product_stencil).  The
+    leakage is the largest entry of the off-site blocks V(r), r != 0; it
+    is zero up to rounding when V is a multiplication operator, and large
+    for inconsistent derivative kinds or a Laplacian built from the wrong
+    connection.  A stencil holds one block for every site, so the
+    potential is site-constant by construction.
     """
-    offsite_tol = DEFAULT.potential_offsite_error if offsite_tol is None else offsite_tol
     D, lap = _stencil(dirac_op), _stencil(laplacian)
     if D.shape != lap.shape:
         raise ValueError("operator and Laplacian act on different spaces")
     V = -_product_stencil(D, D, dirac_op.lattice) - lap
     leak = float(np.max(np.abs(V[1:]), initial=0.0))
-    if leak > offsite_tol:
-        raise NotMultiplicationOperator(
-            f"Dirac potential has off-site entries up to {leak:.3e} (> {offsite_tol:.0e}); "
-            "the operator and the Laplacian use inconsistent derivatives or connections"
-        )
     return LatticeOperator(
         None, dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
         meta={"offsite_leakage": leak}, stencil=V,

@@ -16,7 +16,6 @@ import numpy as np
 from .higgs_vacuum import SaddleConverged, gradient, hessian, minimize
 from .lattice_dirac import (
     NonHermitian,
-    NotMultiplicationOperator,
     bochner_laplacian,
     branch_momentum_shifts,
     build_vacuum_connection,
@@ -149,7 +148,6 @@ STAGE_ERRORS = {
     "masses.block_structure": BlockStructureViolation,
     "lattice.wilson_charge_scalar": ValueError,
     "lattice.hermiticity": NonHermitian,
-    "lattice.dirac_potential_multiplicative": NotMultiplicationOperator,
 }
 
 
@@ -342,10 +340,7 @@ def cmd_lattice(run):
         curv = relative_curvature(conn, cl, md, frep)
         rep.add(residual_check("lattice.curvature_identity", curv.residual, tol.curvature))
         lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
-        vd = run.stage(
-            "lattice.dirac_potential_multiplicative", dirac_potential, vac_op, lap,
-            offsite_tol=tol.potential_offsite_error,
-        )
+        vd = dirac_potential(vac_op, lap)
         rep.add(
             residual_check(
                 "lattice.potential_offsite", vd.meta["offsite_leakage"],

@@ -47,9 +47,7 @@ class Tolerances:
     contraction: float = 1e-12
     # Hermiticity validation before dense eigensolves
     hermiticity: float = 1e-10
-    # Dirac potential off-site leakage: hard error above this
-    potential_offsite_error: float = 1e-8
-    # Dirac potential off-site leakage: report-level check
+    # Dirac potential off-site leakage, relative to max(1, max m^2)
     potential_offsite: float = 1e-10
     # per-site trace of the Dirac potential vs the mass-square trace
     # 2^n sum m^2, relative to max(1, |2^n sum m^2|)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(*argv):
+    """python *argv in a new interpreter that imports the fermimass under test."""
+    src = os.path.dirname(os.path.dirname(sys.modules["fermimass"].__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_numpy_is_the_only_third_party_import():
+    code = (
+        "import sys; before = set(sys.modules); import fermimass, fermimass.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['fermimass', 'numpy']"
 
 
 def test_check_passes(capsys, model_path):
@@ -390,6 +412,21 @@ def test_check_rejects_higgs_params_that_are_not_finite_numbers(capsys, tmp_path
     assert re.match(rf"error: {where}: expected a finite real number", err), err
 
 
+@pytest.mark.parametrize("params", [{"lam": 1.0, "v": 1e80}, {"lam": 1e300, "v": 1e5}],
+                         ids=["v-power-overflows", "lam-product-overflows"])
+def test_check_rejects_higgs_params_whose_coefficients_overflow(tmp_path, params):
+    # lam * v^4 is past the largest double: a float power raises
+    # OverflowError and a float product gives inf; both are input errors
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params=params)
+    path = tmp_path / "overflow.json"
+    save_model(cfg, path)
+    proc = fresh_python("-m", "fermimass", "check", "--model", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.match(r"error: higgs.params: the coefficients of p\(s\) overflow", proc.stderr), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):
     # v = 2000 and y = 50 put 2^n sum m^2 at 4e10, where the per-site trace
     # rounds to ~8e-6 absolute (2e-16 relative) and the orbit deviation of
@@ -466,6 +503,23 @@ def test_verdicts_hold_at_a_large_vev_and_a_larger_coupling(capsys, tmp_path):
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     m2 = (5000.0 * 2000.0) ** 2
     assert checks["masses.orbit_transport"]["tol"] == pytest.approx(1e-9 * 5000.0 * 2000.0, rel=1e-12)
+    assert checks["lattice.potential_offsite"]["tol"] == pytest.approx(1e-10 * m2, rel=1e-12)
+
+
+def test_potential_offsite_is_the_one_verdict_at_a_huge_coupling(capsys, tmp_path):
+    # v = 2000 and y = 5e5 put m^2 at 1e18: the Dirac potential's off-site
+    # blocks round to ~2e-8, at the 1e-26 level of the model's own scale,
+    # and potential_offsite, relative to that scale, passes them
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2000.0}, seed=[[0.0, 0.0], [1000.0, 0.0]])
+    tensor = cfg.yukawa["tensor"]
+    tensor[0][0][0] = tensor[1][0][1] = [5e5, 0.0]
+    path = tmp_path / "ew-huge.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, ""), out
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    m2 = (5e5 * 2000.0) ** 2
     assert checks["lattice.potential_offsite"]["tol"] == pytest.approx(1e-10 * m2, rel=1e-12)
 
 

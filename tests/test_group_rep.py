@@ -5,6 +5,7 @@ from fermimass import (
     LieAlgebraRep,
     commutant_check,
     direct_sum,
+    ew_reference,
     exp_map,
     infinitesimal_action,
     isotropy_algebra,
@@ -163,13 +164,40 @@ def test_exp_map_pauli_closed_form():
 
 
 def test_exp_map_unitary_and_inverse():
-    rep = ew_rep(-1.0, 2, "lepton")
     rng = np.random.default_rng(8)
+    for rep in (ew_rep(-1.0, 2, "lepton"), ew_reference().build_fermion_rep().total):
+        for _ in range(10):
+            c = rng.standard_normal(4)
+            u = exp_map(rep, c)
+            assert np.abs(u.conj().T @ u - np.eye(rep.rep_dim)).max() <= 1e-10
+            assert np.abs(exp_map(rep, -c) - u.conj().T).max() <= 1e-10
+
+
+def test_exp_map_degenerate_hypercharge_closed_form():
+    # on the ew fermions (a doublet of hypercharge -1 and a singlet of -2) a
+    # pure hypercharge element is -i c diag(y), with a repeated eigenvalue
+    rep = ew_reference().build_fermion_rep().total
+    y = np.array([-1.0, -1.0, -2.0])
+    for c in (0.3, -1.7, np.pi):
+        got = exp_map(rep, np.array([0.0, 0.0, 0.0, c]))
+        assert np.abs(got - np.diag(np.exp(-1j * y * c))).max() <= 1e-15
+
+
+def taylor_exp(X, terms=40):
+    """sum_k X^k / k!, the oracle for elements of norm of order one."""
+    out, term = np.eye(X.shape[0], dtype=complex), np.eye(X.shape[0], dtype=complex)
+    for k in range(1, terms):
+        term = term @ X / k
+        out = out + term
+    return out
+
+
+def test_exp_map_mixed_element_matches_taylor_series():
+    rep = ew_reference().build_fermion_rep().total
+    rng = np.random.default_rng(13)
     for _ in range(10):
-        c = rng.standard_normal(4)
-        u = exp_map(rep, c)
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-10
-        assert np.abs(exp_map(rep, -c) - u.conj().T).max() <= 1e-10
+        c = rng.uniform(-1.0, 1.0, 4)
+        assert np.abs(exp_map(rep, c) - taylor_exp(rep.element(c))).max() <= 1e-13
 
 
 def test_element_coefficient_shape_checked():
