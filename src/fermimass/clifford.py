@@ -3,19 +3,14 @@
 Conventions, fixed once for the whole package:
 
 * euclidean: ``{gamma_a, gamma_b} = +2 delta_ab Id`` with every gamma_a
-  Hermitian.
-* lorentzian: metric ``g = diag(+1, -1, ..., -1)``; gamma_0 is Hermitian
-  and the spatial gamma_i are anti-Hermitian (i times the euclidean
-  matrices).  Lorentzian algebras are used for algebraic checks only;
-  lattice operators are euclidean.
-* chirality: ``gamma5 = (-i)^n gamma_1 ... gamma_{2n}`` in the euclidean
-  algebra, which makes gamma5 Hermitian with gamma5^2 = Id.  The
-  lorentzian algebra reuses the same grading matrix; only statements
-  independent of this phase choice are relied on elsewhere.
+  Hermitian.  The metric is the identity, so gamma^a = gamma_a and
+  ``cl.gamma[a]`` serves for both.
+* chirality: ``gamma5 = (-i)^n gamma_1 ... gamma_{2n}``, which makes
+  gamma5 Hermitian with gamma5^2 = Id.
 * canonical one-form: ``xi_a = gamma_a / (2n)``, the unique constant
-  multiple of gamma_a with ``sum_a gamma^a xi_a = Id`` (index raised with
-  g), i.e. xi right-inverts the Clifford action.  On a flat torus its
-  components are constant matrices.
+  multiple of gamma_a with ``sum_a gamma^a xi_a = Id``, i.e. xi
+  right-inverts the Clifford action.  On a flat torus its components are
+  constant matrices.
 """
 
 from dataclasses import dataclass
@@ -28,15 +23,12 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-SIGNATURES = ("euclidean", "lorentzian")
-
 
 @dataclass(frozen=True)
 class CliffordAlgebra:
     """Gamma matrices, chirality operator and canonical one-form scale."""
 
     n: int
-    signature: str
     gamma: tuple
     gamma5: np.ndarray
     xi_scale: float
@@ -49,16 +41,6 @@ class CliffordAlgebra:
     @property
     def spinor_dim(self):
         return 2 ** self.n
-
-    def metric_signs(self):
-        signs = np.ones(self.dim)
-        if self.signature == "lorentzian":
-            signs[1:] = -1.0
-        return signs
-
-    def gamma_upper(self, a):
-        """gamma^a = g^{ab} gamma_b for the diagonal metric."""
-        return self.metric_signs()[a] * self.gamma[a]
 
 
 def _euclidean_gammas(n):
@@ -73,22 +55,17 @@ def _euclidean_gammas(n):
     return gammas
 
 
-def build_clifford(n, signature="euclidean"):
-    """Construct the gamma matrices for dimension 2n with the given signature."""
+def build_clifford(n):
+    """Construct the euclidean gamma matrices for dimension 2n."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("half-dimension n must be a positive integer")
-    if signature not in SIGNATURES:
-        raise ValueError(f"unknown signature {signature!r}, expected one of {SIGNATURES}")
     gammas = _euclidean_gammas(n)
     gamma5 = np.eye(2 ** n, dtype=complex)
     for g in gammas:
         gamma5 = gamma5 @ g
     gamma5 = (-1j) ** n * gamma5
-    if signature == "lorentzian":
-        gammas = [gammas[0]] + [1j * g for g in gammas[1:]]
     return CliffordAlgebra(
         n=int(n),
-        signature=signature,
         gamma=tuple(gammas),
         gamma5=gamma5,
         xi_scale=1.0 / (2 * n),
@@ -107,7 +84,7 @@ def clifford_action(cl, covector, spinor_block):
         )
     slash = np.zeros((cl.spinor_dim, cl.spinor_dim), dtype=complex)
     for a in range(cl.dim):
-        slash += covector[a] * cl.gamma_upper(a)
+        slash += covector[a] * cl.gamma[a]
     return slash @ spinor_block
 
 

@@ -120,14 +120,13 @@ def infinitesimal_action(rep, coeffs, z):
     return rep.element(coeffs) @ z
 
 
-def isotropy_algebra(rep, z0, cut=None):
+def isotropy_algebra(rep, z0, tol=DEFAULT):
     """Unbroken subalgebra {X : X z0 = 0} as a real null-space computation.
 
     Stacks real and imaginary parts of the columns X_i z0 into a real
     2*rep_dim x dim_g matrix and keeps the right singular vectors whose
-    singular value falls below cut * sigma_max.
+    singular value falls below tol.nullspace_cut * sigma_max.
     """
-    cut = DEFAULT.nullspace_cut if cut is None else cut
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
     if z0.shape[0] != rep.rep_dim:
         raise ValueError(f"vector has length {z0.shape[0]}, representation acts on C^{rep.rep_dim}")
@@ -139,7 +138,7 @@ def isotropy_algebra(rep, z0, cut=None):
         A[d:, k] = col.imag
     _, s, vt = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
-    rows = [vt[k] for k in range(g) if k >= s.size or s[k] <= cut * smax]
+    rows = [vt[k] for k in range(g) if k >= s.size or s[k] <= tol.nullspace_cut * smax]
     return IsotropyResult(basis=tuple(rows), dim=len(rows))
 
 

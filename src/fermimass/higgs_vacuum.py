@@ -145,14 +145,13 @@ def invariance_residual(model, n_samples=8, seed=0):
     return worst
 
 
-def goldstone_split(rep, z0, cut=None):
+def goldstone_split(rep, z0, tol=DEFAULT):
     """Orthonormal (goldstone, physical) bases of R^{2N} at a critical point.
 
-    The Goldstone block spans the realified orbit directions X_i z0; the
-    physical block is its orthogonal complement.  Columns are the basis
-    vectors.
+    The Goldstone block spans the realified orbit directions X_i z0, those
+    of singular value above tol.nullspace_cut * sigma_max; the physical
+    block is its orthogonal complement.  Columns are the basis vectors.
     """
-    cut = DEFAULT.nullspace_cut if cut is None else cut
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
     if z0.shape[0] != rep.rep_dim:
         raise ValueError(f"vector has length {z0.shape[0]}, representation acts on C^{rep.rep_dim}")
@@ -163,7 +162,7 @@ def goldstone_split(rep, z0, cut=None):
     if not T.any():
         return np.zeros((two_n, 0)), np.eye(two_n)
     u, s, _ = np.linalg.svd(T)
-    rank = int(np.sum(s > cut * s[0]))
+    rank = int(np.sum(s > tol.nullspace_cut * s[0]))
     return u[:, :rank], u[:, rank:]
 
 
@@ -194,7 +193,7 @@ class VacuumSolution:
         return self.physical_basis.shape[1]
 
 
-def minimize(model, seed, cut=None, saddle_floor=None):
+def minimize(model, seed, tol=DEFAULT):
     """The global minimum of the potential on the seed's ray, with its
     symmetry-breaking data.
 
@@ -208,10 +207,10 @@ def minimize(model, seed, cut=None, saddle_floor=None):
     Raises SaddleConverged when the transversal Hessian at the result is not
     positive definite: a zero seed at a symmetric origin that is not a
     minimum, or a degenerate minimum.  An eigenvalue counts as zero at or
-    below saddle_floor times the largest |eigenvalue|, so the verdict does
-    not depend on the potential's units.
+    below tol.saddle_floor times the largest |eigenvalue|, so the verdict
+    does not depend on the potential's units.  The isotropy algebra and the
+    Goldstone split read tol.nullspace_cut.
     """
-    saddle_floor = DEFAULT.saddle_floor if saddle_floor is None else saddle_floor
     z = np.asarray(seed, dtype=complex).reshape(-1)
     if z.shape[0] != model.rep.rep_dim:
         raise ValueError(f"seed has length {z.shape[0]}, representation acts on C^{model.rep.rep_dim}")
@@ -231,15 +230,15 @@ def minimize(model, seed, cut=None, saddle_floor=None):
             s = t
         z0 = z * (np.sqrt(s) / norm)
 
-    iso = isotropy_algebra(model.rep, z0, cut=cut)
-    goldstone, physical = goldstone_split(model.rep, z0, cut=cut)
+    iso = isotropy_algebra(model.rep, z0, tol)
+    goldstone, physical = goldstone_split(model.rep, z0, tol)
     H = hessian(model, z0)
     if physical.shape[1]:
         trans = np.linalg.eigvalsh(physical.T @ H @ physical)
     else:
         trans = np.zeros(0)
     if trans.size:
-        floor = saddle_floor * float(np.max(np.abs(trans)))
+        floor = tol.saddle_floor * float(np.max(np.abs(trans)))
         if float(trans.min()) <= floor:
             raise SaddleConverged(
                 z0,

@@ -234,9 +234,6 @@ def _check_fields(lat, nf, fields):
 
 
 def _check_lattice_inputs(lat, cl, frep, md, fields):
-    if cl.signature != "euclidean":
-        raise ValueError("lattice operators require the euclidean algebra; "
-                         "lorentzian algebras are for algebraic checks only")
     if cl.n != lat.n:
         raise ValueError(f"Clifford half-dimension {cl.n} does not match lattice {lat.n}")
     nf = frep.n_total
@@ -302,8 +299,8 @@ def contraction_residual(conn, cl, dirac_op):
     gamma^a x 1 acts within a site's fiber, so it multiplies each block of
     the stencils.
     """
-    gammas = [np.kron(cl.gamma_upper(a), np.eye(dirac_op.internal_dim)) for a in range(len(conn))]
-    total = sum(g @ _stencil(comp) for g, comp in zip(gammas, conn))
+    eye = np.eye(dirac_op.internal_dim)
+    total = sum(np.kron(g, eye) @ _stencil(comp) for g, comp in zip(cl.gamma, conn))
     return float(np.max(np.abs(total - _stencil(dirac_op))))
 
 
@@ -392,10 +389,6 @@ class CurvatureResult:
         if not self.components:
             return 0.0
         return max(float(np.max(np.abs(F))) for _, F in self.components)
-
-    def is_flat(self, tol=None):
-        tol = DEFAULT.curvature if tol is None else tol
-        return self.max_component_norm() <= tol
 
 
 def relative_curvature(conn, cl, md, frep):
@@ -490,16 +483,15 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
     return LatticeOperator(out, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": t})
 
 
-def gauge_transform(op, u_site, unitary_tol=None):
+def gauge_transform(op, u_site, tol=DEFAULT):
     """Conjugate an operator by site-wise unitaries on the internal factor.
 
     U = sum_x |x><x| x 1_spinor x u_x is block-diagonal, so U M U^dagger is
     formed per block: u_x multiplies the internal index of block row x,
     and u_y^dagger that of block column y (as (U (U M)^dagger)^dagger).  No
-    N x N product is formed.  A non-unitary u_x raises a ValueError that
-    names the first such site.
+    N x N product is formed.  A u_x whose |u_x^dagger u_x - 1| exceeds
+    tol.unitary raises a ValueError that names the first such site.
     """
-    unitary_tol = DEFAULT.unitary if unitary_tol is None else unitary_tol
     lat = op.lattice
     S = lat.n_sites
     nf = op.internal_dim
@@ -509,7 +501,7 @@ def gauge_transform(op, u_site, unitary_tol=None):
     if u.shape != (S, nf, nf):
         raise ValueError(f"gauge field has shape {u.shape}, expected ({S}, {nf}, {nf})")
     dev = np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(nf)), axis=(1, 2))
-    bad = np.flatnonzero(dev > unitary_tol)
+    bad = np.flatnonzero(dev > tol.unitary)
     if bad.size:
         raise ValueError(f"gauge matrix at site {bad[0]} is not unitary (residual {dev[bad[0]]:.3e})")
 
@@ -547,11 +539,11 @@ def hermiticity_residual(op):
     return _residual(*_hermitian_pair(op))
 
 
-def _validate_hermitian(residual, herm_tol):
+def _validate_hermitian(residual, tol):
     dev, scale = residual
-    if dev > herm_tol * scale:
+    if dev > tol.hermiticity * scale:
         raise NonHermitian(
-            f"i * operator deviates from Hermitian by {dev:.3e} (> {herm_tol:.0e} x scale)"
+            f"i * operator deviates from Hermitian by {dev:.3e} (> {tol.hermiticity:.0e} x scale)"
         )
 
 
@@ -601,11 +593,12 @@ def _chiral_blocks(op, plus):
     return 1j * op.matrix[np.ix_(P, M)], (1j * op.matrix[np.ix_(M, P)]).conj().T
 
 
-def spectrum(op, square_first=False, herm_tol=None):
+def spectrum(op, square_first=False, tol=DEFAULT):
     """Sorted real eigenvalues of i*op, or of (i*op)^2 when square_first.
 
-    Validates that i*op is Hermitian (hermiticity_residual).  With
-    square_first a stencil operator is diagonalized per momentum: block m
+    Validates that i*op is Hermitian (hermiticity_residual), raising
+    NonHermitian when the deviation exceeds tol.hermiticity times the
+    scale.  With square_first a stencil operator is diagonalized per momentum: block m
     of the stencil's FFT over the site grid is
     B(k) = sum_r B(r) exp(-2 pi i m.r / L), and each Hermitized -B(k)^2 is
     diagonalized on its own.  Otherwise the spectrum comes from the dense
@@ -622,9 +615,8 @@ def spectrum(op, square_first=False, herm_tol=None):
     diagonalized from; the same-class blocks of a split operator are exactly
     zero, so these are the full matrix's two numbers bit for bit.
     """
-    herm_tol = DEFAULT.hermiticity if herm_tol is None else herm_tol
     if op.stencil is not None:
-        _validate_hermitian(hermiticity_residual(op), herm_tol)
+        _validate_hermitian(hermiticity_residual(op), tol)
         if square_first:
             lat, F = op.lattice, op.fiber_dim
             grid = (lat.L,) * lat.dim
@@ -640,7 +632,7 @@ def spectrum(op, square_first=False, herm_tol=None):
     else:
         blocks = _chiral_blocks(op, plus)
     if op.stencil is None:
-        _validate_hermitian(_residual(*blocks), herm_tol)
+        _validate_hermitian(_residual(*blocks), tol)
     A = 0.5 * (blocks[0] + blocks[1])
     if plus is None:
         vals = np.linalg.eigvalsh(A)
@@ -663,16 +655,16 @@ def _mass_blocks_full_fiber(md, nf):
     return blocks
 
 
-def branch_momentum_shifts(lat, md, frep, fields, charge_tol=None):
+def branch_momentum_shifts(lat, md, frep, fields, tol=DEFAULT):
     """Per-branch, per-axis momentum shifts q_a induced by a Wilson line.
 
     The shift of a branch is the charge of its eigenbundle under the
     Wilson field; the charge must be scalar on the block (guaranteed when
     the line is valued in the unbroken algebra): its spread may reach
-    charge_tol * max(1, |q|).  fields are the Wilson fields
-    ModelConfig.build_wilson returns, or None for no line.
+    tol.wilson_charge_scalar * max(1, |q|), and a ValueError says so
+    otherwise.  fields are the Wilson fields ModelConfig.build_wilson
+    returns, or None for no line.
     """
-    charge_tol = DEFAULT.wilson_charge_scalar if charge_tol is None else charge_tol
     _check_fields(lat, frep.n_total, fields)
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
     if fields is None:
@@ -684,7 +676,7 @@ def branch_momentum_shifts(lat, md, frep, fields, charge_tol=None):
             E = basis.conj().T @ (-1j * fields[a]) @ basis
             q = float(np.mean(np.diag(E).real))
             spread = float(np.max(np.abs(E - q * np.eye(E.shape[0]))))
-            if spread > charge_tol * max(1.0, abs(q)):
+            if spread > tol.wilson_charge_scalar * max(1.0, abs(q)):
                 raise ValueError(
                     f"Wilson charge is not scalar on the m^2={m2:.6g} block "
                     f"(spread {spread:.3e}); branch-resolved momenta are undefined"

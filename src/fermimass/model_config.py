@@ -264,7 +264,7 @@ class ModelConfig:
         grading = self.fermions.get("grading")
         if grading is not None:
             want = [1] * frep.n_left + [-1] * frep.n_right
-            if list(grading) != want:
+            if not isinstance(grading, list) or grading != want:
                 raise ModelError(f"{path}.grading: expected {want} for this left/right split")
 
         path = "yukawa"
@@ -317,7 +317,7 @@ class ModelConfig:
             raise ModelError(f"{path}: {exc}") from exc
 
     def build_clifford(self):
-        return build_clifford(self.build_lattice().n, "euclidean")
+        return build_clifford(self.build_lattice().n)
 
     def wilson_theta(self):
         """wilson.theta as a (2n, width) array, or None without a Wilson line.
@@ -361,6 +361,8 @@ class ModelConfig:
         return self.build().frep.total.element(theta @ basis)
 
     def build_tolerances(self, scale=1.0):
+        if not isinstance(self.tolerances, dict):
+            raise ModelError(f"tolerances: expected an object, got {type(self.tolerances).__name__}")
         try:
             tol = DEFAULT.with_overrides(self.tolerances)
         except ValueError as exc:

@@ -37,8 +37,6 @@ from .yukawa_mass import (
     mass_matrix,
 )
 
-ORBIT_MOVES = 20
-RNG_SEED = 20021204
 REPORT_VERSION = 2
 
 
@@ -182,13 +180,10 @@ class Run:
 
     def vacuum(self):
         m = self.model
-        return self.stage("vacuum.minimum_found", minimize, m.higgs, m.seed, cut=self.tol.nullspace_cut,
-                          saddle_floor=self.tol.saddle_floor)
+        return self.stage("vacuum.minimum_found", minimize, m.higgs, m.seed, self.tol)
 
     def mass_data(self):
-        tol = self.tol
-        return self.stage("masses.block_structure", mass_matrix, self.model.ymap, self.vacuum(),
-                          block_tol=tol.block_structure, group_tol=tol.eigenvalue_group)
+        return self.stage("masses.block_structure", mass_matrix, self.model.ymap, self.vacuum(), self.tol)
 
 
 @contextlib.contextmanager
@@ -225,7 +220,9 @@ def cmd_break(run):
         H = hessian(higgs, vac.z0)
         G = vac.goldstone_basis
         flat = float(np.max(np.abs(G.T @ H @ G))) if G.shape[1] else 0.0
-        rep.add(residual_check("vacuum.goldstone_hessian_flat", flat, tol.goldstone_flat))
+        # the scale of the saddle floor: the transversal Hessian's largest |eigenvalue|
+        hess_scale = float(np.max(np.abs(vac.transversal_hessian_eigs), initial=1.0))
+        rep.add(residual_check("vacuum.goldstone_hessian_flat", flat, tol.goldstone_flat * hess_scale))
         min_eig = float(vac.transversal_hessian_eigs.min()) if vac.transversal_hessian_eigs.size else 0.0
         rep.add(
             Check(
@@ -258,9 +255,10 @@ def cmd_masses(run):
         equiv = check_equivariance(m.ymap, m.higgs.rep, m.frep)
         rep.add(residual_check("masses.equivariance", equiv, tol.equivariance))
         vac, md = run.vacuum(), run.mass_data()
-        lemma = lemma_verify(m.ymap, md, vac, m.frep, m.higgs, n_moves=ORBIT_MOVES, seed=RNG_SEED)
-        rep.add(residual_check("masses.commutant", lemma.commutant_residual, tol.commutant))
+        lemma = lemma_verify(m.ymap, md, vac, m.frep, m.higgs)
         m2_scale = float(np.max(md.spectrum_sq, initial=1.0))
+        rep.add(residual_check("masses.commutant", lemma.commutant_residual,
+                               tol.commutant * np.sqrt(m2_scale)))
         rep.add(residual_check("masses.orbit_invariance", lemma.orbit_deviation,
                                tol.orbit_spectrum * m2_scale))
         rep.add(
@@ -272,7 +270,8 @@ def cmd_masses(run):
         )
         rep.add(
             residual_check(
-                "masses.eigenbundle_reconstruction", lemma.reconstruction_residual, tol.reconstruction
+                "masses.eigenbundle_reconstruction", lemma.reconstruction_residual,
+                tol.reconstruction * m2_scale,
             )
         )
         blocks = []
@@ -319,12 +318,9 @@ def cmd_lattice(run):
         shifts = None
         if fields is not None:
             rep.add(residual_check("lattice.wilson_flatness", wilson_flatness(fields), tol.wilson_flat))
-            shifts = run.stage(
-                "lattice.wilson_charge_scalar", branch_momentum_shifts, lat, md, frep, fields,
-                charge_tol=tol.wilson_charge_scalar,
-            )
-        spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True,
-                            herm_tol=tol.hermiticity)
+            shifts = run.stage("lattice.wilson_charge_scalar", branch_momentum_shifts,
+                               lat, md, frep, fields, tol)
+        spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True, tol=tol)
         if lat.derivative_kind == "fourier_spectral":
             expected = expected_squared_spectrum(lat, cl, md, frep, shifts)
             scale = max(1.0, float(np.max(np.abs(expected))))
@@ -337,16 +333,13 @@ def cmd_lattice(run):
                 "lattice.contraction_identity", contraction_residual(conn, cl, vac_op), tol.contraction
             )
         )
+        m2_scale = float(np.max(md.spectrum_sq, initial=1.0))
         curv = relative_curvature(conn, cl, md, frep)
-        rep.add(residual_check("lattice.curvature_identity", curv.residual, tol.curvature))
+        rep.add(residual_check("lattice.curvature_identity", curv.residual, tol.curvature * m2_scale))
         lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
         vd = dirac_potential(vac_op, lap)
-        rep.add(
-            residual_check(
-                "lattice.potential_offsite", vd.meta["offsite_leakage"],
-                tol.potential_offsite * float(np.max(md.spectrum_sq, initial=1.0)),
-            )
-        )
+        rep.add(residual_check("lattice.potential_offsite", vd.meta["offsite_leakage"],
+                               tol.potential_offsite * m2_scale))
         dens = lagrangian_density(vd, lat)
         trace_expected = cl.spinor_dim * float(md.spectrum_sq.sum())
         rep.add(
@@ -367,7 +360,7 @@ def cmd_lattice(run):
                 "volume_element": dens.volume_element,
                 "mean_mass_sq": mean_mass(md),
                 "curvature_max": curv.max_component_norm(),
-                "flat": curv.is_flat(tol.curvature),
+                "flat": curv.max_component_norm() <= tol.curvature,
             }
         )
         if fields is not None:

@@ -3,7 +3,9 @@
 Every check in the package pulls its default threshold from here, so a
 single scale factor (CLI flag --tol-scale) or a per-model override table
 reaches all of them.  Field names double as the override keys accepted in
-model files.
+model files.  A library function that tests a threshold takes one tol
+argument, a Tolerances that defaults to DEFAULT, and reads its own field
+from it; the reports pass the run's tolerances.
 """
 
 import math
@@ -24,7 +26,8 @@ class Tolerances:
     invariance: float = 1e-9
     # gradient norm at a reported minimum (times max(1,|z0|))
     gradient_norm: float = 1e-8
-    # Hessian restricted to Goldstone directions must vanish to this
+    # Hessian restricted to Goldstone directions must vanish to this, times
+    # max(1, max |transversal Hessian eigenvalue|)
     goldstone_flat: float = 1e-7
     # a transversal Hessian eigenvalue at or below saddle_floor * max |eig|
     # makes a critical point a saddle
@@ -33,11 +36,13 @@ class Tolerances:
     equivariance: float = 1e-12
     # diagonal blocks of an odd endomorphism
     block_structure: float = 1e-12
-    # commutant residual of the mass matrix against unbroken generators
+    # commutant residual of the mass matrix against unbroken generators,
+    # relative to sqrt(max(1, max m^2))
     commutant: float = 1e-12
     # multiset deviation of mass spectra across the orbit
     orbit_spectrum: float = 1e-9
-    # eigenbundle reconstruction of the squared mass matrix
+    # eigenbundle reconstruction of the squared mass matrix, relative to
+    # max(1, max m^2)
     reconstruction: float = 1e-10
     # singular values within eigenvalue_group * sigma_max share a block
     eigenvalue_group: float = 1e-8
@@ -52,7 +57,9 @@ class Tolerances:
     # per-site trace of the Dirac potential vs the mass-square trace
     # 2^n sum m^2, relative to max(1, |2^n sum m^2|)
     potential_trace: float = 1e-12
-    # curvature of the vacuum connection vs mass-square times xi wedge xi
+    # curvature of the vacuum connection vs mass-square times xi wedge xi,
+    # relative to max(1, max m^2); the lattice report's "flat" key compares
+    # the largest curvature entry with it unscaled
     curvature: float = 1e-12
     # Wilson line flatness [A_a, A_b]
     wilson_flat: float = 1e-12

@@ -21,6 +21,11 @@ import numpy as np
 from .group_rep import LieAlgebraRep, commutant_check, direct_sum, exp_map
 from .tolerances import DEFAULT
 
+# lemma_verify's orbit sampling: the number of random finite moves and the
+# seed they are drawn from
+ORBIT_MOVES = 20
+ORBIT_SEED = 20021204
+
 
 class BlockStructureViolation(ValueError):
     """An endomorphism expected to be odd has nonzero diagonal blocks."""
@@ -181,14 +186,15 @@ def _squared_spectrum(M, n_left, n_right):
     )
 
 
-def _decompose(M, group_tol):
-    """Group the SVD of M into shared-eigenvalue blocks, zero modes included."""
+def _decompose(M, tol):
+    """Group the SVD of M into shared-eigenvalue blocks, zero modes included:
+    singular values within tol.eigenvalue_group * sigma_max share a block."""
     nl, nr = M.shape
     u, s, vh = np.linalg.svd(M, full_matrices=True)
     v = vh.conj().T
     k = s.size
     smax = s[0] if k else 0.0
-    cut = group_tol * smax
+    cut = tol.eigenvalue_group * smax
     groups = []
     for i in range(k):
         if s[i] <= cut:
@@ -210,16 +216,19 @@ def _decompose(M, group_tol):
     return tuple(blocks)
 
 
-def mass_data_from_operator(D, n_left, n_right, block_tol=None, group_tol=None):
-    """Validate an odd anti-Hermitian endomorphism and extract its mass data."""
-    block_tol = DEFAULT.block_structure if block_tol is None else block_tol
-    group_tol = DEFAULT.eigenvalue_group if group_tol is None else group_tol
+def mass_data_from_operator(D, n_left, n_right, tol=DEFAULT):
+    """Validate an odd anti-Hermitian endomorphism and extract its mass data.
+
+    A BlockStructureViolation is raised when D + D^dagger or a diagonal
+    block exceeds tol.block_structure; the eigenspaces are grouped with
+    tol.eigenvalue_group.
+    """
     D = np.asarray(D, dtype=complex)
     nf = n_left + n_right
     if D.shape != (nf, nf):
         raise ValueError(f"operator has shape {D.shape}, expected {(nf, nf)}")
     herm_dev = float(np.max(np.abs(D + D.conj().T)))
-    if herm_dev > block_tol:
+    if herm_dev > tol.block_structure:
         raise BlockStructureViolation(
             f"mass endomorphism is not anti-Hermitian (|D + D^dagger| = {herm_dev:.3e})"
         )
@@ -228,7 +237,7 @@ def mass_data_from_operator(D, n_left, n_right, block_tol=None, group_tol=None):
         diag_dev = float(np.max(np.abs(D[:n_left, :n_left])))
     if n_right:
         diag_dev = max(diag_dev, float(np.max(np.abs(D[n_left:, n_left:]))))
-    if diag_dev > block_tol:
+    if diag_dev > tol.block_structure:
         raise BlockStructureViolation(
             f"mass endomorphism is not odd: diagonal blocks reach {diag_dev:.3e}"
         )
@@ -237,18 +246,17 @@ def mass_data_from_operator(D, n_left, n_right, block_tol=None, group_tol=None):
         D_matrix=D,
         M_F=M,
         spectrum_sq=_squared_spectrum(M, n_left, n_right),
-        eigenspaces=_decompose(M, group_tol),
+        eigenspaces=_decompose(M, tol),
         n_left=n_left,
         n_right=n_right,
     )
 
 
-def mass_matrix(ymap, vac, block_tol=None, group_tol=None):
-    """Mass data of the coupling evaluated on the vacuum state."""
+def mass_matrix(ymap, vac, tol=DEFAULT):
+    """Mass data of the coupling evaluated on the vacuum state
+    (mass_data_from_operator, with the same tolerances)."""
     D = apply_yukawa(ymap, vac.z0)
-    return mass_data_from_operator(
-        D, ymap.n_left, ymap.n_right, block_tol=block_tol, group_tol=group_tol
-    )
+    return mass_data_from_operator(D, ymap.n_left, ymap.n_right, tol)
 
 
 def reconstruction_residual(md):
@@ -274,24 +282,24 @@ class LemmaReport:
     reconstruction_residual: float
 
 
-def lemma_verify(ymap, md, vac, frep, model, n_moves=20, seed=20021204):
+def lemma_verify(ymap, md, vac, frep, model):
     """Residuals of the structural claims about a vacuum mass matrix:
 
     (a) the mass endomorphism commutes with every unbroken generator,
     (b) vacua along the orbit are equivalent: the squared-mass multiset is
-        unchanged when the minimum moves (random finite transformations),
-        and the moved mass matrix is the unitary transport of the original
-        one, and
+        unchanged when the minimum moves (ORBIT_MOVES random finite
+        transformations drawn from ORBIT_SEED), and the moved mass matrix
+        is the unitary transport of the original one, and
     (c) the eigenvalue blocks reconstruct the squared mass matrix.
     """
     iso_mats = [frep.total.element(c) for c in vac.isotropy.basis]
     comm = commutant_check(iso_mats, md.D_matrix)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORBIT_SEED)
     base = md.spectrum_sq
     orbit_dev = 0.0
     transport = 0.0
-    for _ in range(n_moves):
+    for _ in range(ORBIT_MOVES):
         coeffs = rng.standard_normal(model.rep.dim_g)
         g = exp_map(model.rep, coeffs)
         moved = apply_yukawa(ymap, g @ vac.z0)

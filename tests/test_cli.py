@@ -391,6 +391,21 @@ def test_check_rejects_non_finite_numbers(capsys, tmp_path, path, value, where):
     assert re.match(rf"error: {where}", err), err
 
 
+@pytest.mark.parametrize("path, value, where", [
+    (["fermions", "grading"], 5, r"fermions.grading: expected \[1, 1, -1\]"),
+    (["tolerances"], [1], "tolerances: expected an object, got list"),
+    (["tolerances"], "x", "tolerances: expected an object, got str"),
+], ids=["grading-number", "tolerances-list", "tolerances-string"])
+def test_check_rejects_malformed_sections(capsys, tmp_path, path, value, where):
+    doc = ew_reference().to_json_dict()
+    _set(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert (code, out) == (2, "")
+    assert re.match(rf"error: {where}", err), err
+
+
 @pytest.mark.parametrize("params, where", [
     ({"lam": "1", "v": 2.0}, "higgs.params.lam"),
     ({"lam": 1.0, "v": True}, "higgs.params.v"),
@@ -521,6 +536,24 @@ def test_potential_offsite_is_the_one_verdict_at_a_huge_coupling(capsys, tmp_pat
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     m2 = (5e5 * 2000.0) ** 2
     assert checks["lattice.potential_offsite"]["tol"] == pytest.approx(1e-10 * m2, rel=1e-12)
+
+
+def test_vacuum_and_mass_verdicts_hold_at_a_vev_of_1e77(capsys, tmp_path):
+    # v = 1e77 puts the radial Hessian 8 lam v^2 at 8e154 and m^2 at
+    # 2.5e153; the Goldstone block of the Hessian rounds to ~4e123 and the
+    # eigenbundle reconstruction to ~4e137, both at the 1e-16 level of
+    # those scales
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 1e77})
+    path = tmp_path / "ew-1e77.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, ""), out
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["break.vacuum.goldstone_hessian_flat"]["tol"] == pytest.approx(1e-7 * 8e154, rel=1e-12)
+    m2 = (0.5 * 1e77) ** 2
+    assert checks["masses.eigenbundle_reconstruction"]["tol"] == pytest.approx(1e-10 * m2, rel=1e-12)
+    assert checks["masses.commutant"]["tol"] == pytest.approx(1e-12 * 0.5 * 1e77, rel=1e-12)
 
 
 def test_tightened_hermiticity_is_a_failing_check(capsys, tmp_path):

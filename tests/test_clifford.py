@@ -6,16 +6,9 @@ from fermimass import build_clifford, canonical_xi, clifford_action
 TOL = 1e-12
 
 
-def metric(cl):
-    g = np.eye(cl.dim)
-    if cl.signature == "lorentzian":
-        g[1:, 1:] *= -1.0
-    return g
-
-
 def anticommutator_residual(cl):
     # brute force over every pair
-    g = metric(cl)
+    g = np.eye(cl.dim)
     eye = np.eye(cl.spinor_dim)
     worst = 0.0
     for a in range(cl.dim):
@@ -26,16 +19,14 @@ def anticommutator_residual(cl):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
-def test_anticommutation_table(n, signature):
-    cl = build_clifford(n, signature)
+def test_anticommutation_table(n):
+    cl = build_clifford(n)
     assert anticommutator_residual(cl) <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
-def test_grading_operator(n, signature):
-    cl = build_clifford(n, signature)
+def test_grading_operator(n):
+    cl = build_clifford(n)
     eye = np.eye(cl.spinor_dim)
     assert np.abs(cl.gamma5 @ cl.gamma5 - eye).max() <= TOL
     assert np.abs(cl.gamma5 - cl.gamma5.conj().T).max() <= TOL
@@ -75,23 +66,18 @@ def test_gamma5_phase_convention():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_hermiticity_per_signature(n):
-    eu = build_clifford(n, "euclidean")
+    eu = build_clifford(n)
     for g in eu.gamma:
         assert np.abs(g - g.conj().T).max() <= TOL
-    lo = build_clifford(n, "lorentzian")
-    assert np.abs(lo.gamma[0] - lo.gamma[0].conj().T).max() <= TOL
-    for g in lo.gamma[1:]:
-        assert np.abs(g + g.conj().T).max() <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
-def test_right_inverse_identity(n, signature):
-    cl = build_clifford(n, signature)
+def test_right_inverse_identity(n):
+    cl = build_clifford(n)
     xi = canonical_xi(cl)
     acc = np.zeros((cl.spinor_dim, cl.spinor_dim), dtype=complex)
     for a in range(cl.dim):
-        acc += cl.gamma_upper(a) @ xi[a]
+        acc += cl.gamma[a] @ xi[a]
     assert np.abs(acc - np.eye(cl.spinor_dim)).max() <= TOL
 
 
@@ -99,7 +85,7 @@ def test_xi_scale_forced_by_contraction():
     # gamma^a gamma_a = 2n Id forces xi_scale = 1/(2n)
     for n in (1, 2, 3):
         cl = build_clifford(n)
-        acc = sum(cl.gamma_upper(a) @ cl.gamma[a] for a in range(cl.dim))
+        acc = sum(g @ g for g in cl.gamma)
         assert np.abs(acc - 2 * n * np.eye(cl.spinor_dim)).max() <= TOL
         assert cl.xi_scale == pytest.approx(1.0 / (2 * n))
 
@@ -109,7 +95,7 @@ def test_action_basis_covector():
     e1 = np.zeros(4)
     e1[0] = 1.0
     out = clifford_action(cl, e1, np.eye(4))
-    assert np.abs(out - cl.gamma_upper(0)).max() == 0.0
+    assert np.abs(out - cl.gamma[0]).max() == 0.0
 
 
 def test_action_zero_covector():
@@ -154,13 +140,13 @@ def test_reject_bad_n_and_signature():
         build_clifford(0)
     with pytest.raises(ValueError):
         build_clifford(-1)
-    with pytest.raises(ValueError):
-        build_clifford(1, "riemannian")
+    # the algebra is euclidean only: there is no signature to choose
+    with pytest.raises(TypeError):
+        build_clifford(1, "lorentzian")
 
 
 def test_xi_components_are_scaled_gammas():
-    for signature in ("euclidean", "lorentzian"):
-        cl = build_clifford(2, signature)
-        xi = canonical_xi(cl)
-        for a in range(cl.dim):
-            assert np.abs(xi[a] - cl.gamma[a] / 4.0).max() <= TOL
+    cl = build_clifford(2)
+    xi = canonical_xi(cl)
+    for a in range(cl.dim):
+        assert np.abs(xi[a] - cl.gamma[a] / 4.0).max() <= TOL

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fermimass import (
     mean_mass,
     minimize,
     relative_curvature,
+    save_model,
     spectrum,
     unitary_gauge_project,
     wilson_flatness,
@@ -43,7 +45,7 @@ from fermimass.model_config import encode_complex_matrix, encode_complex_vector
 from fermimass.operator_io import dump_operator
 from fermimass.yukawa_mass import mass_data_from_operator
 from conftest import S1, S2, S3
-from test_cli import su2_unbroken_model, u1_model
+from test_cli import run, su2_unbroken_model, u1_model
 
 
 # ----- derivatives and momenta ------------------------------------------
@@ -171,13 +173,6 @@ def test_dispersion_n2(ew):
     want = expected_squared_spectrum(lat, cl, ew.md, ew.frep)
     assert got.size == 2 ** 4 * 4 * 3
     assert np.abs(got - want).max() <= 1e-9 * max(1.0, want.max())
-
-
-def test_lorentzian_lattice_rejected(ew):
-    lat = TorusLattice(n=1, L=2)
-    lo = build_clifford(1, "lorentzian")
-    with pytest.raises(ValueError, match="euclidean"):
-        build_vacuum_dirac(lat, lo, ew.md, ew.frep)
 
 
 def test_half_dimension_mismatch_rejected(ew):
@@ -380,7 +375,7 @@ def test_curvature_zero_mass_flat(ew):
     conn = build_vacuum_connection(lat, ew.cl, None, ew.frep)
     curv = relative_curvature(conn, ew.cl, None, ew.frep)
     assert curv.residual == 0.0
-    assert curv.is_flat()
+    assert curv.max_component_norm() <= 1e-12
 
 
 def test_curvature_identity_ew(ew):
@@ -388,7 +383,7 @@ def test_curvature_identity_ew(ew):
     conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep)
     curv = relative_curvature(conn, ew.cl, ew.md, ew.frep)
     assert curv.residual <= 1e-12
-    assert not curv.is_flat()
+    assert not curv.max_component_norm() <= 1e-12
 
 
 def test_curvature_vanishes_on_massless_branch(ew):
@@ -435,7 +430,7 @@ def test_flat_iff_massless_family(ew):
         conn = build_vacuum_connection(lat, ew.cl, md, ew.frep)
         curv = relative_curvature(conn, ew.cl, md, ew.frep)
         massless = np.abs(md.spectrum_sq).max() == 0.0
-        assert curv.is_flat(1e-12) == massless
+        assert (curv.max_component_norm() <= 1e-12) == massless
 
 
 def test_wilson_term_drops_out_of_curvature(ew):
@@ -478,18 +473,18 @@ def dense_contraction(conn, cl, dirac_op):
     lift = np.eye(dirac_op.lattice.n_sites)
     total = np.zeros_like(dirac_op.matrix)
     for a, comp in enumerate(conn):
-        total += np.kron(lift, np.kron(cl.gamma_upper(a), np.eye(dirac_op.internal_dim))) @ comp.matrix
+        total += np.kron(lift, np.kron(cl.gamma[a], np.eye(dirac_op.internal_dim))) @ comp.matrix
     return float(np.max(np.abs(total - dirac_op.matrix)))
 
 
-def two_generation_leptons():
-    """ew-reference with two lepton generations and a complex Yukawa
-    matrix that mixes them; left index = 2 * generation + isospin slot."""
+def two_generation_leptons(yuk=((0.3 + 0.1j, 0.05 - 0.2j), (0.15j, 0.25 + 0.05j))):
+    """ew-reference with two lepton generations and a complex 2x2 Yukawa
+    matrix yuk that mixes them; left index = 2 * generation + isospin slot."""
     eye = np.eye(2)
     zero = np.zeros((2, 2), dtype=complex)
     left = [np.kron(eye, -0.5j * s) for s in (S1, S2, S3)] + [1.0j * np.eye(4)]
     right = [zero, zero, zero, 2.0j * eye]
-    yuk = np.array([[0.3 + 0.1j, 0.05 - 0.2j], [0.15j, 0.25 + 0.05j]])
+    yuk = np.asarray(yuk)
     tensor = np.zeros((4, 2, 2), dtype=complex)
     for i in range(2):
         for c in range(2):
@@ -502,6 +497,23 @@ def two_generation_leptons():
         "conjugate_higgs": [False, False],
     }
     return cfg
+
+
+def test_curvature_verdict_holds_for_heavy_lepton_generations(capsys, tmp_path):
+    # a two-generation lepton sector with max m^2 = 8.4e4: the curvature
+    # identity rounds to ~2e-12, a 2e-17 share of that scale
+    yuk = [[26.94714207 + 70.59568617j, 64.06618518 + 34.80633459j],
+           [25.7660363 - 41.86926211j, -101.61449473 + 45.3130452j]]
+    path = tmp_path / "leptons-heavy.json"
+    save_model(two_generation_leptons(yuk), path)
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, ""), out
+    doc = json.loads(out)
+    checks = {c["id"]: c for c in doc["checks"]}
+    m2 = max(doc["data"]["masses"]["spectrum_sq"])
+    assert m2 == pytest.approx(8.4e4, rel=0.01)
+    assert checks["lattice.curvature_identity"]["value"] > 1e-12
+    assert checks["lattice.curvature_identity"]["tol"] == pytest.approx(1e-12 * m2, rel=1e-12)
 
 
 @pytest.fixture(
@@ -528,7 +540,7 @@ def test_fiber_curvature_matches_dense_formula(wilson_vacuum):
         assert F.shape == (conn[0].fiber_dim,) * 2
         assert np.abs(np.kron(np.eye(lat.n_sites), F) - F_dense).max() <= 1e-14
     assert abs(curv.residual - dense_residual) <= 1e-14
-    assert curv.residual <= 1e-12 and not curv.is_flat()
+    assert curv.residual <= 1e-12 and not curv.max_component_norm() <= 1e-12
 
 
 def test_fiber_contraction_matches_dense_lift_bitwise(wilson_vacuum):
@@ -1081,6 +1093,18 @@ def test_gauge_transform_rejects_non_unitary(ew):
         gauge_transform(op, 2.0 * np.eye(3, dtype=complex))
 
 
+def test_gauge_transform_reads_unitary_from_tol(ew):
+    # |u^dagger u - 1| = 2e-7 exceeds the default unitary threshold and is
+    # within a looser one passed as tol
+    lat = TorusLattice(n=1, L=2)
+    op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
+    u = (1.0 + 1e-7) * np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        gauge_transform(op, u)
+    out = gauge_transform(op, u, DEFAULT.with_overrides({"unitary": 1e-6}))
+    assert np.abs(out.matrix - op.matrix).max() <= 1e-6 * np.abs(op.matrix).max()
+
+
 def gauge_oracle(op, us):
     """Oracle: the dense product U M U^dagger with the block-diagonal U."""
     fiber = op.fiber_dim
@@ -1139,6 +1163,19 @@ def test_spectrum_rejects_non_hermitian(ew):
     op = LatticeOperator(m, lat, 2, 3)
     with pytest.raises(NonHermitian):
         spectrum(op)
+
+
+def test_spectrum_reads_hermiticity_from_tol(ew):
+    # |H - H^dagger| = 1e-8 at scale 1 exceeds the default hermiticity
+    # threshold and is within a looser one passed as tol
+    lat = TorusLattice(n=1, L=2)
+    m = np.zeros((24, 24), dtype=complex)
+    m[0, 1] = 1e-8
+    op = LatticeOperator(m, lat, 2, 3)
+    with pytest.raises(NonHermitian):
+        spectrum(op)
+    ev = spectrum(op, tol=DEFAULT.with_overrides({"hermiticity": 1e-7}))
+    assert ev.shape == (24,) and np.abs(ev).max() <= 1e-8
 
 
 def test_spectrum_square_consistency(ew):

@@ -135,6 +135,18 @@ def test_mass_data_rejects_non_antihermitian():
         mass_data_from_operator(D, 2, 1)
 
 
+def test_mass_data_reads_block_structure_from_tol():
+    # a 1e-9 even entry is a violation at the default block_structure and
+    # within a looser one passed as tol
+    D = np.zeros((3, 3), dtype=complex)
+    D[0, 2] = D[2, 0] = 1j
+    D[0, 1] = D[1, 0] = 1e-9j
+    with pytest.raises(BlockStructureViolation, match="odd"):
+        mass_data_from_operator(D, 2, 1)
+    md = mass_data_from_operator(D, 2, 1, DEFAULT.with_overrides({"block_structure": 1e-8}))
+    assert np.abs(md.spectrum_sq - np.array([0.0, 1.0, 1.0])).max() <= 1e-12
+
+
 def test_eigenbundles_ew(ew_md):
     # eigen-decomposition oracle of diag(0, 1): the massless block is the
     # first left slot with no right partner, the m^2 = 1 block pairs one
