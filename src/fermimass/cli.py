@@ -5,6 +5,7 @@ Exit codes: 0 all checks passed, 1 invariant failure, 2 input error.
 """
 
 import argparse
+import functools
 import sys
 
 from .reference import REGISTRY, resolve_model
@@ -19,7 +20,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process; parse_args returns
+    a new namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="fermimass",
         description="Mass matrices, vacuum geometry and lattice Dirac spectra "

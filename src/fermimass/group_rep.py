@@ -8,19 +8,24 @@ real coefficient vectors over the fixed generator list; reductive algebras
 with abelian factors are admitted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True)
 class LieAlgebraRep:
-    """A unitary representation given by anti-Hermitian generator matrices."""
+    """A unitary representation given by anti-Hermitian generator matrices.
+
+    The generators are checked on construction against tol.anti_hermitian
+    and tol.closure, so a model's tolerance overrides reach them.
+    """
 
     generators: tuple
     label: str = ""
+    tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
@@ -35,16 +40,16 @@ class LieAlgebraRep:
             if X.shape != d:
                 raise ValueError(f"{name}: generator {k} has shape {X.shape}, expected {d}")
             dev = float(np.max(np.abs(X + X.conj().T)))
-            if dev > DEFAULT.anti_hermitian:
+            if dev > self.tol.anti_hermitian:
                 raise ValueError(
                     f"{name}: generator {k} is not anti-Hermitian "
-                    f"(|X + X^dagger| = {dev:.3e} > {DEFAULT.anti_hermitian:.0e})"
+                    f"(|X + X^dagger| = {dev:.3e} > {self.tol.anti_hermitian:.0e})"
                 )
         res = closure_residual(gens)
-        if res > DEFAULT.closure:
+        if res > self.tol.closure:
             raise ValueError(
                 f"{name}: generators do not close under commutators "
-                f"(residual {res:.3e} > {DEFAULT.closure:.0e})"
+                f"(residual {res:.3e} > {self.tol.closure:.0e})"
             )
 
     @property
@@ -66,22 +71,27 @@ class LieAlgebraRep:
         return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
+def _real_columns(mats):
+    """The (2 d^2, k) real matrix whose columns are the stacked real and
+    imaginary parts of k matrices of side d."""
+    k, d, _ = mats.shape
+    flat = mats.reshape(k, d * d)
+    return np.concatenate([flat.real, flat.imag], axis=1).T
+
+
 def closure_residual(generators):
-    """Largest least-squares distance of any [X_i, X_j] from the real span."""
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    d = gens[0].shape[0]
-    basis = np.zeros((2 * d * d, len(gens)))
-    for k, X in enumerate(gens):
-        basis[: d * d, k] = X.real.ravel()
-        basis[d * d :, k] = X.imag.ravel()
-    worst = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            comm = gens[i] @ gens[j] - gens[j] @ gens[i]
-            target = np.concatenate([comm.real.ravel(), comm.imag.ravel()])
-            coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-            worst = max(worst, float(np.linalg.norm(basis @ coef - target)))
-    return worst
+    """Largest least-squares distance of any [X_i, X_j] from the real span.
+
+    The commutators of all pairs i < j come from one stacked product, and
+    one least-squares solve takes them as right-hand-side columns against
+    the realified generators; the result is the largest column residual.
+    """
+    gens = np.asarray(generators, dtype=complex)
+    i, j = np.triu_indices(gens.shape[0], 1)
+    comm = gens[i] @ gens[j] - gens[j] @ gens[i]
+    basis, target = _real_columns(gens), _real_columns(comm)
+    coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    return float(np.max(np.linalg.norm(basis @ coef - target, axis=0), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,8 @@ class IsotropyResult:
 
 
 def direct_sum(reps):
-    """Block-diagonal direct sum of representations of the same algebra."""
+    """Block-diagonal direct sum of representations of the same algebra,
+    checked with the tolerances of the first summand."""
     reps = list(reps)
     if not reps:
         raise ValueError("direct_sum needs at least one representation")
@@ -109,7 +120,7 @@ def direct_sum(reps):
     for r, lo, hi in zip(reps, edges, edges[1:]):
         gens[:, lo:hi, lo:hi] = r.generators
     label = "+".join(r.label for r in reps if r.label)
-    return LieAlgebraRep(generators=tuple(gens), label=label)
+    return LieAlgebraRep(generators=tuple(gens), label=label, tol=reps[0].tol)
 
 
 def infinitesimal_action(rep, coeffs, z):
@@ -157,11 +168,14 @@ def commutant_check(matrices, candidate):
 
 
 def exp_map(rep, coeffs):
-    """Unitary matrix exponential of the algebra element with these coefficients.
+    """Unitary matrix exponential of the algebra element with these
+    coefficients, or the stack of them for a stack of coefficient vectors
+    (last axis), from one stacked eigensolve.
 
     The element X is anti-Hermitian, so i*X is Hermitian; from its
     eigendecomposition i*X = V diag(w) V^dagger, exp(X) = V diag(exp(-i w))
-    V^dagger, which is unitary by construction.
+    V^dagger, which is unitary by construction.  Each matrix of a stack is
+    the one a single call gives, bit for bit.
     """
     w, V = np.linalg.eigh(1j * rep.element(coeffs))
-    return (V * np.exp(-1j * w)) @ V.conj().T
+    return (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)

@@ -111,9 +111,11 @@ def _poly_derivative(coeffs):
 
 
 def potential_eval(model, z):
-    """V(z) = p(|z|^2)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    return _poly_eval(model.poly_coefficients(), float(np.vdot(z, z).real))
+    """V(z) = p(|z|^2), or the array of values for a stack of states (last axis)."""
+    z = np.asarray(z, dtype=complex)
+    s = (z.conj()[..., None, :] @ z[..., None])[..., 0, 0].real
+    v = np.polynomial.polynomial.polyval(s, model.poly_coefficients())
+    return float(v) if z.ndim == 1 else v
 
 
 def gradient(model, z):
@@ -133,16 +135,18 @@ def hessian(model, z):
 
 
 def invariance_residual(model, n_samples=8, seed=0):
-    """Max relative change of V along random group motions of random points."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        z = rng.standard_normal(model.rep.rep_dim) + 1j * rng.standard_normal(model.rep.rep_dim)
-        g = exp_map(model.rep, rng.standard_normal(model.rep.dim_g))
-        v0 = potential_eval(model, z)
-        v1 = potential_eval(model, g @ z)
-        worst = max(worst, abs(v1 - v0) / max(1.0, abs(v0)))
-    return worst
+    """Max relative change of V along random group motions of random points.
+
+    Each sample draws a point z (real, then imaginary parts) and then the
+    coefficients of a group element; all samples come from one draw of that
+    layout, are moved by one stacked exp_map and evaluated together.
+    """
+    d, g = model.rep.rep_dim, model.rep.dim_g
+    draws = np.random.default_rng(seed).standard_normal((n_samples, 2 * d + g))
+    z = draws[:, :d] + 1j * draws[:, d : 2 * d]
+    moved = (exp_map(model.rep, draws[:, 2 * d :]) @ z[..., None])[..., 0]
+    v0, v1 = potential_eval(model, z), potential_eval(model, moved)
+    return float(np.max(np.abs(v1 - v0) / np.maximum(1.0, np.abs(v0)), initial=0.0))
 
 
 def goldstone_split(rep, z0, tol=DEFAULT):

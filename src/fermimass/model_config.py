@@ -195,6 +195,8 @@ class ModelConfig:
         return len(self.generator_labels)
 
     def build_rep(self, name):
+        """The named representation, its generators checked against the
+        model's tolerances."""
         path = f"algebra.representations.{name}"
         if name not in self.representations:
             raise ModelError(f"{path}: representation not defined")
@@ -208,8 +210,9 @@ class ModelConfig:
         gens.append(first)
         for k in range(1, self.dim_g):
             gens.append(decode_complex_matrix(entry[k], f"{path}[{k}]", shape=first.shape))
+        tol = self.build_tolerances()
         try:
-            return LieAlgebraRep(generators=tuple(gens), label=name)
+            return LieAlgebraRep(generators=tuple(gens), label=name, tol=tol)
         except ValueError as exc:
             raise ModelError(f"{path}: {exc}") from exc
 

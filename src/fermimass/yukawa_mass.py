@@ -120,24 +120,20 @@ def check_equivariance(ymap, rep_H, frep):
     Probes both e_h and i e_h so conjugate-linear couplings are covered.
     Zero residual means the coupling intertwines the Higgs and fermion
     representations; for hypercharge assignments this is the usual sum
-    rule between the charges.
+    rule between the charges.  The probes form one stack and the
+    generators another, so both sides take one apply_yukawa call each.
     """
     if rep_H.dim_g != frep.total.dim_g:
         raise ValueError("Higgs and fermion representations must share the generator list")
-    worst = 0.0
-    probes = []
-    for h in range(ymap.n_higgs):
-        e = np.zeros(ymap.n_higgs, dtype=complex)
-        e[h] = 1.0
-        probes.append(e)
-        probes.append(1j * e)
-    for XH, XF in zip(rep_H.generators, frep.total.generators):
-        for b in probes:
-            G = apply_yukawa(ymap, b)
-            lhs = XF @ G - G @ XF
-            rhs = apply_yukawa(ymap, XH @ b)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    eye = np.eye(ymap.n_higgs, dtype=complex)
+    # (2 N_H, N_H): e_0, i e_0, e_1, i e_1, ...
+    probes = np.stack([eye, 1j * eye], axis=1).reshape(-1, ymap.n_higgs)
+    XH = np.asarray(rep_H.generators)[:, None]
+    XF = np.asarray(frep.total.generators)[:, None]
+    G = apply_yukawa(ymap, probes)
+    lhs = XF @ G - G @ XF
+    rhs = apply_yukawa(ymap, (XH @ probes[..., None])[..., 0])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass(frozen=True)
@@ -179,11 +175,12 @@ class MassData:
 
 def _squared_spectrum(M, n_left, n_right):
     """Sorted squared masses over the graded fiber: each singular value of M
-    once per chirality, zero for the unpaired slots."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return np.sort(
-        np.concatenate([s ** 2, np.zeros(n_left - s.size), s ** 2, np.zeros(n_right - s.size)])
-    )
+    once per chirality, zero for the unpaired slots; for a stack of M, one
+    row per matrix."""
+    s2 = np.linalg.svd(M, compute_uv=False) ** 2
+    pad, k = s2.shape[:-1], s2.shape[-1]
+    parts = [s2, np.zeros(pad + (n_left - k,)), s2, np.zeros(pad + (n_right - k,))]
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
 def _decompose(M, tol):
@@ -291,28 +288,25 @@ def lemma_verify(ymap, md, vac, frep, model):
         transformations drawn from ORBIT_SEED), and the moved mass matrix
         is the unitary transport of the original one, and
     (c) the eigenvalue blocks reconstruct the squared mass matrix.
+
+    The moves are drawn as one (ORBIT_MOVES, dim_g) array, the same draws
+    as one vector per move, and each step of (b) is one stacked call: an
+    exp_map per representation, apply_yukawa on the moved states, the
+    singular values and the transport g_f D g_f^dagger.
     """
     iso_mats = [frep.total.element(c) for c in vac.isotropy.basis]
     comm = commutant_check(iso_mats, md.D_matrix)
 
-    rng = np.random.default_rng(ORBIT_SEED)
-    base = md.spectrum_sq
-    orbit_dev = 0.0
-    transport = 0.0
-    for _ in range(ORBIT_MOVES):
-        coeffs = rng.standard_normal(model.rep.dim_g)
-        g = exp_map(model.rep, coeffs)
-        moved = apply_yukawa(ymap, g @ vac.z0)
-        M = (-1j * moved)[: md.n_left, md.n_left :]
-        spec = _squared_spectrum(M, md.n_left, md.n_right)
-        orbit_dev = max(orbit_dev, float(np.max(np.abs(spec - base))))
-        g_f = exp_map(frep.total, coeffs)
-        carried = g_f @ md.D_matrix @ g_f.conj().T
-        transport = max(transport, float(np.max(np.abs(moved - carried))))
+    coeffs = np.random.default_rng(ORBIT_SEED).standard_normal((ORBIT_MOVES, model.rep.dim_g))
+    moved = apply_yukawa(ymap, exp_map(model.rep, coeffs) @ vac.z0)
+    M = (-1j * moved)[:, : md.n_left, md.n_left :]
+    spec = _squared_spectrum(M, md.n_left, md.n_right)
+    g_f = exp_map(frep.total, coeffs)
+    carried = g_f @ md.D_matrix @ g_f.conj().swapaxes(-1, -2)
 
     return LemmaReport(
         commutant_residual=comm,
-        orbit_deviation=orbit_dev,
-        orbit_transport_residual=transport,
+        orbit_deviation=float(np.max(np.abs(spec - md.spectrum_sq))),
+        orbit_transport_residual=float(np.max(np.abs(moved - carried))),
         reconstruction_residual=reconstruction_residual(md),
     )

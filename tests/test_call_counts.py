@@ -1,8 +1,10 @@
 """Work done by one CLI run: each representation is decoded once per model,
 each pipeline stage runs at most once per run, a failing one included, and
-the lattice command forms no N x N matrix.  The dense site-dependent path
-does no per-site or per-entry work in Python."""
+the lattice command forms no N x N matrix.  The orbit and closure checks
+make stacked calls, the parser is built once per process, and the dense
+site-dependent path does no per-site or per-entry work in Python."""
 
+import argparse
 import json
 import tracemalloc
 
@@ -16,6 +18,7 @@ from fermimass import (
     cli,
     ew_reference,
     group_rep,
+    higgs_vacuum,
     lattice_dirac,
     mass_matrix,
     minimize,
@@ -50,15 +53,41 @@ def counts(monkeypatch):
     count(reports, "branch_momentum_shifts")
     count(lattice_dirac, "branch_momentum_shifts")
     count(model_config.ModelConfig, "build_wilson")
+    # one counter for the three bindings of the name
+    count(group_rep, "exp_map")
+    count(higgs_vacuum, "exp_map")
+    count(yukawa_mass, "exp_map")
+    count(np.linalg, "lstsq")
     return seen
 
 
 def test_verify_all_builds_each_object_once(counts, capsys):
     assert cli.main(["verify-all", "--model", "ew-reference"]) == 0
     # three representations, each decoded once, plus the fermions' direct
-    # sum; the Wilson line's fields and momentum shifts are computed once
-    assert counts == {"build_rep": 3, "__post_init__": 4, "minimize": 1, "mass_matrix": 1,
-                      "branch_momentum_shifts": 1, "build_wilson": 1}
+    # sum, each with one least-squares closure solve; the Wilson line's
+    # fields and momentum shifts are computed once; one stacked exp_map
+    # samples the potential's invariance and the orbit lemma makes one per
+    # representation
+    assert counts == {"build_rep": 3, "__post_init__": 4, "lstsq": 4, "minimize": 1,
+                      "mass_matrix": 1, "branch_momentum_shifts": 1, "build_wilson": 1,
+                      "exp_map": 3}
+
+
+def test_two_runs_build_one_parser(monkeypatch, capsys):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["check", "--model", "ew-reference"]) == 0
+    # the top-level parser and one subparser per command, once
+    assert progs.count("fermimass") == 1
+    assert len(progs) == 1 + len(cli.COMMANDS)
 
 
 def test_failed_minimization_runs_once(counts, capsys, tmp_path):

@@ -406,6 +406,21 @@ def test_check_rejects_malformed_sections(capsys, tmp_path, path, value, where):
     assert re.match(rf"error: {where}", err), err
 
 
+@pytest.mark.parametrize("rep", ["higgs_doublet", "lepton_left"])
+def test_anti_hermitian_override_reaches_the_representations(capsys, tmp_path, rep):
+    # one generator entry moved by 1e-11 gives |X + X^dagger| = 2e-11, over
+    # the default 1e-12; the left fermions meet it again in their direct sum
+    doc = ew_reference().to_json_dict()
+    doc["algebra"]["representations"][rep][2][0][0][0] += 1e-11
+    model = tmp_path / "model.json"
+    for overrides, expected in (({}, 2), ({"anti_hermitian": 1e-6}, 0)):
+        doc["tolerances"] = overrides
+        model.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "--model", str(model))
+        assert code == expected, err
+        assert ("not anti-Hermitian" in err) == (expected == 2)
+
+
 @pytest.mark.parametrize("params, where", [
     ({"lam": "1", "v": 2.0}, "higgs.params.lam"),
     ({"lam": 1.0, "v": True}, "higgs.params.v"),
