@@ -25,20 +25,28 @@ ordering is part of the dump format and must not change.
 
 The vacuum operators are invariant under lattice translations, so each
 is held as its stencil B(r), the (2^n N_F)-square blocks coupling site 0
-to each site r (LatticeOperator.stencil), and never as an N x N matrix:
-the builders write the stencils, and every check reads them.
-Hermiticity pairs B(r) with B(-r).  The squared spectrum is diagonalized
-per momentum, one Bloch block of the stencil's FFT at a time.  The
-Bochner Laplacian and the Dirac potential are stencil products, circular
-convolutions over the axis lines on which the stencils are nonzero.  A
-stencil operator's dense matrix is filled in only when read, as dumps,
-fluctuations and gauge transforms do; those site-dependent operators
-stay dense.  A dense operator's spectrum comes from its chirality split
-when it has one: i*op is odd under a grading of the fiber slots (for a
-fluctuation or a transform by the gauge group, gamma5 x chi with chi =
-+1 on the left fermions and -1 on the right ones), so its eigenvalues
-are plus and minus the singular values of one half-size block.  An
-operator without such a grading takes the full Hermitized eigensolve.
+to site r, and only on its support, the sites where B(r) may be nonzero
+(LatticeOperator.sites and .blocks): the axis lines through the origin
+for the Dirac operator and the connection, the 2-planes through it for
+(i D)^2 and the Dirac potential.  The builders write these blocks, every
+check reads them, and besides the spectrum the lattice path forms no
+array larger than one chunk of Bloch blocks, nothing that grows with
+n_sites x fiber^2.  Hermiticity pairs B(r) with B(-r), a block
+missing from the support counting as zero.  The Bochner Laplacian and
+the Dirac potential are stencil products, circular convolutions of the
+supports.  A stencil operator's dense matrix is filled in only when
+read, as dumps, fluctuations and gauge transforms do; those
+site-dependent operators stay dense.
+
+The spectrum has one path.  i*op is Hermitian, and for the Dirac
+operators of this package, their fluctuations and their transforms by
+the gauge group it is odd under a grading of the fiber slots, gamma5 x
+chi with chi = +1 on the left fermions and -1 on the right ones.  Its
+eigenvalues are then plus and minus the singular values of the (+, -)
+block, half the side of the matrix.  A dense operator is one such
+matrix; a stencil operator is diagonalized per momentum, one Bloch block
+B(k) = sum_r B(r) exp(-2 pi i m.r / L) at a time, each odd under the same
+grading.  An operator without a grading takes the Hermitized eigensolve.
 
 The central_difference derivative kind is provided for robustness cross
 checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
@@ -47,6 +55,7 @@ kind.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,16 +132,19 @@ class TorusLattice:
 class LatticeOperator:
     """An operator on site x spinor x internal space.
 
-    A site-dependent operator is held as its dense matrix, and stencil is
-    None.  A translation-invariant one is held as its stencil, the
-    (n_sites, fiber, fiber) blocks B(r) coupling site 0 to each site r;
-    its matrix, whose block at sites (x, y) is B(y - x), is filled in on
-    first read and kept.
+    A site-dependent operator is held as its dense matrix, and sites and
+    blocks are None.  A translation-invariant one is held on its support:
+    sites, an ascending array of site indices r, and blocks, the
+    (len(sites), fiber, fiber) blocks B(r) coupling site 0 to each of those
+    sites; B is zero at every other site.  Its matrix, whose block at sites
+    (x, y) is B(y - x), is filled in on first read and kept.
     """
 
-    def __init__(self, matrix, lattice, spinor_dim, internal_dim, kind="", meta=None, stencil=None):
+    def __init__(self, matrix, lattice, spinor_dim, internal_dim, kind="", meta=None,
+                 sites=None, blocks=None):
         self._matrix = matrix
-        self.stencil = stencil
+        self.sites = sites
+        self.blocks = blocks
         self.lattice = lattice
         self.spinor_dim = spinor_dim
         self.internal_dim = internal_dim
@@ -148,71 +160,94 @@ class LatticeOperator:
         if self._matrix is None:
             lat, F = self.lattice, self.fiber_dim
             S = lat.n_sites
-            row0 = self.stencil.transpose(1, 0, 2)
-            mat = np.empty((S, F, S, F), dtype=complex)
-            for x, shifted in enumerate(_site_differences(lat.L, lat.dim)):
-                mat[x] = row0[:, shifted]
+            x = np.arange(S)
+            cx = _coords(lat, x)
+            mat = np.zeros((S, F, S, F), dtype=complex)
+            for r, block in zip(_coords(lat, self.sites).T, self.blocks):
+                mat[x, :, _index(lat, cx + r[:, None]), :] = block
             self._matrix = mat.reshape(S * F, S * F)
         return self._matrix
 
 
-def _site_differences(L, dim):
-    """(n_sites, n_sites) table whose row x holds the index of y - x for each
-    site y, with each axis taken mod L."""
-    coords = np.indices((L,) * dim).reshape(dim, -1).T
-    strides = L ** np.arange(dim - 1, -1, -1)
-    return ((coords[None, :, :] - coords[:, None, :]) % L) @ strides
+def _coords(lat, sites):
+    """(2n, len(sites)) coordinates of site indices, row-major (axis 0 slowest)."""
+    return np.array(np.unravel_index(sites, (lat.L,) * lat.dim)).reshape(lat.dim, -1)
 
 
-def _stencil(op):
-    """op's stencil; a ValueError when op is held as a dense matrix."""
-    if op.stencil is None:
+def _index(lat, coords):
+    """Site indices of (2n, ...) coordinates, each axis taken mod L."""
+    return np.ravel_multi_index(coords, (lat.L,) * lat.dim, mode="wrap")
+
+
+def _support(op):
+    """(sites, blocks) of a stencil operator; a ValueError when op is held as
+    a dense matrix."""
+    if op.sites is None:
         raise ValueError(
             f"operator {op.kind!r} is held as a dense matrix; this needs the stencil "
             "of a translation-invariant operator"
         )
-    return op.stencil
+    return op.sites, op.blocks
 
 
-def _derivative_stencil(lat, axis, block):
-    """Stencil of the derivative along one axis, tensored with a fiber block:
-    axis_derivative()'s first row times block on the axis line, zero elsewhere."""
-    st = np.zeros((lat.n_sites,) + block.shape, dtype=complex)
-    line = np.arange(lat.L) * lat.L ** (lat.dim - axis - 1)
-    st[line] = lat.axis_derivative()[0][:, None, None] * block
-    return st
-
-
-def _product_stencil(A, B, lat):
-    """Stencil of the product of two stencil operators.
-
-    Site 0's block row of A B is the circular convolution
-    (AB)(r) = sum_s A(s) B(r - s).  Only sites where A or B is nonzero
-    enter, the axis lines for the vacuum operators, so this costs
-    O(nnz_A nnz_B F^3) and forms no N x N matrix.  Each block (AB)(r) is
-    one product of the blocks A(s) side by side, s ascending, with the
-    blocks B(r - s) stacked; its four real products are summed apart and
-    combined last, as in the complex product of the dense matrices, so the
-    cancellations that were exact there stay exact.
-    """
-    grid, F = (lat.L,) * lat.dim, A.shape[1]
-    coords = np.indices(grid).reshape(lat.dim, -1)
-    sa, sb = (np.flatnonzero(np.any(X, axis=(1, 2))) for X in (A, B))
-    target = np.ravel_multi_index(coords[:, sa, None] + coords[:, None, sb], grid, mode="wrap")
-    out = np.zeros_like(A)
-    for r in np.unique(target):
-        i, j = np.nonzero(target == r)
-        a = A[sa[i]].transpose(1, 0, 2).reshape(F, -1)
-        b = B[sb[j]].reshape(-1, F)
-        out[r].real = a.real @ b.real - a.imag @ b.imag
-        out[r].imag = a.real @ b.imag + a.imag @ b.real
+def _scatter(union, sites, blocks):
+    """The blocks at their sites' places in union, an ascending superset of
+    sites, and zero blocks at the other places."""
+    out = np.zeros((union.size,) + blocks.shape[1:], dtype=complex)
+    out[np.searchsorted(union, sites)] = blocks
     return out
 
 
-def _negated_sites(lat):
-    """Index of the site -r for each site r, each axis taken mod L."""
-    grid = (lat.L,) * lat.dim
-    return np.ravel_multi_index(-np.indices(grid).reshape(lat.dim, -1), grid, mode="wrap")
+def _union(sites_list):
+    """The distinct sites of a list of site arrays, ascending.  Not np.unique,
+    which imports numpy.ma on first use (about 1 MB)."""
+    s = np.sort(np.concatenate(sites_list), axis=None)
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]
+
+
+def _kron(a, b):
+    """np.kron of two matrices, bit for bit: each entry is the same product.
+    np.kron's general axis handling costs about 16 us a call against 2 us
+    here, and the lattice command makes a few dozen calls on small blocks."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
+def _derivative_line(lat, axis, block):
+    """(sites, blocks) of the derivative along one axis, tensored with a fiber
+    block: axis_derivative()'s first row times block, on the axis line."""
+    line = np.arange(lat.L) * lat.L ** (lat.dim - axis - 1)
+    return line, lat.axis_derivative()[0][:, None, None] * block
+
+
+def _product_stencil(A, B, lat):
+    """(sites, blocks) of the product of two stencil operators, given as
+    their (sites, blocks).
+
+    Site 0's block row of A B is the circular convolution
+    (AB)(r) = sum_s A(s) B(r - s).  Only sites where A or B is nonzero
+    enter, so this costs O(nnz_A nnz_B F^3) and forms no N x N matrix; the
+    result's support is the set of sums s + t.  Each block (AB)(r) is one
+    product of the blocks A(s) side by side, s ascending, with the blocks
+    B(r - s) stacked; its four real products are summed apart and combined
+    last, as in the complex product of the dense matrices, so the
+    cancellations that were exact there stay exact.
+    """
+    (sa, A), (sb, B) = A, B
+    F = A.shape[1]
+    ia, ib = (np.flatnonzero(np.any(X, axis=(1, 2))) for X in (A, B))
+    target = _index(lat, _coords(lat, sa[ia])[:, :, None] + _coords(lat, sb[ib])[:, None, :])
+    sites = _union([target])
+    out = np.empty((sites.size, F, F), dtype=complex)
+    for k, r in enumerate(sites):
+        i, j = np.nonzero(target == r)
+        a = A[ia[i]].transpose(1, 0, 2).reshape(F, -1)
+        b = B[ib[j]].reshape(-1, F)
+        out[k].real = a.real @ b.real - a.imag @ b.imag
+        out[k].imag = a.real @ b.imag + a.imag @ b.real
+    return sites, out
 
 
 def wilson_flatness(fields):
@@ -251,20 +286,22 @@ def build_vacuum_dirac(lat, cl, md, frep, fields=None):
     With the fields of a Wilson line (the stack ModelConfig.build_wilson
     returns) the derivative is covariant, gamma^a (d_a + A_a); the mass
     term is gamma5 x D_int.  i times the result is Hermitian.  The
-    operator is built as its stencil, adding the site-constant terms at
-    r = 0 in the order of the dense sum, so its matrix is the dense
-    build's bit for bit.
+    operator is held on the 2n axis lines, 2n(L-1)+1 sites, adding the
+    site-constant terms at r = 0 in the order of the dense sum, so its
+    matrix is the dense build's bit for bit.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md, fields)
     ident_f = np.eye(nf, dtype=complex)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    st = np.zeros((lat.n_sites, cl.spinor_dim * nf, cl.spinor_dim * nf), dtype=complex)
-    for a in range(lat.dim):
-        st += _derivative_stencil(lat, a, np.kron(cl.gamma[a], ident_f))
+    lines = [_derivative_line(lat, a, _kron(cl.gamma[a], ident_f)) for a in range(lat.dim)]
+    sites = _union([line for line, _ in lines])
+    blocks = np.zeros((sites.size, cl.spinor_dim * nf, cl.spinor_dim * nf), dtype=complex)
+    for a, (line, deriv) in enumerate(lines):
+        blocks[np.searchsorted(sites, line)] += deriv
         if fields is not None:
-            st[0] += np.kron(cl.gamma[a], fields[a])
-    st[0] += np.kron(cl.gamma5, d_int)
-    return LatticeOperator(None, lat, cl.spinor_dim, nf, kind="vacuum_dirac", stencil=st)
+            blocks[0] += _kron(cl.gamma[a], fields[a])
+    blocks[0] += _kron(cl.gamma5, d_int)
+    return LatticeOperator(None, lat, cl.spinor_dim, nf, kind="vacuum_dirac", sites=sites, blocks=blocks)
 
 
 def build_vacuum_connection(lat, cl, md, frep, fields=None):
@@ -275,21 +312,22 @@ def build_vacuum_connection(lat, cl, md, frep, fields=None):
     Dirac operator in the Dirac potential.  Contracting the components
     with gamma^a reproduces build_vacuum_dirac exactly.  fields are the
     Wilson fields ModelConfig.build_wilson returns, or None; each
-    component is a stencil operator.
+    component is a stencil operator held on its own axis line, L sites.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md, fields)
     fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
     comps = []
     for a in range(lat.dim):
+        line, deriv = _derivative_line(lat, a, np.eye(fiber, dtype=complex))
         # from zeros, so the product's signed zeros come out as +0.0
-        st = np.zeros((lat.n_sites, fiber, fiber), dtype=complex)
-        st += _derivative_stencil(lat, a, np.eye(fiber, dtype=complex))
+        blocks = np.zeros_like(deriv)
+        blocks += deriv
         if fields is not None:
-            st[0] += np.kron(np.eye(cl.spinor_dim), fields[a])
-        st[0] += np.kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)
-        comps.append(LatticeOperator(None, lat, cl.spinor_dim, nf,
-                                     kind=f"covariant_derivative_{a}", stencil=st))
+            blocks[0] += _kron(np.eye(cl.spinor_dim), fields[a])
+        blocks[0] += _kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)
+        comps.append(LatticeOperator(None, lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}",
+                                     sites=line, blocks=blocks))
     return comps
 
 
@@ -297,26 +335,32 @@ def contraction_residual(conn, cl, dirac_op):
     """Max deviation of sum_a gamma^a conn_a from the Dirac operator.
 
     gamma^a x 1 acts within a site's fiber, so it multiplies each block of
-    the stencils.
+    the stencils, over the union of their supports.
     """
     eye = np.eye(dirac_op.internal_dim)
-    total = sum(np.kron(g, eye) @ _stencil(comp) for g, comp in zip(cl.gamma, conn))
-    return float(np.max(np.abs(total - _stencil(dirac_op))))
+    d_sites, d_blocks = _support(dirac_op)
+    supports = [_support(comp) for comp in conn]
+    union = _union([d_sites] + [sites for sites, _ in supports])
+    total = np.zeros((union.size,) + d_blocks.shape[1:], dtype=complex)
+    for g, (sites, blocks) in zip(cl.gamma, supports):
+        total[np.searchsorted(union, sites)] += _kron(g, eye) @ blocks
+    return float(np.max(np.abs(total - _scatter(union, d_sites, d_blocks))))
 
 
 def bochner_laplacian(conn):
     """-sum_a (component_a)^2, positive semidefinite for plain derivatives.
 
     Each square is a stencil product (_product_stencil), without an N x N
-    matrix.
+    matrix; the Laplacian is held on the union of their supports.
     """
     first = conn[0]
-    lap = np.zeros_like(_stencil(first))
-    for comp in conn:
-        st = _stencil(comp)
-        lap -= _product_stencil(st, st, first.lattice)
+    squares = [_product_stencil(_support(comp), _support(comp), first.lattice) for comp in conn]
+    sites = _union([s for s, _ in squares])
+    lap = np.zeros((sites.size, first.fiber_dim, first.fiber_dim), dtype=complex)
+    for s, sq in squares:
+        lap[np.searchsorted(sites, s)] -= sq
     return LatticeOperator(None, first.lattice, first.spinor_dim, first.internal_dim,
-                           kind="bochner_laplacian", stencil=lap)
+                           kind="bochner_laplacian", sites=sites, blocks=lap)
 
 
 def dirac_potential(dirac_op, laplacian):
@@ -327,17 +371,20 @@ def dirac_potential(dirac_op, laplacian):
     leakage is the largest entry of the off-site blocks V(r), r != 0; it
     is zero up to rounding when V is a multiplication operator, and large
     for inconsistent derivative kinds or a Laplacian built from the wrong
-    connection.  A stencil holds one block for every site, so the
-    potential is site-constant by construction.
+    connection.  A stencil is the same at every site, so the potential is
+    site-constant by construction.  It is held on the union of the supports
+    of (i D)^2 and the Laplacian.
     """
-    D, lap = _stencil(dirac_op), _stencil(laplacian)
-    if D.shape != lap.shape:
+    D, lap = _support(dirac_op), _support(laplacian)
+    if (dirac_op.lattice.n_sites, dirac_op.fiber_dim) != (laplacian.lattice.n_sites, laplacian.fiber_dim):
         raise ValueError("operator and Laplacian act on different spaces")
-    V = -_product_stencil(D, D, dirac_op.lattice) - lap
-    leak = float(np.max(np.abs(V[1:]), initial=0.0))
+    sq = _product_stencil(D, D, dirac_op.lattice)
+    sites = _union([sq[0], lap[0]])
+    V = -_scatter(sites, *sq) - _scatter(sites, *lap)
+    leak = float(np.max(np.abs(V[sites != 0]), initial=0.0))
     return LatticeOperator(
         None, dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
-        meta={"offsite_leakage": leak}, stencil=V,
+        meta={"offsite_leakage": leak}, sites=sites, blocks=V,
     )
 
 
@@ -362,7 +409,8 @@ class LagrangianDensity:
 def lagrangian_density(v_op, lat):
     """Scalar density carried by a multiplication-operator Dirac potential:
     the fiber trace of its site block V(0)."""
-    per_site = float(np.trace(_stencil(v_op)[0]).real)
+    sites, blocks = _support(v_op)
+    per_site = float(np.trace(blocks[0]).real) if sites.size and sites[0] == 0 else 0.0
     return LagrangianDensity(
         per_site_trace=per_site,
         volume_element=float(lat.a ** lat.dim),
@@ -395,9 +443,10 @@ def relative_curvature(conn, cl, md, frep):
     """Curvature of the vacuum connection against squared-mass x (xi wedge xi).
 
     The zero-order part omega_a = conn_a - d_a x 1 of each component must
-    be site-constant: its stencil is zero at every r != 0, checked exactly,
-    and omega_a is its block at r = 0; a ValueError names the component
-    that is not.  Then [d_a, omega_b] = 0, so F_ab = [omega_a, omega_b] is
+    be site-constant: its stencil, on the union of the component's support
+    and the axis line, is zero at every r != 0, checked exactly, and
+    omega_a is its block at r = 0; a ValueError names the component that
+    is not.  Then [d_a, omega_b] = 0, so F_ab = [omega_a, omega_b] is
     a fiber matrix.  The components are these (2^n N_F)-square fiber
     blocks, and the residual compares each with
     (xi_a xi_b - xi_b xi_a) x (-D_int^2).
@@ -409,7 +458,10 @@ def relative_curvature(conn, cl, md, frep):
     m2_int = -(d_int @ d_int)
     omega = []
     for a, comp in enumerate(conn):
-        zero_order = _stencil(comp) - _derivative_stencil(lat, a, np.eye(fiber))
+        sites, blocks = _support(comp)
+        line, deriv = _derivative_line(lat, a, np.eye(fiber))
+        union = _union([sites, line])
+        zero_order = _scatter(union, sites, blocks) - _scatter(union, line, deriv)
         if np.any(zero_order[1:]):
             raise ValueError(f"zero-order part of connection component {a} is not site-constant")
         omega.append(zero_order[0])
@@ -420,7 +472,7 @@ def relative_curvature(conn, cl, md, frep):
         for b in range(a + 1, lat.dim):
             F = omega[a] @ omega[b] - omega[b] @ omega[a]
             wedge = c * c * (cl.gamma[a] @ cl.gamma[b] - cl.gamma[b] @ cl.gamma[a])
-            residual = max(residual, float(np.max(np.abs(F - np.kron(wedge, m2_int)))))
+            residual = max(residual, float(np.max(np.abs(F - _kron(wedge, m2_int)))))
             comps.append(((a, b), F))
     return CurvatureResult(components=tuple(comps), residual=residual)
 
@@ -512,14 +564,17 @@ def gauge_transform(op, u_site, tol=DEFAULT):
     return LatticeOperator(moved, lat, op.spinor_dim, nf, kind=op.kind, meta=dict(op.meta))
 
 
-def _hermitian_pair(op):
-    """(H, H^dagger) for H = i * op: dense matrices, or the stencils, where
-    the block of H^dagger coupling site 0 to site r is H(-r)^dagger."""
-    if op.stencil is None:
-        H = 1j * op.matrix
-        return H, H.conj().T
-    H = 1j * op.stencil
-    return H, H[_negated_sites(op.lattice)].conj().transpose(0, 2, 1)
+def _hermitian_blocks(M, plus):
+    """(X, Y) for H = i * M, M a matrix or a stack of them: (H, H^dagger),
+    or, with plus a mask of the + class of a grading over M's rows, the
+    off-diagonal blocks (H_{+-}, (H_{-+})^dagger).  (X + Y) / 2 is the
+    Hermitized matrix diagonalized; max |X - Y| is H's Hermiticity residual
+    when the same-class blocks of H are zero."""
+    if plus is None:
+        H = 1j * M
+        return H, H.conj().swapaxes(-1, -2)
+    P, Q = np.flatnonzero(plus), np.flatnonzero(~plus)
+    return 1j * M[..., P[:, None], Q], (1j * M[..., Q[:, None], P]).conj().swapaxes(-1, -2)
 
 
 def _residual(H, H_dag):
@@ -534,9 +589,22 @@ def hermiticity_residual(op):
     """(max |H - H^dagger|, max(1, max |H|)) for H = i * op.
 
     For a stencil operator every block row of H - H^dagger is a shift of
-    site 0's, so the stencil gives the dense matrix's two numbers bit for bit.
+    site 0's, whose block at r is H(r) - H(-r)^dagger, so the support gives
+    the dense matrix's two numbers bit for bit.  A partner H(-r) missing
+    from the support counts as zero; the block at -r is then -H(r)^dagger,
+    whose entries have the magnitudes of H(r)'s, so the support alone
+    holds every value of the maximum.
     """
-    return _residual(*_hermitian_pair(op))
+    if op.sites is None:
+        return _residual(*_hermitian_blocks(op.matrix, None))
+    lat, sites = op.lattice, op.sites
+    negated = _index(lat, -_coords(lat, sites))
+    at = np.minimum(np.searchsorted(sites, negated), sites.size - 1)
+    held = sites[at] == negated
+    H = 1j * op.blocks
+    H_dag = np.zeros_like(H)
+    H_dag[held] = H[at[held]].conj().transpose(0, 2, 1)
+    return _residual(H, H_dag)
 
 
 def _validate_hermitian(residual, tol):
@@ -561,8 +629,8 @@ def _chirality(op):
     right ones.
     """
     F = op.fiber_dim
-    if op.stencil is not None:
-        coupled = np.any(op.stencil != 0, axis=0)
+    if op.sites is not None:
+        coupled = np.any(op.blocks != 0, axis=0)
     else:
         S = op.lattice.n_sites
         coupled = np.any(op.matrix.reshape(S, F, S, F) != 0, axis=(0, 2))
@@ -584,13 +652,40 @@ def _chirality(op):
     return colour == 0
 
 
-def _chiral_blocks(op, plus):
-    """(H_{+-}, (H_{-+})^dagger) for H = i * op, with rows and columns in
-    site-major order: the off-diagonal blocks of H between the slots of
-    the + class (plus, a fiber mask) and those of the - class."""
-    slots = np.arange(op.matrix.shape[0]).reshape(-1, op.fiber_dim)
-    P, M = slots[:, plus].ravel(), slots[:, ~plus].ravel()
-    return 1j * op.matrix[np.ix_(P, M)], (1j * op.matrix[np.ix_(M, P)]).conj().T
+def _eigenvalues(X, Y, graded):
+    """Eigenvalues of each Hermitized matrix of a stack, from the pair
+    _hermitian_blocks returns: those of A = (X + Y) / 2, or, when graded,
+    those of [[0, A], [A^dagger, 0]], plus and minus A's singular values
+    with |p - q| zeros for a p x q block A.  One row per matrix."""
+    A = 0.5 * (X + Y)
+    if not graded:
+        return np.linalg.eigvalsh(A)
+    sv = np.linalg.svd(A, compute_uv=False)
+    zeros = np.zeros(sv.shape[:-1] + (abs(A.shape[-2] - A.shape[-1]),))
+    return np.concatenate([-sv, zeros, sv], axis=-1)
+
+
+# bytes of the Bloch blocks and phases formed at once by _bloch_blocks
+_CHUNK_BYTES = 1 << 22
+# peak bytes per value of the squared spectrum in a verify-all run, most
+# of them the report's list and its JSON text: 144 under tracemalloc at
+# n=2, L=12 and n=3, L=4 (lattice_footprint)
+_BYTES_PER_VALUE = 144
+
+
+def _bloch_blocks(op):
+    """Yield the Bloch blocks B(k) = sum_r B(r) exp(-2 pi i m.r / L) of a
+    stencil operator for a chunk of momenta m at a time, row-major over the
+    momentum grid: a (K, nnz) phase matrix times the support blocks."""
+    lat, F = op.lattice, op.fiber_dim
+    nnz = op.sites.size
+    K = max(1, _CHUNK_BYTES // (16 * (nnz + 2 * F * F)))
+    roots = np.exp(-2j * np.pi * np.arange(lat.L) / lat.L)
+    r = _coords(lat, op.sites)
+    flat = op.blocks.reshape(nnz, F * F)
+    for start in range(0, lat.n_sites, K):
+        m = _coords(lat, np.arange(start, min(start + K, lat.n_sites)))
+        yield (roots[(m.T @ r) % lat.L] @ flat).reshape(-1, F, F)
 
 
 def spectrum(op, square_first=False, tol=DEFAULT):
@@ -598,48 +693,38 @@ def spectrum(op, square_first=False, tol=DEFAULT):
 
     Validates that i*op is Hermitian (hermiticity_residual), raising
     NonHermitian when the deviation exceeds tol.hermiticity times the
-    scale.  With square_first a stencil operator is diagonalized per momentum: block m
-    of the stencil's FFT over the site grid is
-    B(k) = sum_r B(r) exp(-2 pi i m.r / L), and each Hermitized -B(k)^2 is
-    diagonalized on its own.  Otherwise the spectrum comes from the dense
-    matrix (a stencil operator's is filled in first), as site-dependent
-    fluctuations and gauge transforms need, through its chirality split
-    when it has one (_chirality): i*op = [[0, C], [C^dagger, 0]] in the
-    grading's basis, so the eigenvalues are +-svd(C), with |p - q| more
-    zeros when the two classes hold p and q rows.  C is the Hermitized
-    (+, -) block, and only C's singular values are computed, at half the
-    side of the full matrix.  An operator without a grading, a gauge
-    transform by chirality-mixing unitaries say, takes the full Hermitized
-    eigensolve.  With square_first these eigenvalues are squared and
-    sorted.  A dense operator's Hermiticity is read off the blocks it is
-    diagonalized from; the same-class blocks of a split operator are exactly
-    zero, so these are the full matrix's two numbers bit for bit.
+    scale.  A dense operator is diagonalized as one matrix, a stencil
+    operator per momentum: i*op is block-diagonal over the momenta, with
+    the Bloch blocks i B(k) (_bloch_blocks), formed a chunk of momenta at a
+    time from the support, so no N x N matrix is formed.  Either way the
+    matrices are diagonalized through their chirality split when op has
+    one (_chirality): i*op = [[0, C], [C^dagger, 0]] in the grading's
+    basis, so the eigenvalues are +-svd(C), with |p - q| more zeros when
+    the two classes hold p and q rows.  C is the Hermitized (+, -) block,
+    and only C's singular values are computed, at half the side of the
+    full matrix.  An operator without a grading, a gauge transform by
+    chirality-mixing unitaries say, takes the full Hermitized eigensolve.
+    With square_first these eigenvalues are squared, so each singular
+    value of a split counts twice.  A dense operator's Hermiticity is read
+    off the blocks it is diagonalized from; the same-class blocks of a
+    split operator are exactly zero, so these are the full matrix's two
+    numbers bit for bit.
     """
-    if op.stencil is not None:
-        _validate_hermitian(hermiticity_residual(op), tol)
-        if square_first:
-            lat, F = op.lattice, op.fiber_dim
-            grid = (lat.L,) * lat.dim
-            B = np.fft.fftn(op.stencil.reshape(*grid, F, F), axes=tuple(range(lat.dim)))
-            B = B.reshape(lat.n_sites, F, F)
-            M = -(B @ B)
-            M = 0.5 * (M + M.conj().transpose(0, 2, 1))
-            return np.sort(np.linalg.eigvalsh(M).reshape(-1))
     plus = _chirality(op)
-    if plus is None:
-        H = 1j * op.matrix
-        blocks = (H, H.conj().T)
-    else:
-        blocks = _chiral_blocks(op, plus)
-    if op.stencil is None:
+    if op.sites is None:
+        if plus is not None:
+            plus = np.tile(plus, op.lattice.n_sites)
+        blocks = _hermitian_blocks(op.matrix, plus)
         _validate_hermitian(_residual(*blocks), tol)
-    A = 0.5 * (blocks[0] + blocks[1])
-    if plus is None:
-        vals = np.linalg.eigvalsh(A)
+        vals = _eigenvalues(*blocks, plus is not None).reshape(-1)
     else:
-        sv = np.linalg.svd(A, compute_uv=False)
-        vals = np.sort(np.concatenate([-sv, np.zeros(abs(A.shape[0] - A.shape[1])), sv]))
-    return np.sort(vals ** 2) if square_first else vals
+        _validate_hermitian(hermiticity_residual(op), tol)
+        vals = np.concatenate([_eigenvalues(*_hermitian_blocks(B, plus), plus is not None).reshape(-1)
+                               for B in _bloch_blocks(op)])
+    if square_first:
+        np.square(vals, out=vals)
+    vals.sort()
+    return vals
 
 
 def _mass_blocks_full_fiber(md, nf):
@@ -702,8 +787,26 @@ def expected_squared_spectrum(lat, cl, md, frep, shifts=None):
         shifts = branch_momentum_shifts(lat, md, frep, None)
     ks = lat.momenta()
     vals = []
-    for kvec in itertools.product(ks, repeat=lat.dim):
-        for (m2, basis), (_, qs) in zip(blocks, shifts, strict=True):
-            val = m2 + sum((kc + q) ** 2 for kc, q in zip(kvec, qs))
-            vals.extend([val] * (cl.spinor_dim * basis.shape[1]))
-    return np.sort(np.asarray(vals))
+    for (m2, basis), (_, qs) in zip(blocks, shifts, strict=True):
+        # m2 + (0 + (k_0 + q_0)^2 + (k_1 + q_1)^2 + ...) over the momentum
+        # grid, axis 0 slowest: each square and each sum in the order of
+        # the loop over momentum tuples, so every value keeps its bits
+        total = 0
+        for q in qs:
+            total = np.add.outer(total, [(kc + q) ** 2 for kc in ks])
+        vals.append(np.repeat(m2 + total.reshape(-1), cl.spinor_dim * basis.shape[1]))
+    return np.sort(np.concatenate(vals))
+
+
+def lattice_footprint(lat, nf):
+    """Estimated peak bytes of the lattice command on lat with N_F fermions.
+
+    Per value of the squared spectrum (n_sites x 2^n N_F of them): the
+    spectrum and its closed form, the report's list of Python floats and
+    that list's JSON text (_BYTES_PER_VALUE); plus one momentum chunk and
+    two operators held on the 2-planes through the origin.  Python ints,
+    so a lattice far too large to build is estimated without overflow.
+    """
+    F = 2 ** lat.n * nf
+    plane_sites = 1 + lat.dim * (lat.L - 1) + math.comb(lat.dim, 2) * (lat.L - 1) ** 2
+    return lat.n_sites * F * _BYTES_PER_VALUE + _CHUNK_BYTES + 2 * plane_sites * F * F * 16

@@ -9,6 +9,7 @@ model files produce byte-identical output.
 
 import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .lattice_dirac import (
     dirac_potential,
     expected_squared_spectrum,
     lagrangian_density,
+    lattice_footprint,
     mean_mass,
     relative_curvature,
     spectrum,
@@ -303,12 +305,28 @@ def cmd_masses(run):
     return rep
 
 
+def require_lattice_fits(run):
+    """A ValueError, raised before anything is built, when the lattice
+    stage's estimated memory (lattice_footprint) exceeds the host's
+    physical memory."""
+    lat = run.cfg.build_lattice()
+    need = lattice_footprint(lat, run.model.frep.n_total)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"lattice n={lat.n}, L={lat.L} needs about {need / 2 ** 30:.3g} GiB, "
+            f"more than this host's {have / 2 ** 30:.3g} GiB of memory"
+        )
+
+
 def cmd_lattice(run):
     """Lattice operators, spectra, and the dispersion/curvature identities.
 
-    Every vacuum operator here is a stencil operator; no N x N matrix is
+    Every vacuum operator here is a stencil operator held on its support;
+    no N x N matrix and no array that grows with n_sites x fiber^2 is
     formed.
     """
+    require_lattice_fits(run)
     with _reporting("lattice", run) as rep:
         tol, lat, frep = run.tol, run.cfg.build_lattice(), run.model.frep
         vac, md = run.vacuum(), run.mass_data()
@@ -374,6 +392,7 @@ def cmd_lattice(run):
 
 def cmd_verify_all(run):
     """Run every command; passes only when each constituent check passes."""
+    require_lattice_fits(run)
     with _reporting("verify-all", run) as rep:
         for name, command in (("break", cmd_break), ("masses", cmd_masses), ("lattice", cmd_lattice)):
             rep.extend_prefixed(name, command(run))

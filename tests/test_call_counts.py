@@ -107,10 +107,10 @@ def test_lattice_path_never_densifies(monkeypatch, capsys, tmp_path):
     path = tmp_path / "n2-L5.json"
     save_model(cfg, path)
 
-    def site_table(*args):
-        raise AssertionError("the lattice command built the S x S site table")
+    def dense_fill(op):
+        raise AssertionError(f"the lattice command filled in the dense matrix of {op.kind!r}")
 
-    monkeypatch.setattr(lattice_dirac, "_site_differences", site_table)
+    monkeypatch.setattr(lattice_dirac.LatticeOperator, "matrix", property(dense_fill))
     tracemalloc.start()
     try:
         assert cli.main(["verify-all", "--model", str(path)]) == 0

@@ -35,8 +35,8 @@ from fermimass import (
 )
 from fermimass.lattice_dirac import (
     LatticeOperator,
-    _chiral_blocks,
     _chirality,
+    _hermitian_blocks,
     _residual,
     contraction_residual,
     hermiticity_residual,
@@ -555,9 +555,9 @@ def test_curvature_rejects_site_dependent_connection(ew):
     conn = build_vacuum_connection(lat, ew.cl, ew.md, ew.frep)
 
     def bumped(comp, site, entry):
-        st = comp.stencil.copy()
+        st = full_stencil(comp)
         st[(site, *entry)] += 1e-3
-        return LatticeOperator(None, lat, ew.cl.spinor_dim, 3, stencil=st)
+        return stencil_operator(st, lat, ew.cl.spinor_dim, 3)
 
     # an extra entry on the derivative's own line, and one off it
     with pytest.raises(ValueError, match="component 1 is not site-constant"):
@@ -571,6 +571,20 @@ def test_curvature_rejects_site_dependent_connection(ew):
 
 
 # ----- stencil operators against the dense products ---------------------
+
+def full_stencil(op):
+    """The (n_sites, fiber, fiber) stencil of op: its support blocks
+    scattered over every site, zero elsewhere."""
+    st = np.zeros((op.lattice.n_sites, op.fiber_dim, op.fiber_dim), dtype=complex)
+    st[op.sites] = op.blocks
+    return st
+
+
+def stencil_operator(st, lat, spinor_dim, internal_dim, kind=""):
+    """A stencil operator held on every site, from a full stencil."""
+    return LatticeOperator(None, lat, spinor_dim, internal_dim, kind=kind,
+                           sites=np.arange(lat.n_sites), blocks=st)
+
 
 def dense_squared_spectrum(op):
     """Oracle: eigenvalues of the Hermitized dense -D @ D."""
@@ -649,7 +663,7 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
     conn = build_vacuum_connection(lat, cl, None, frep, fields)
     lap = bochner_laplacian(conn)
     vd = dirac_potential(op, lap)
-    assert lap.stencil is not None and vd.stencil is not None
+    assert lap.sites is not None and vd.sites is not None
     lap_oracle = dense_laplacian(conn)
     assert np.abs(lap.matrix - lap_oracle).max() <= 1e-13
     oracle = dense_potential(op, lap_oracle)
@@ -657,7 +671,7 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
     leak, trace = dense_leakage_and_trace(oracle, lat, op.fiber_dim)
     assert abs(vd.meta["offsite_leakage"] - leak) <= 1e-13
     got = lagrangian_density(vd, lat).per_site_trace
-    assert got == float(np.trace(vd.stencil[0]).real)
+    assert got == float(np.trace(full_stencil(vd)[0]).real)
     assert abs(got - trace) <= 1e-13
     assert abs(got - cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-12
 
@@ -676,7 +690,8 @@ def test_densified_matrix_shifts_the_stencil(vacuum):
     conn = build_vacuum_connection(lat, cl, md, frep, fields)
     ops = (build_vacuum_dirac(lat, cl, md, frep, fields), *conn)
     for op in ops:
-        assert op.stencil.shape == (lat.n_sites, F, F)
+        stencil = full_stencil(op)
+        assert stencil.shape == (lat.n_sites, F, F)
         mat = op.matrix
         assert op.matrix is mat  # filled in once, then kept
         rows = mat.reshape(lat.n_sites, F, lat.n_sites, F)
@@ -684,7 +699,7 @@ def test_densified_matrix_shifts_the_stencil(vacuum):
         for x, cx in enumerate(coords):
             for y, cy in enumerate(coords):
                 r = site_index(lat, np.subtract(cy, cx))
-                assert np.array_equal(rows[x, :, y, :], op.stencil[r])
+                assert np.array_equal(rows[x, :, y, :], stencil[r])
 
 
 def test_stencil_checks_reject_dense_operator(ew):
@@ -693,7 +708,7 @@ def test_stencil_checks_reject_dense_operator(ew):
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
     fl = fluctuation_operator(op, None, phi, ew.ymap, ew.cl, ew.frep, 0.5)
-    assert fl.stencil is None
+    assert fl.sites is None
     conn = build_vacuum_connection(lat, ew.cl, None, ew.frep)
     lap = bochner_laplacian(conn)
     for check in (lambda: dirac_potential(fl, lap), lambda: contraction_residual(conn, ew.cl, fl),
@@ -729,7 +744,7 @@ def test_squared_spectrum_sums_to_laplacian_plus_density(identity_vacuum):
     op = build_vacuum_dirac(lat, cl, md, frep, fields)
     lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
     density = lat.n_sites * lagrangian_density(dirac_potential(op, lap), lat).per_site_trace
-    total = spectrum(op, square_first=True).sum() - lat.n_sites * np.trace(lap.stencil[0]).real
+    total = spectrum(op, square_first=True).sum() - lat.n_sites * np.trace(full_stencil(lap)[0]).real
     assert abs(total - density) <= 1e-12 * max(1.0, abs(density))
     assert abs(density - lat.n_sites * cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-10 * max(1.0, abs(density))
 
@@ -1246,5 +1261,6 @@ def test_chiral_blocks_give_the_full_hermiticity_residual_bitwise(ew, fluctuatio
     for dense in (fl, moved):
         plus = _chirality(dense)
         assert np.array_equal(plus, np.diag(ew_grading(ew, cl)).real > 0)
-        assert _residual(*_chiral_blocks(dense, plus)) == hermiticity_residual(dense)
+        tiled = np.tile(plus, op.lattice.n_sites)
+        assert _residual(*_hermitian_blocks(dense.matrix, tiled)) == hermiticity_residual(dense)
     assert hermiticity_residual(fl)[0] > 0.0
