@@ -34,17 +34,26 @@ array larger than one chunk of Bloch blocks, nothing that grows with
 n_sites x fiber^2.  Hermiticity pairs B(r) with B(-r), a block
 missing from the support counting as zero.  The Bochner Laplacian and
 the Dirac potential are stencil products, circular convolutions of the
-supports.  A stencil operator's dense matrix is filled in only when
-read, as dumps, fluctuations and gauge transforms do; those
-site-dependent operators stay dense.
+supports.
+
+Fluctuations and gauge transforms are site-dependent, but they act site
+by site on the fiber next to the vacuum's derivative, so they keep the
+vacuum operator's support: the block coupling site x to site x + r
+becomes blocks[x, j], one (n_sites, nnz, fiber, fiber) stack.  A
+fluctuation writes its site blocks into the r = 0 column, and a gauge
+transform multiplies each block by its two sites' unitaries.  Their
+Hermiticity pairs blocks[x, r] with blocks[x + r, -r], and their
+spectrum fills in the two off-diagonal blocks of the chirality split
+straight from the blocks.  Any operator's dense matrix is filled in
+only when read (LatticeOperator.matrix), as the operator dump does.
 
 The spectrum has one path.  i*op is Hermitian, and for the Dirac
 operators of this package, their fluctuations and their transforms by
 the gauge group it is odd under a grading of the fiber slots, gamma5 x
 chi with chi = +1 on the left fermions and -1 on the right ones.  Its
 eigenvalues are then plus and minus the singular values of the (+, -)
-block, half the side of the matrix.  A dense operator is one such
-matrix; a stencil operator is diagonalized per momentum, one Bloch block
+block, half the side of the matrix.  A site-dependent operator is one
+such matrix; a stencil operator is diagonalized per momentum, one Bloch block
 B(k) = sum_r B(r) exp(-2 pi i m.r / L) at a time, each odd under the same
 grading.  An operator without a grading takes the Hermitized eigensolve.
 
@@ -105,39 +114,45 @@ class TorusLattice:
         return 2.0 * np.pi * np.arange(self.L) / (self.L * self.a)
 
     def axis_derivative(self):
-        """One-axis derivative matrix (L x L), anti-Hermitian."""
+        """One-axis derivative matrix (L x L), anti-Hermitian and circulant:
+        entry (x, y) depends on (x - y) mod L only."""
         L, a = self.L, self.a
-        D = np.zeros((L, L), dtype=complex)
+        vals = np.zeros(L, dtype=complex)
         if self.derivative_kind == "fourier_spectral":
             # Closed form of U diag(i k_m) U^dagger over the momentum set;
             # exact roots of unity are used where they are Gaussian units.
             for d in range(L):
                 if d == 0:
-                    val = 1j * np.pi * (L - 1) / (L * a)
+                    vals[d] = 1j * np.pi * (L - 1) / (L * a)
                 else:
                     if (4 * d) % L == 0:
                         w = 1j ** ((4 * d) // L)
                     else:
                         w = np.exp(2j * np.pi * d / L)
-                    val = (2j * np.pi / (L * a)) / (w - 1.0)
-                for x in range(L):
-                    D[x, (x - d) % L] = val
+                    vals[d] = (2j * np.pi / (L * a)) / (w - 1.0)
         else:
-            for x in range(L):
-                D[x, (x + 1) % L] += 1.0 / (2.0 * a)
-                D[x, (x - 1) % L] -= 1.0 / (2.0 * a)
-        return D
+            vals[-1 % L] += 1.0 / (2.0 * a)
+            vals[1 % L] -= 1.0 / (2.0 * a)
+        x = np.arange(L)
+        return vals[(x[:, None] - x) % L]
 
 
 class LatticeOperator:
-    """An operator on site x spinor x internal space.
+    """An operator on site x spinor x internal space, held on a support.
 
-    A site-dependent operator is held as its dense matrix, and sites and
-    blocks are None.  A translation-invariant one is held on its support:
-    sites, an ascending array of site indices r, and blocks, the
-    (len(sites), fiber, fiber) blocks B(r) coupling site 0 to each of those
-    sites; B is zero at every other site.  Its matrix, whose block at sites
-    (x, y) is B(y - x), is filled in on first read and kept.
+    sites is an ascending array of site offsets r_j, and blocks holds the
+    (fiber, fiber) blocks coupling a site x to the sites x + r_j; every
+    other block is zero.  A translation-invariant operator holds one stack
+    of shape (len(sites), fiber, fiber), the blocks B(r_j) coupling site 0
+    to site r_j, the same at every site.  A site-dependent one holds
+    (n_sites, len(sites), fiber, fiber), blocks[x, j] coupling site x to
+    site x + r_j.  The matrix is filled in from the blocks when read: a
+    stencil's on first read and kept, a site-dependent operator's on every
+    read and not kept, so that such an operator, S/nnz times smaller than
+    its matrix, is held once.  Writing into the matrix changes nothing the
+    functions of this module compute; they read the blocks.  An operator
+    given as a dense matrix (sites and blocks None, as load_operator
+    returns) is read on the full support of all n_sites offsets.
     """
 
     def __init__(self, matrix, lattice, spinor_dim, internal_dim, kind="", meta=None,
@@ -157,16 +172,12 @@ class LatticeOperator:
 
     @property
     def matrix(self):
-        if self._matrix is None:
-            lat, F = self.lattice, self.fiber_dim
-            S = lat.n_sites
-            x = np.arange(S)
-            cx = _coords(lat, x)
-            mat = np.zeros((S, F, S, F), dtype=complex)
-            for r, block in zip(_coords(lat, self.sites).T, self.blocks):
-                mat[x, :, _index(lat, cx + r[:, None]), :] = block
-            self._matrix = mat.reshape(S * F, S * F)
-        return self._matrix
+        if self._matrix is not None:
+            return self._matrix
+        mat = _fill(self.lattice, self.sites, _per_site(self.lattice, self.blocks))
+        if self.blocks.ndim == 3:
+            self._matrix = mat
+        return mat
 
 
 def _coords(lat, sites):
@@ -180,14 +191,50 @@ def _index(lat, coords):
 
 
 def _support(op):
-    """(sites, blocks) of a stencil operator; a ValueError when op is held as
-    a dense matrix."""
-    if op.sites is None:
+    """(sites, blocks) of a stencil operator; a ValueError when op is
+    site-dependent or held as a dense matrix."""
+    if op.sites is None or op.blocks.ndim != 3:
+        held = "as a dense matrix" if op.sites is None else "per site"
         raise ValueError(
-            f"operator {op.kind!r} is held as a dense matrix; this needs the stencil "
+            f"operator {op.kind!r} is held {held}; this needs the stencil "
             "of a translation-invariant operator"
         )
     return op.sites, op.blocks
+
+
+def _neighbours(lat, sites):
+    """(n_sites, len(sites)) site indices of x + r for every site x and
+    every offset r in sites."""
+    x = _coords(lat, np.arange(lat.n_sites))
+    return _index(lat, x[:, :, None] + _coords(lat, sites)[:, None, :])
+
+
+def _held(op):
+    """(sites, blocks) as op holds them, a stencil's or a site-dependent
+    operator's; a dense matrix's blocks on the full support, one
+    (n_sites, n_sites, fiber, fiber) copy."""
+    if op.sites is not None:
+        return op.sites, op.blocks
+    lat, F = op.lattice, op.fiber_dim
+    S = lat.n_sites
+    sites = np.arange(S)
+    M = op.matrix.reshape(S, F, S, F)
+    return sites, M[sites[:, None], :, _neighbours(lat, sites), :]
+
+
+def _per_site(lat, blocks):
+    """blocks as a (n_sites, nnz, p, q) stack: a stencil's broadcast over
+    the sites without a copy, a site-dependent stack as it is."""
+    return np.broadcast_to(blocks, (lat.n_sites,) + blocks.shape[-3:])
+
+
+def _fill(lat, sites, blocks):
+    """The dense (S p, S q) matrix of (S, nnz, p, q) site blocks: block
+    [x, j] at block row x and block column x + r_j, zeros elsewhere."""
+    S, _, p, q = blocks.shape
+    out = np.zeros((S, p, S, q), dtype=complex)
+    out[np.arange(S)[:, None], :, _neighbours(lat, sites), :] = blocks
+    return out.reshape(S * p, S * q)
 
 
 def _scatter(union, sites, blocks):
@@ -484,21 +531,24 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
     generators, shape (2n, n_sites, dim_g), contracted with gamma^a.
     phi_fl is None, a single Higgs state, or one state per site; with
     unitary_split given, each state is first projected onto the physical
-    subspace.  t = 0 returns a bitwise copy of the vacuum operator, and
-    the difference from the vacuum operator is site-diagonal (no
-    derivative terms) for any t.  The site blocks
-    gamma5 x G(phi_x) + sum_a gamma^a x A_a(x) are built for all sites at
-    once and added to the vacuum's diagonal blocks; every entry is the
-    one the sum with the dense site-diagonal fluctuation matrix gives.
+    subspace.  t = 0 returns a copy of the vacuum operator's sites and
+    blocks, held as the vacuum is.  For any t the difference from the
+    vacuum operator is site-diagonal (no derivative terms): the result is
+    site-dependent, held on the vacuum's support with site 0 added when
+    it lacks it, and the site blocks gamma5 x G(phi_x) + sum_a gamma^a x
+    A_a(x), built for all sites at once, go into its r = 0 column.  Its
+    matrix is, entry for entry and sign bit for sign bit, the sum of the
+    vacuum's dense matrix with t times the dense site-diagonal
+    fluctuation.
     """
     lat = vac_op.lattice
     S = lat.n_sites
     nf = frep.n_total
     fiber = vac_op.fiber_dim
+    sites, vac_blocks = _held(vac_op)
     if float(t) == 0.0:
-        return LatticeOperator(
-            vac_op.matrix.copy(), lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": 0.0}
-        )
+        return LatticeOperator(None, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac",
+                               meta={"t": 0.0}, sites=sites.copy(), blocks=vac_blocks.copy())
     if phi_fl is None:
         phis = np.zeros((S, ymap.n_higgs), dtype=complex)
     else:
@@ -526,23 +576,28 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
         for a in range(lat.dim):
             blk += np.kron(cl.gamma[a][None], frep.total.element(gauge[a]))
     t = float(t)
+    vac = _per_site(lat, vac_blocks)
+    if not (sites.size and sites[0] == 0):
+        sites = np.concatenate([[0], sites])
+        vac = np.concatenate([np.zeros((S, 1, fiber, fiber), dtype=complex), vac], axis=1)
     # off the site blocks the dense sum added t * (0 + 0j), which turns a
     # -0.0 of the vacuum into +0.0 for t > 0; adding it keeps those bits
-    out = vac_op.matrix + t * np.zeros((), dtype=complex)
-    sites = np.arange(S)
-    vac4 = vac_op.matrix.reshape(S, fiber, S, fiber)
-    out.reshape(S, fiber, S, fiber)[sites, :, sites, :] = vac4[sites, :, sites, :] + t * blk
-    return LatticeOperator(out, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": t})
+    blocks = vac + t * np.zeros((), dtype=complex)
+    blocks[:, 0] = vac[:, 0] + t * blk
+    return LatticeOperator(None, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": t},
+                           sites=sites, blocks=blocks)
 
 
 def gauge_transform(op, u_site, tol=DEFAULT):
     """Conjugate an operator by site-wise unitaries on the internal factor.
 
     U = sum_x |x><x| x 1_spinor x u_x is block-diagonal, so U M U^dagger is
-    formed per block: u_x multiplies the internal index of block row x,
-    and u_y^dagger that of block column y (as (U (U M)^dagger)^dagger).  No
-    N x N product is formed.  A u_x whose |u_x^dagger u_x - 1| exceeds
-    tol.unitary raises a ValueError that names the first such site.
+    formed per block: the block coupling site x to site y = x + r_j becomes
+    (1 x u_x) B (1 x u_y^dagger), u_x acting on its rows' internal index
+    and u_y^dagger on its columns'.  The result is site-dependent, held on
+    op's support; no N x N product or matrix is formed.  A u_x whose
+    |u_x^dagger u_x - 1| exceeds tol.unitary raises a ValueError that
+    names the first such site.
     """
     lat = op.lattice
     S = lat.n_sites
@@ -556,12 +611,14 @@ def gauge_transform(op, u_site, tol=DEFAULT):
     bad = np.flatnonzero(dev > tol.unitary)
     if bad.size:
         raise ValueError(f"gauge matrix at site {bad[0]} is not unitary (residual {dev[bad[0]]:.3e})")
-
-    def rows(M):
-        return (u[:, None] @ M.reshape(S, op.spinor_dim, nf, -1)).reshape(M.shape)
-
-    moved = np.ascontiguousarray(rows(rows(op.matrix).conj().T).conj().T)
-    return LatticeOperator(moved, lat, op.spinor_dim, nf, kind=op.kind, meta=dict(op.meta))
+    sites, blocks = _held(op)
+    B = _per_site(lat, blocks)
+    nnz, F, s = sites.size, op.fiber_dim, op.spinor_dim
+    rows = u[:, None, None] @ B.reshape(S, nnz, s, nf, F)
+    cols = u[_neighbours(lat, sites)].conj().swapaxes(-1, -2)
+    moved = (rows.reshape(S, nnz, F * s, nf) @ cols).reshape(S, nnz, F, F)
+    return LatticeOperator(None, lat, s, nf, kind=op.kind, meta=dict(op.meta), sites=sites.copy(),
+                           blocks=moved)
 
 
 def _hermitian_blocks(M, plus):
@@ -574,7 +631,15 @@ def _hermitian_blocks(M, plus):
         H = 1j * M
         return H, H.conj().swapaxes(-1, -2)
     P, Q = np.flatnonzero(plus), np.flatnonzero(~plus)
-    return 1j * M[..., P[:, None], Q], (1j * M[..., Q[:, None], P]).conj().swapaxes(-1, -2)
+    return _hermitian_pair(M[..., P[:, None], Q], M[..., Q[:, None], P])
+
+
+def _hermitian_pair(M_pq, M_qp):
+    """(H_{+-}, (H_{-+})^dagger) for H = i * M from M's two off-diagonal
+    blocks of a grading, computed in their place."""
+    M_pq *= 1j
+    M_qp *= 1j
+    return M_pq, np.conjugate(M_qp, out=M_qp).swapaxes(-1, -2)
 
 
 def _residual(H, H_dag):
@@ -590,20 +655,24 @@ def hermiticity_residual(op):
 
     For a stencil operator every block row of H - H^dagger is a shift of
     site 0's, whose block at r is H(r) - H(-r)^dagger, so the support gives
-    the dense matrix's two numbers bit for bit.  A partner H(-r) missing
-    from the support counts as zero; the block at -r is then -H(r)^dagger,
-    whose entries have the magnitudes of H(r)'s, so the support alone
-    holds every value of the maximum.
+    the dense matrix's two numbers bit for bit.  For a site-dependent one
+    the block coupling x to x + r is H[x, r] - H[x + r, -r]^dagger, the
+    same for every site.  A partner at -r missing from the support counts
+    as zero; the block at -r is then -H(r)^dagger, whose entries have the
+    magnitudes of H(r)'s, so the support alone holds every value of the
+    maximum.
     """
-    if op.sites is None:
-        return _residual(*_hermitian_blocks(op.matrix, None))
-    lat, sites = op.lattice, op.sites
+    lat, (sites, blocks) = op.lattice, _held(op)
     negated = _index(lat, -_coords(lat, sites))
     at = np.minimum(np.searchsorted(sites, negated), sites.size - 1)
     held = sites[at] == negated
-    H = 1j * op.blocks
+    H = 1j * blocks
     H_dag = np.zeros_like(H)
-    H_dag[held] = H[at[held]].conj().transpose(0, 2, 1)
+    if H.ndim == 3:
+        H_dag[held] = H[at[held]].conj().transpose(0, 2, 1)
+    else:
+        partner = H.swapaxes(-1, -2)[_neighbours(lat, sites)[:, held], at[held]]
+        H_dag[:, held] = np.conjugate(partner, out=partner)
     return _residual(H, H_dag)
 
 
@@ -629,11 +698,7 @@ def _chirality(op):
     right ones.
     """
     F = op.fiber_dim
-    if op.sites is not None:
-        coupled = np.any(op.blocks != 0, axis=0)
-    else:
-        S = op.lattice.n_sites
-        coupled = np.any(op.matrix.reshape(S, F, S, F) != 0, axis=(0, 2))
+    coupled = np.any(_held(op)[1].reshape(-1, F, F) != 0, axis=0)
     coupled = coupled | coupled.T
     colour = np.full(F, -1)
     for root in range(F):
@@ -656,8 +721,11 @@ def _eigenvalues(X, Y, graded):
     """Eigenvalues of each Hermitized matrix of a stack, from the pair
     _hermitian_blocks returns: those of A = (X + Y) / 2, or, when graded,
     those of [[0, A], [A^dagger, 0]], plus and minus A's singular values
-    with |p - q| zeros for a p x q block A.  One row per matrix."""
-    A = 0.5 * (X + Y)
+    with |p - q| zeros for a p x q block A.  One row per matrix.  A is
+    formed in X's place."""
+    A = X
+    A += Y
+    A *= 0.5
     if not graded:
         return np.linalg.eigvalsh(A)
     sv = np.linalg.svd(A, compute_uv=False)
@@ -693,34 +761,42 @@ def spectrum(op, square_first=False, tol=DEFAULT):
 
     Validates that i*op is Hermitian (hermiticity_residual), raising
     NonHermitian when the deviation exceeds tol.hermiticity times the
-    scale.  A dense operator is diagonalized as one matrix, a stencil
-    operator per momentum: i*op is block-diagonal over the momenta, with
-    the Bloch blocks i B(k) (_bloch_blocks), formed a chunk of momenta at a
-    time from the support, so no N x N matrix is formed.  Either way the
+    scale.  A stencil operator is diagonalized per momentum: i*op is
+    block-diagonal over the momenta, with the Bloch blocks i B(k)
+    (_bloch_blocks), formed a chunk of momenta at a time from the support,
+    so no N x N matrix is formed.  A site-dependent operator is
+    diagonalized as one matrix, filled in from its blocks.  Either way the
     matrices are diagonalized through their chirality split when op has
     one (_chirality): i*op = [[0, C], [C^dagger, 0]] in the grading's
     basis, so the eigenvalues are +-svd(C), with |p - q| more zeros when
     the two classes hold p and q rows.  C is the Hermitized (+, -) block,
     and only C's singular values are computed, at half the side of the
-    full matrix.  An operator without a grading, a gauge transform by
-    chirality-mixing unitaries say, takes the full Hermitized eigensolve.
-    With square_first these eigenvalues are squared, so each singular
-    value of a split counts twice.  A dense operator's Hermiticity is read
-    off the blocks it is diagonalized from; the same-class blocks of a
-    split operator are exactly zero, so these are the full matrix's two
-    numbers bit for bit.
+    full matrix: a site-dependent operator's two off-diagonal blocks are
+    filled in straight from its site blocks, rows and columns site-major
+    and then by slot, as they sit in op.matrix.  An operator without a
+    grading, a gauge transform by chirality-mixing unitaries say, takes
+    the full Hermitized eigensolve.  With square_first these eigenvalues
+    are squared, so each singular value of a split counts twice.  A
+    site-dependent operator's Hermiticity is read off the matrices it is
+    diagonalized from; the same-class blocks of a split operator are
+    exactly zero, so these are hermiticity_residual's two numbers bit for
+    bit.
     """
     plus = _chirality(op)
-    if op.sites is None:
-        if plus is not None:
-            plus = np.tile(plus, op.lattice.n_sites)
-        blocks = _hermitian_blocks(op.matrix, plus)
-        _validate_hermitian(_residual(*blocks), tol)
-        vals = _eigenvalues(*blocks, plus is not None).reshape(-1)
-    else:
+    lat, (sites, blocks) = op.lattice, _held(op)
+    if blocks.ndim == 3:
         _validate_hermitian(hermiticity_residual(op), tol)
         vals = np.concatenate([_eigenvalues(*_hermitian_blocks(B, plus), plus is not None).reshape(-1)
                                for B in _bloch_blocks(op)])
+    else:
+        if plus is None:
+            pair = _hermitian_blocks(_fill(lat, sites, blocks), None)
+        else:
+            P, Q = np.flatnonzero(plus), np.flatnonzero(~plus)
+            pair = _hermitian_pair(_fill(lat, sites, blocks[..., P[:, None], Q]),
+                                   _fill(lat, sites, blocks[..., Q[:, None], P]))
+        _validate_hermitian(_residual(*pair), tol)
+        vals = _eigenvalues(*pair, plus is not None)
     if square_first:
         np.square(vals, out=vals)
     vals.sort()

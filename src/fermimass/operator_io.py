@@ -138,23 +138,17 @@ def load_operator(path):
 def write_spectrum_csv(values, path):
     """Write eigenvalues to CSV, sorted ascending, 17 significant digits."""
     values = np.sort(np.asarray(values, dtype=float))
+    rows = "".join([f"{i},{v:.16e}\n" for i, v in enumerate(values.tolist())])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{v:.16e}\n")
+        fh.write("index,eigenvalue\n" + rows)
 
 
 def read_spectrum_csv(path):
     """Read a spectrum CSV written by write_spectrum_csv."""
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "index,eigenvalue":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            _, value = line.split(",")
-            out.append(float(value))
-    return np.asarray(out)
+        header, _, body = fh.read().partition("\n")
+    header = header.strip()
+    if header != "index,eigenvalue":
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    return np.array([float(value) for _, value in
+                     (line.split(",") for line in body.split("\n") if line.strip())])

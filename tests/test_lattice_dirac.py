@@ -708,14 +708,15 @@ def test_stencil_checks_reject_dense_operator(ew):
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
     fl = fluctuation_operator(op, None, phi, ew.ymap, ew.cl, ew.frep, 0.5)
-    assert fl.sites is None
+    assert fl.blocks.shape == (lat.n_sites, fl.sites.size, fl.fiber_dim, fl.fiber_dim)
     conn = build_vacuum_connection(lat, ew.cl, None, ew.frep)
     lap = bochner_laplacian(conn)
-    for check in (lambda: dirac_potential(fl, lap), lambda: contraction_residual(conn, ew.cl, fl),
-                  lambda: bochner_laplacian([fl, fl]), lambda: lagrangian_density(fl, lat)):
-        with pytest.raises(ValueError, match="dense matrix"):
-            check()
-    # a dense operator's squared spectrum is its dense spectrum squared
+    for held, bad in (("per site", fl), ("as a dense matrix", dense_copy(fl))):
+        for check in (lambda: dirac_potential(bad, lap), lambda: contraction_residual(conn, ew.cl, bad),
+                      lambda: bochner_laplacian([bad, bad]), lambda: lagrangian_density(bad, lat)):
+            with pytest.raises(ValueError, match=f"held {held}"):
+                check()
+    # a site-dependent operator's squared spectrum is its spectrum squared
     got = spectrum(fl, square_first=True)
     assert np.array_equal(got, np.sort(spectrum(fl) ** 2))
     want = dense_squared_spectrum(fl)
@@ -1255,8 +1256,9 @@ def test_chiral_blocks_give_the_full_hermiticity_residual_bitwise(ew, fluctuatio
     op, cl, A, phi, split = fluctuation_case
     fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 0.5, unitary_split=split)
     # a one-sided error between a + and a - slot keeps the split and makes
-    # the residual nonzero
-    fl.matrix[0, fl.fiber_dim + 2] += 1e-12
+    # the residual nonzero: entry (0, fiber + 2) of the matrix, in the block
+    # coupling site 0 to site 1
+    fl.blocks[0, np.flatnonzero(fl.sites == 1)[0], 0, 2] += 1e-12
     moved = gauge_transform(fl, site_unitaries(ew.frep, op.lattice.n_sites, 3))
     for dense in (fl, moved):
         plus = _chirality(dense)
