@@ -45,7 +45,8 @@ transform multiplies each block by its two sites' unitaries.  Their
 Hermiticity pairs blocks[x, r] with blocks[x + r, -r], and their
 spectrum fills in the two off-diagonal blocks of the chirality split
 straight from the blocks.  Any operator's dense matrix is filled in
-only when read (LatticeOperator.matrix), as the operator dump does.
+only when read (LatticeOperator.matrix); the operator dump writes the
+sites and blocks, and the loader gives them back.
 
 The spectrum has one path.  i*op is Hermitian, and for the Dirac
 operators of this package, their fluctuations and their transforms by
@@ -150,14 +151,13 @@ class LatticeOperator:
     stencil's on first read and kept, a site-dependent operator's on every
     read and not kept, so that such an operator, S/nnz times smaller than
     its matrix, is held once.  Writing into the matrix changes nothing the
-    functions of this module compute; they read the blocks.  An operator
-    given as a dense matrix (sites and blocks None, as load_operator
-    returns) is read on the full support of all n_sites offsets.
+    functions of this module compute; they read the blocks.  load_operator
+    gives back the form an operator was dumped in; from_matrix holds a
+    dense matrix per site on the full support of all n_sites offsets.
     """
 
-    def __init__(self, matrix, lattice, spinor_dim, internal_dim, kind="", meta=None,
-                 sites=None, blocks=None):
-        self._matrix = matrix
+    def __init__(self, lattice, spinor_dim, internal_dim, sites, blocks, kind="", meta=None):
+        self._matrix = None
         self.sites = sites
         self.blocks = blocks
         self.lattice = lattice
@@ -165,6 +165,17 @@ class LatticeOperator:
         self.internal_dim = internal_dim
         self.kind = kind
         self.meta = {} if meta is None else meta
+
+    @classmethod
+    def from_matrix(cls, matrix, lattice, spinor_dim, internal_dim, kind=""):
+        """The operator with this (N, N) matrix, held per site on the full
+        support: blocks[x, j] is the block at block row x and block column
+        x + j, one (n_sites, n_sites, fiber, fiber) copy of the matrix."""
+        S, F = lattice.n_sites, spinor_dim * internal_dim
+        sites = np.arange(S)
+        M = matrix.reshape(S, F, S, F)
+        return cls(lattice, spinor_dim, internal_dim, sites,
+                   M[sites[:, None], :, _neighbours(lattice, sites), :], kind=kind)
 
     @property
     def fiber_dim(self):
@@ -192,11 +203,10 @@ def _index(lat, coords):
 
 def _support(op):
     """(sites, blocks) of a stencil operator; a ValueError when op is
-    site-dependent or held as a dense matrix."""
-    if op.sites is None or op.blocks.ndim != 3:
-        held = "as a dense matrix" if op.sites is None else "per site"
+    site-dependent."""
+    if op.blocks.ndim != 3:
         raise ValueError(
-            f"operator {op.kind!r} is held {held}; this needs the stencil "
+            f"operator {op.kind!r} is held per site; this needs the stencil "
             "of a translation-invariant operator"
         )
     return op.sites, op.blocks
@@ -207,19 +217,6 @@ def _neighbours(lat, sites):
     every offset r in sites."""
     x = _coords(lat, np.arange(lat.n_sites))
     return _index(lat, x[:, :, None] + _coords(lat, sites)[:, None, :])
-
-
-def _held(op):
-    """(sites, blocks) as op holds them, a stencil's or a site-dependent
-    operator's; a dense matrix's blocks on the full support, one
-    (n_sites, n_sites, fiber, fiber) copy."""
-    if op.sites is not None:
-        return op.sites, op.blocks
-    lat, F = op.lattice, op.fiber_dim
-    S = lat.n_sites
-    sites = np.arange(S)
-    M = op.matrix.reshape(S, F, S, F)
-    return sites, M[sites[:, None], :, _neighbours(lat, sites), :]
 
 
 def _per_site(lat, blocks):
@@ -348,7 +345,7 @@ def build_vacuum_dirac(lat, cl, md, frep, fields=None):
         if fields is not None:
             blocks[0] += _kron(cl.gamma[a], fields[a])
     blocks[0] += _kron(cl.gamma5, d_int)
-    return LatticeOperator(None, lat, cl.spinor_dim, nf, kind="vacuum_dirac", sites=sites, blocks=blocks)
+    return LatticeOperator(lat, cl.spinor_dim, nf, kind="vacuum_dirac", sites=sites, blocks=blocks)
 
 
 def build_vacuum_connection(lat, cl, md, frep, fields=None):
@@ -373,7 +370,7 @@ def build_vacuum_connection(lat, cl, md, frep, fields=None):
         if fields is not None:
             blocks[0] += _kron(np.eye(cl.spinor_dim), fields[a])
         blocks[0] += _kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)
-        comps.append(LatticeOperator(None, lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}",
+        comps.append(LatticeOperator(lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}",
                                      sites=line, blocks=blocks))
     return comps
 
@@ -406,7 +403,7 @@ def bochner_laplacian(conn):
     lap = np.zeros((sites.size, first.fiber_dim, first.fiber_dim), dtype=complex)
     for s, sq in squares:
         lap[np.searchsorted(sites, s)] -= sq
-    return LatticeOperator(None, first.lattice, first.spinor_dim, first.internal_dim,
+    return LatticeOperator(first.lattice, first.spinor_dim, first.internal_dim,
                            kind="bochner_laplacian", sites=sites, blocks=lap)
 
 
@@ -430,7 +427,7 @@ def dirac_potential(dirac_op, laplacian):
     V = -_scatter(sites, *sq) - _scatter(sites, *lap)
     leak = float(np.max(np.abs(V[sites != 0]), initial=0.0))
     return LatticeOperator(
-        None, dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
+        dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
         meta={"offsite_leakage": leak}, sites=sites, blocks=V,
     )
 
@@ -545,9 +542,9 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
     S = lat.n_sites
     nf = frep.n_total
     fiber = vac_op.fiber_dim
-    sites, vac_blocks = _held(vac_op)
+    sites, vac_blocks = vac_op.sites, vac_op.blocks
     if float(t) == 0.0:
-        return LatticeOperator(None, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac",
+        return LatticeOperator(lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac",
                                meta={"t": 0.0}, sites=sites.copy(), blocks=vac_blocks.copy())
     if phi_fl is None:
         phis = np.zeros((S, ymap.n_higgs), dtype=complex)
@@ -584,7 +581,7 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
     # -0.0 of the vacuum into +0.0 for t > 0; adding it keeps those bits
     blocks = vac + t * np.zeros((), dtype=complex)
     blocks[:, 0] = vac[:, 0] + t * blk
-    return LatticeOperator(None, lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": t},
+    return LatticeOperator(lat, vac_op.spinor_dim, nf, kind="fluctuated_dirac", meta={"t": t},
                            sites=sites, blocks=blocks)
 
 
@@ -611,13 +608,13 @@ def gauge_transform(op, u_site, tol=DEFAULT):
     bad = np.flatnonzero(dev > tol.unitary)
     if bad.size:
         raise ValueError(f"gauge matrix at site {bad[0]} is not unitary (residual {dev[bad[0]]:.3e})")
-    sites, blocks = _held(op)
-    B = _per_site(lat, blocks)
+    sites = op.sites
+    B = _per_site(lat, op.blocks)
     nnz, F, s = sites.size, op.fiber_dim, op.spinor_dim
     rows = u[:, None, None] @ B.reshape(S, nnz, s, nf, F)
     cols = u[_neighbours(lat, sites)].conj().swapaxes(-1, -2)
     moved = (rows.reshape(S, nnz, F * s, nf) @ cols).reshape(S, nnz, F, F)
-    return LatticeOperator(None, lat, s, nf, kind=op.kind, meta=dict(op.meta), sites=sites.copy(),
+    return LatticeOperator(lat, s, nf, kind=op.kind, meta=dict(op.meta), sites=sites.copy(),
                            blocks=moved)
 
 
@@ -662,7 +659,7 @@ def hermiticity_residual(op):
     magnitudes of H(r)'s, so the support alone holds every value of the
     maximum.
     """
-    lat, (sites, blocks) = op.lattice, _held(op)
+    lat, sites, blocks = op.lattice, op.sites, op.blocks
     negated = _index(lat, -_coords(lat, sites))
     at = np.minimum(np.searchsorted(sites, negated), sites.size - 1)
     held = sites[at] == negated
@@ -698,7 +695,7 @@ def _chirality(op):
     right ones.
     """
     F = op.fiber_dim
-    coupled = np.any(_held(op)[1].reshape(-1, F, F) != 0, axis=0)
+    coupled = np.any(op.blocks.reshape(-1, F, F) != 0, axis=0)
     coupled = coupled | coupled.T
     colour = np.full(F, -1)
     for root in range(F):
@@ -783,7 +780,7 @@ def spectrum(op, square_first=False, tol=DEFAULT):
     bit.
     """
     plus = _chirality(op)
-    lat, (sites, blocks) = op.lattice, _held(op)
+    lat, sites, blocks = op.lattice, op.sites, op.blocks
     if blocks.ndim == 3:
         _validate_hermitian(hermiticity_residual(op), tol)
         vals = np.concatenate([_eigenvalues(*_hermitian_blocks(B, plus), plus is not None).reshape(-1)

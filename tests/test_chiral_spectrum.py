@@ -42,7 +42,7 @@ def odd_hermitian(L, colours, couplings, pairs, seed, scale):
 
 def operator(H, L):
     """The operator op with i*op = H, one spinor component per site."""
-    return LatticeOperator(-1j * H, TorusLattice(n=1, L=L), 1, H.shape[0] // (L * L))
+    return LatticeOperator.from_matrix(-1j * H, TorusLattice(n=1, L=L), 1, H.shape[0] // (L * L))
 
 
 def hermitized_eigvalsh(op):

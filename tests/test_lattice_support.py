@@ -142,7 +142,7 @@ def test_hermiticity_residual_is_the_dense_one_bitwise(dense_vacuum):
 
 
 def hand_built(lat, sites, blocks):
-    return LatticeOperator(None, lat, 1, blocks.shape[1], kind="hand_built",
+    return LatticeOperator(lat, 1, blocks.shape[1], kind="hand_built",
                            sites=np.asarray(sites), blocks=blocks)
 
 

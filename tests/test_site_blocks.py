@@ -120,7 +120,7 @@ def test_fluctuation_adds_site_0_to_a_support_without_it(ew):
     F = cl.spinor_dim * 3
     blocks = rng.standard_normal((2, F, F)) + 1j * rng.standard_normal((2, F, F))
     blocks[0, 0, 0] = -0.0
-    op = LatticeOperator(None, lat, cl.spinor_dim, 3, sites=np.array([1, 5]), blocks=blocks)
+    op = LatticeOperator(lat, cl.spinor_dim, 3, sites=np.array([1, 5]), blocks=blocks)
     phi = rng.standard_normal((lat.n_sites, 2)) + 1j * rng.standard_normal((lat.n_sites, 2))
     fl = fluctuation_operator(op, None, phi, ew.ymap, cl, ew.frep, 0.5)
     assert np.array_equal(fl.sites, [0, 1, 5])
@@ -171,7 +171,7 @@ def test_site_hermiticity_of_a_support_not_closed_under_negation():
     rng = np.random.default_rng(12)
     shape = (lat.n_sites, 3, 2, 2)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    op = LatticeOperator(None, lat, 1, 2, sites=np.array([0, 1, 5]), blocks=blocks)
+    op = LatticeOperator(lat, 1, 2, sites=np.array([0, 1, 5]), blocks=blocks)
     want = _residual(*_hermitian_blocks(op.matrix, None))
     assert hermiticity_residual(op) == want == hermiticity_residual(dense_copy(op))
 
