@@ -58,21 +58,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_model(args.model)
-        report = COMMANDS[args.command](Run(cfg, args.tol_scale))
+        report = COMMANDS[args.command](Run(resolve_model(args.model), args.tol_scale))
+        text = report.to_json() if args.format == "json" else report.to_csv()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (OSError, ValueError) as exc:
         # a ModelError is a ValueError; some input problems only surface
         # mid-run, e.g. a Wilson theta width that disagrees with the
-        # computed isotropy dimension
+        # computed isotropy dimension, and an --out path that cannot be
+        # written only at the end
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if report.passed else 1
 
 

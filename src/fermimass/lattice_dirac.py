@@ -327,7 +327,7 @@ def _check_lattice_inputs(lat, cl, frep, md, fields):
 def build_vacuum_dirac(lat, cl, md, frep, fields=None):
     """The vacuum Dirac operator: derivative slash plus grading x mass.
 
-    With the fields of a Wilson line (the stack ModelConfig.build_wilson
+    With the fields of a Wilson line (the stack BuiltModel.wilson_fields
     returns) the derivative is covariant, gamma^a (d_a + A_a); the mass
     term is gamma5 x D_int.  i times the result is Hermitian.  The
     operator is held on the 2n axis lines, 2n(L-1)+1 sites, adding the
@@ -355,7 +355,7 @@ def build_vacuum_connection(lat, cl, md, frep, fields=None):
     that is the connection whose Bochner Laplacian pairs with the vacuum
     Dirac operator in the Dirac potential.  Contracting the components
     with gamma^a reproduces build_vacuum_dirac exactly.  fields are the
-    Wilson fields ModelConfig.build_wilson returns, or None; each
+    Wilson fields BuiltModel.wilson_fields returns, or None; each
     component is a stencil operator held on its own axis line, L sites.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md, fields)
@@ -820,7 +820,7 @@ def branch_momentum_shifts(lat, md, frep, fields, tol=DEFAULT):
     Wilson field; the charge must be scalar on the block (guaranteed when
     the line is valued in the unbroken algebra): its spread may reach
     tol.wilson_charge_scalar * max(1, |q|), and a ValueError says so
-    otherwise.  fields are the Wilson fields ModelConfig.build_wilson
+    otherwise.  fields are the Wilson fields BuiltModel.wilson_fields
     returns, or None for no line.
     """
     _check_fields(lat, frep.n_total, fields)

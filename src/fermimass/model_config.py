@@ -18,8 +18,8 @@ level keys:
 ``algebra.representations`` maps a name to the list, one entry per
 generator, of rep_dim x rep_dim matrices.  All numeric invariants
 (anti-Hermiticity, closure, bounded potential, tensor shapes, finite
-numbers) are re-validated on load and reported with the JSON path of the
-offending entry.
+numbers) are re-validated on build and reported with the JSON path of the
+offending entry; so is any key an object of the file does not take.
 """
 
 import json
@@ -32,7 +32,7 @@ from .clifford import build_clifford
 from .group_rep import LieAlgebraRep
 from .higgs_vacuum import HiggsModel, invariance_residual
 from .lattice_dirac import DERIVATIVE_KINDS, TorusLattice
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, Tolerances
 from .yukawa_mass import ChiralFermionRep, YukawaMap
 
 SCHEMA_VERSION = 1
@@ -112,20 +112,52 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _section(mapping, path, keys):
+    """mapping, an object whose keys are all among keys."""
+    if not isinstance(mapping, dict):
+        raise ModelError(f"{path}: expected an object")
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ModelError(f"{path}.{unknown[0]}: unknown key (known: {', '.join(keys)})")
+    return mapping
+
+
 @dataclass(frozen=True)
 class BuiltModel:
-    """The runtime objects built from a model file's representations; the
-    lattice, the Clifford algebra and the Wilson line have their own builders."""
+    """The runtime objects of a model file, each section parsed once by
+    ModelConfig.build."""
 
     higgs: HiggsModel
     seed: np.ndarray
     frep: ChiralFermionRep
     ymap: YukawaMap
+    lattice: TorusLattice
+    # wilson.theta as a (2n, width) array, or None without a Wilson line
+    theta: np.ndarray
+    # DEFAULT with the model's overrides, unscaled
+    tol: Tolerances
+
+    def wilson_fields(self, vac):
+        """The Wilson line's fields on the fermions, or None without a line.
+
+        A_a is the algebra element theta[a] @ B in the fermion
+        representation, with B the (dim_iso, dim_g) isotropy basis of vac:
+        a (2n, N_F, N_F) stack of anti-Hermitian matrices.
+        """
+        if self.theta is None:
+            return None
+        if self.theta.shape[1] != vac.isotropy.dim:
+            raise ModelError(
+                f"wilson.theta: rows have {self.theta.shape[1]} coefficients, the vacuum isotropy "
+                f"algebra has dimension {vac.isotropy.dim}"
+            )
+        basis = np.reshape(vac.isotropy.basis, (vac.isotropy.dim, self.frep.total.dim_g))
+        return self.frep.total.element(self.theta @ basis)
 
 
 @dataclass
 class ModelConfig:
-    """Plain-data mirror of a model file, with builders for runtime objects."""
+    """Plain-data mirror of a model file; build() parses it into runtime objects."""
 
     schema_version: int
     label: str
@@ -137,8 +169,6 @@ class ModelConfig:
     lattice: dict
     wilson: dict = None
     tolerances: dict = field(default_factory=dict)
-    # (the model data as canonical JSON, the BuiltModel made from it)
-    _built: tuple = field(default=None, init=False, repr=False, compare=False)
 
     # -- serialization ------------------------------------------------
 
@@ -170,7 +200,10 @@ class ModelConfig:
             raise ModelError(
                 f"{source}.schema_version: {version} unsupported, this build reads {SCHEMA_VERSION}"
             )
-        algebra = _require(doc, "algebra", source, dict)
+        _section(doc, source, ("schema_version", "algebra", "higgs", "fermions", "yukawa",
+                               "lattice", "wilson", "tolerances"))
+        algebra = _section(_require(doc, "algebra", source, dict), f"{source}.algebra",
+                           ("label", "generator_labels", "representations"))
         label = _require(algebra, "label", f"{source}.algebra", str)
         labels = _require(algebra, "generator_labels", f"{source}.algebra", list)
         reps = _require(algebra, "representations", f"{source}.algebra", dict)
@@ -190,42 +223,43 @@ class ModelConfig:
 
     # -- builders -----------------------------------------------------
 
-    @property
-    def dim_g(self):
-        return len(self.generator_labels)
-
-    def build_rep(self, name):
-        """The named representation, its generators checked against the
-        model's tolerances."""
+    def build_rep(self, name, tol=None):
+        """The named representation, its generators checked against tol,
+        by default the model's tolerances."""
         path = f"algebra.representations.{name}"
         if name not in self.representations:
             raise ModelError(f"{path}: representation not defined")
-        entry = self.representations[name]
-        if not isinstance(entry, list) or len(entry) != self.dim_g:
-            raise ModelError(f"{path}: expected one matrix per generator ({self.dim_g})")
+        entry, dim_g = self.representations[name], len(self.generator_labels)
+        if not isinstance(entry, list) or len(entry) != dim_g:
+            raise ModelError(f"{path}: expected one matrix per generator ({dim_g})")
         gens = []
         first = decode_complex_matrix(entry[0], f"{path}[0]")
         if first.shape[0] != first.shape[1]:
             raise ModelError(f"{path}[0]: matrix is not square, shape {first.shape}")
         gens.append(first)
-        for k in range(1, self.dim_g):
+        for k in range(1, dim_g):
             gens.append(decode_complex_matrix(entry[k], f"{path}[{k}]", shape=first.shape))
-        tol = self.build_tolerances()
+        if tol is None:
+            tol = self.build_tolerances()
         try:
             return LieAlgebraRep(generators=tuple(gens), label=name, tol=tol)
         except ValueError as exc:
             raise ModelError(f"{path}: {exc}") from exc
 
     def build(self):
-        """The model's runtime objects, each representation decoded once.
-
-        The objects are kept until the model data changes, so load-time
-        validation and the commands that follow share them.
-        """
-        data = json.dumps(self.to_json_dict(), sort_keys=True)
-        if self._built is not None and self._built[0] == data:
-            return self._built[1]
-        reps = {name: self.build_rep(name) for name in self.representations}
+        """The model's runtime objects, each section parsed once, in the order
+        that fixes a bad file's first error: generator labels, representations
+        (the first parses the tolerances their closure checks read), higgs,
+        fermions, yukawa, lattice and wilson.theta."""
+        labels = self.generator_labels
+        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+            raise ModelError("algebra.generator_labels: expected a list of strings")
+        if not labels:
+            raise ModelError("algebra.generator_labels: at least one generator required")
+        reps, tol = {}, None
+        for name in self.representations:
+            reps[name] = self.build_rep(name, tol)
+            tol = reps[name].tol
 
         def rep(section, path, key):
             name = _require(section, key, path, str)
@@ -233,6 +267,7 @@ class ModelConfig:
             return reps[name] if name in reps else self.build_rep(name)
 
         path = "higgs"
+        _section(self.higgs, path, ("rep", "potential", "params", "seed"))
         higgs_rep = rep(self.higgs, path, "rep")
         kind = _require(self.higgs, "potential", path, str)
         params_obj = _require(self.higgs, "params", path)
@@ -258,6 +293,7 @@ class ModelConfig:
         seed = decode_complex_vector(_require(self.higgs, "seed", path), "higgs.seed", length=nh)
 
         path = "fermions"
+        _section(self.fermions, path, ("rep_left", "rep_right", "grading"))
         rep_l = rep(self.fermions, path, "rep_left")
         rep_r = rep(self.fermions, path, "rep_right")
         try:
@@ -271,6 +307,7 @@ class ModelConfig:
                 raise ModelError(f"{path}.grading: expected {want} for this left/right split")
 
         path = "yukawa"
+        _section(self.yukawa, path, ("tensor", "conjugate_higgs"))
         raw = _require(self.yukawa, "tensor", path, list)
         nl, nr = frep.n_left, frep.n_right
         if len(raw) != nl:
@@ -288,8 +325,10 @@ class ModelConfig:
             raise ModelError(f"{path}.conjugate_higgs: expected {nh} booleans")
         ymap = YukawaMap(tensor=tensor, conj_flags=tuple(flags))
 
-        self._built = (data, BuiltModel(higgs, seed, frep, ymap))
-        return self._built[1]
+        lattice = self.build_lattice()
+        return BuiltModel(higgs, seed, frep, ymap, lattice, self.wilson_theta(lattice.dim), tol)
+
+    # the forwarding builders below each parse the whole model anew
 
     def build_higgs_model(self):
         return self.build().higgs
@@ -306,6 +345,7 @@ class ModelConfig:
 
     def build_lattice(self):
         path = "lattice"
+        _section(self.lattice, path, ("n", "sites_per_dim", "spacing", "derivative"))
         n = _require(self.lattice, "n", path, int)
         L = _require(self.lattice, "sites_per_dim", path, int)
         a = _require(self.lattice, "spacing", path, (int, float))
@@ -322,17 +362,16 @@ class ModelConfig:
     def build_clifford(self):
         return build_clifford(self.build_lattice().n)
 
-    def wilson_theta(self):
-        """wilson.theta as a (2n, width) array, or None without a Wilson line.
+    def wilson_theta(self, dim):
+        """wilson.theta as a (dim, width) array, or None without a Wilson line.
 
         One row per lattice axis, all of one width, each entry a finite
-        real number; the width is checked against the vacuum by build_wilson.
+        real number; BuiltModel.wilson_fields checks the width.
         """
         if self.wilson is None:
             return None
         path = "wilson.theta"
-        theta = _require(self.wilson, "theta", "wilson", list)
-        dim = self.build_lattice().dim
+        theta = _require(_section(self.wilson, "wilson", ("theta",)), "theta", "wilson", list)
         if len(theta) != dim:
             raise ModelError(f"{path}: expected {dim} axis rows, got {len(theta)}")
         rows = []
@@ -346,22 +385,7 @@ class ModelConfig:
         return np.array(rows, dtype=float)
 
     def build_wilson(self, vac):
-        """The Wilson line's fields on the fermions, or None without a line.
-
-        A_a is the algebra element theta[a] @ B in the fermion
-        representation, with B the (dim_iso, dim_g) isotropy basis of vac:
-        a (2n, N_F, N_F) stack of anti-Hermitian matrices.
-        """
-        theta = self.wilson_theta()
-        if theta is None:
-            return None
-        if theta.shape[1] != vac.isotropy.dim:
-            raise ModelError(
-                f"wilson.theta: rows have {theta.shape[1]} coefficients, the vacuum isotropy "
-                f"algebra has dimension {vac.isotropy.dim}"
-            )
-        basis = np.reshape(vac.isotropy.basis, (vac.isotropy.dim, self.dim_g))
-        return self.build().frep.total.element(theta @ basis)
+        return self.build().wilson_fields(vac)
 
     def build_tolerances(self, scale=1.0):
         if not isinstance(self.tolerances, dict):
@@ -374,28 +398,19 @@ class ModelConfig:
 
 
 def validate_model(cfg):
-    """Re-validate every numeric invariant carried by a model file; return cfg.build()."""
-    if not isinstance(cfg.generator_labels, list) or not all(
-        isinstance(v, str) for v in cfg.generator_labels
-    ):
-        raise ModelError("algebra.generator_labels: expected a list of strings")
-    if not cfg.generator_labels:
-        raise ModelError("algebra.generator_labels: at least one generator required")
+    """cfg.build(), its potential checked for invariance; return the BuiltModel."""
     built = cfg.build()
-    cfg.build_lattice()
-    cfg.wilson_theta()
-    tol = cfg.build_tolerances()
     res = invariance_residual(built.higgs, n_samples=6, seed=7)
-    if res > tol.invariance:
+    if res > built.tol.invariance:
         raise ModelError(
             f"higgs: potential is not invariant under the representation "
-            f"(relative residual {res:.3e} > {tol.invariance:.0e})"
+            f"(relative residual {res:.3e} > {built.tol.invariance:.0e})"
         )
     return built
 
 
-def load_model(path):
-    """Parse and fully validate a model file."""
+def read_model(path):
+    """A model file read as JSON, its top level checked; build() parses the rest."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -403,7 +418,12 @@ def load_model(path):
         raise ModelError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
-    cfg = ModelConfig.from_json_dict(doc, source=str(path))
+    return ModelConfig.from_json_dict(doc, source=str(path))
+
+
+def load_model(path):
+    """Parse and fully validate a model file."""
+    cfg = read_model(path)
     validate_model(cfg)
     return cfg
 

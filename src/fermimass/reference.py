@@ -11,7 +11,7 @@ so the unbroken direction is T3 + Y/2.
 
 import numpy as np
 
-from .model_config import ModelConfig, encode_complex_matrix, encode_complex_vector
+from .model_config import ModelConfig, encode_complex_matrix, encode_complex_vector, read_model
 
 Y_E = 0.5
 LAM = 1.0
@@ -68,11 +68,7 @@ REGISTRY = {"ew-reference": ew_reference}
 
 
 def resolve_model(name_or_path):
-    """A registry name or a path; registry names win over files."""
-    from .model_config import load_model, validate_model
-
+    """A registry name or a path, read but not validated; registry names win over files."""
     if name_or_path in REGISTRY:
-        cfg = REGISTRY[name_or_path]()
-        validate_model(cfg)
-        return cfg
-    return load_model(name_or_path)
+        return REGISTRY[name_or_path]()
+    return read_model(name_or_path)

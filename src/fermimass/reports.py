@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model_config
+from .clifford import build_clifford
 from .higgs_vacuum import SaddleConverged, gradient, hessian, minimize
 from .lattice_dirac import (
     NonHermitian,
@@ -158,14 +160,15 @@ class StageFailed(Exception):
 class Run:
     """One run on one model: its objects, its tolerances and each stage, made once.
 
-    A stage that fails stays failed, so a failed minimization is not
-    repeated by the next command of the same run.
+    The model is parsed once.  A stage that fails stays failed, so a
+    failed minimization is not repeated by the next command of the run.
     """
 
     def __init__(self, cfg, tol_scale=1.0):
         self.cfg = cfg
-        self.model = cfg.build()
-        self.tol = cfg.build_tolerances(scale=tol_scale)
+        # looked up on the module, where a tracer can wrap it
+        self.model = model_config.validate_model(cfg)
+        self.tol = self.model.tol.scale(tol_scale)
         self._stages = {}
 
     def stage(self, check_id, fn, *args, **kwargs):
@@ -309,7 +312,7 @@ def require_lattice_fits(run):
     """A ValueError, raised before anything is built, when the lattice
     stage's estimated memory (lattice_footprint) exceeds the host's
     physical memory."""
-    lat = run.cfg.build_lattice()
+    lat = run.model.lattice
     need = lattice_footprint(lat, run.model.frep.n_total)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -328,10 +331,10 @@ def cmd_lattice(run):
     """
     require_lattice_fits(run)
     with _reporting("lattice", run) as rep:
-        tol, lat, frep = run.tol, run.cfg.build_lattice(), run.model.frep
+        tol, lat, frep = run.tol, run.model.lattice, run.model.frep
         vac, md = run.vacuum(), run.mass_data()
-        cl = run.cfg.build_clifford()
-        fields = run.cfg.build_wilson(vac)
+        cl = build_clifford(lat.n)
+        fields = run.model.wilson_fields(vac)
         vac_op = build_vacuum_dirac(lat, cl, md, frep, fields)
         shifts = None
         if fields is not None:
@@ -382,7 +385,7 @@ def cmd_lattice(run):
             }
         )
         if fields is not None:
-            rep.data["wilson_theta"] = run.cfg.wilson_theta().tolist()
+            rep.data["wilson_theta"] = run.model.theta.tolist()
             rep.data["wilson_shift_table"] = [
                 {"m2": float(m2), "momentum_shift_per_axis": [float(q) for q in qs]}
                 for m2, qs in shifts

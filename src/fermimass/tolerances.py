@@ -50,7 +50,8 @@ class Tolerances:
     dispersion: float = 1e-9
     # gamma-contraction of the covariant derivative vs the Dirac operator
     contraction: float = 1e-12
-    # Hermiticity validation before dense eigensolves
+    # Hermiticity of i * op, relative to its scale, validated by every
+    # spectrum (a stencil's before its per-momentum solves)
     hermiticity: float = 1e-10
     # Dirac potential off-site leakage, relative to max(1, max m^2)
     potential_offsite: float = 1e-10
@@ -68,13 +69,15 @@ class Tolerances:
 
     def scale(self, factor):
         """Return a copy with every threshold multiplied by a finite positive factor."""
-        if not 0.0 < factor < math.inf:  # NaN fails both comparisons
+        if not math.isfinite(factor):
+            raise ValueError("tolerance scale factor must be finite and positive")
+        if factor <= 0.0:
             raise ValueError("tolerance scale factor must be positive")
         return Tolerances(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
     def with_overrides(self, overrides):
         """Return a copy with named thresholds replaced, each by a finite
-        non-negative number."""
+        non-negative number (not a bool or a string)."""
         if not overrides:
             return self
         known = {f.name for f in fields(self)}
@@ -83,9 +86,11 @@ class Tolerances:
             raise ValueError(f"unknown tolerance name(s): {', '.join(bad)}")
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in overrides.items():
+            # bool is an int subclass, but a JSON true is not a number
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
             try:
-                values[name] = float(value)
-            except (TypeError, ValueError, OverflowError):
+                values[name] = float(value) if number else math.nan
+            except OverflowError:  # an integer beyond the float range
                 values[name] = math.nan
             if not 0.0 <= values[name] < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"{name}: expected a finite non-negative number, got {value!r}")

@@ -1,5 +1,6 @@
-"""Work done by one CLI run: each representation is decoded once per model,
-each pipeline stage runs at most once per run, a failing one included, and
+"""Work done by one CLI run: the model is parsed once, each representation
+is decoded once, each pipeline stage runs at most once per run, a failing
+one included, and
 the lattice command forms no N x N matrix.  The orbit and closure checks
 make stacked calls, the parser is built once per process, and the dense
 site-dependent path does no per-site or per-entry work in Python."""
@@ -45,14 +46,15 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(holder, name, counted)
 
-    count(model_config.ModelConfig, "build_rep")
+    for name in ("build", "build_rep", "build_lattice", "wilson_theta", "build_tolerances"):
+        count(model_config.ModelConfig, name)
     count(group_rep.LieAlgebraRep, "__post_init__")
     count(reports, "minimize")
     count(reports, "mass_matrix")
     # one counter for both bindings of the name
     count(reports, "branch_momentum_shifts")
     count(lattice_dirac, "branch_momentum_shifts")
-    count(model_config.ModelConfig, "build_wilson")
+    count(model_config.BuiltModel, "wilson_fields")
     # one counter for the three bindings of the name
     count(group_rep, "exp_map")
     count(higgs_vacuum, "exp_map")
@@ -63,14 +65,23 @@ def counts(monkeypatch):
 
 def test_verify_all_builds_each_object_once(counts, capsys):
     assert cli.main(["verify-all", "--model", "ew-reference"]) == 0
-    # three representations, each decoded once, plus the fermions' direct
-    # sum, each with one least-squares closure solve; the Wilson line's
-    # fields and momentum shifts are computed once; one stacked exp_map
-    # samples the potential's invariance and the orbit lemma makes one per
+    # one parse of the model, which reads each section once; three
+    # representations, each decoded once, plus the fermions' direct sum,
+    # each with one least-squares closure solve; the Wilson line's fields
+    # and momentum shifts are computed once; one stacked exp_map samples
+    # the potential's invariance and the orbit lemma makes one per
     # representation
-    assert counts == {"build_rep": 3, "__post_init__": 4, "lstsq": 4, "minimize": 1,
-                      "mass_matrix": 1, "branch_momentum_shifts": 1, "build_wilson": 1,
+    assert counts == {"build": 1, "build_rep": 3, "build_lattice": 1, "wilson_theta": 1,
+                      "build_tolerances": 1, "__post_init__": 4, "lstsq": 4, "minimize": 1,
+                      "mass_matrix": 1, "branch_momentum_shifts": 1, "wilson_fields": 1,
                       "exp_map": 3}
+
+
+def test_check_parses_the_model_once(counts, capsys, tmp_path):
+    path = tmp_path / "ew.json"
+    save_model(ew_reference(), path)
+    assert cli.main(["check", "--model", str(path)]) == 0
+    assert (counts["build"], counts["build_tolerances"], counts["build_rep"]) == (1, 1, 3)
 
 
 def test_two_runs_build_one_parser(monkeypatch, capsys):

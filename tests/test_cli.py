@@ -195,11 +195,14 @@ def test_tol_scale_tightening_fails(capsys, model_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
-def test_check_rejects_non_positive_tol_scale(capsys, model_path, scale):
+@pytest.mark.parametrize("scale, rule", [("0", "positive"), ("-1", "positive"),
+                                         ("nan", "finite and positive"),
+                                         ("inf", "finite and positive")],
+                         ids=["0", "-1", "nan", "inf"])
+def test_check_rejects_non_positive_tol_scale(capsys, model_path, scale, rule):
     code, out, err = run(capsys, "check", "--model", model_path, "--tol-scale", scale)
     assert (code, out) == (2, "")
-    assert err == "error: tolerance scale factor must be positive\n"
+    assert err == f"error: tolerance scale factor must be {rule}\n"
 
 
 def test_csv_output(capsys, model_path, tmp_path):
@@ -221,6 +224,16 @@ def test_out_writes_json_file(capsys, model_path, tmp_path):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["command"] == "break"
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_input_error(capsys, model_path, tmp_path, target):
+    # exit 1 means a failed check; a report that cannot be written is an
+    # input error, reported without a traceback
+    out_path = tmp_path / target
+    code, out, err = run(capsys, "check", "--model", model_path, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and str(out_path) in err
 
 
 def test_wilson_width_mismatch_is_input_error(capsys, tmp_path):
@@ -378,8 +391,11 @@ def test_check_rejects_malformed_wilson_theta(capsys, tmp_path, theta, where):
     (["tolerances", "dispersion"], float("nan"), "tolerances: dispersion"),
     (["tolerances", "dispersion"], -1e-9, "tolerances: dispersion"),
     (["tolerances", "dispersion"], None, "tolerances: dispersion"),
+    (["tolerances", "dispersion"], True, "tolerances: dispersion"),
+    (["tolerances", "dispersion"], "1e-6", "tolerances: dispersion"),
+    (["tolerances", "dispersion"], 10 ** 400, "tolerances: dispersion"),
 ], ids=["generator", "seed", "yukawa", "lam", "v", "tolerance-nan", "tolerance-negative",
-        "tolerance-null"])
+        "tolerance-null", "tolerance-bool", "tolerance-string", "tolerance-huge-int"])
 def test_check_rejects_non_finite_numbers(capsys, tmp_path, path, value, where):
     doc = ew_reference().to_json_dict()
     doc["tolerances"] = {}
@@ -404,6 +420,30 @@ def test_check_rejects_malformed_sections(capsys, tmp_path, path, value, where):
     code, out, err = run(capsys, "check", "--model", str(model))
     assert (code, out) == (2, "")
     assert re.match(rf"error: {where}", err), err
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (["wilsn"], {"theta": [[0.25], [0.0]]}, r"\S+\.wilsn: unknown key \(known: schema_version, "),
+    (["algebra", "labels"], ["T1"], r"\S+\.algebra\.labels: unknown key"),
+    (["lattice", "sites_per_dimm"], 4, r"lattice\.sites_per_dimm: unknown key \(known: n, "),
+    (["yukawa", "conjugate_higs"], [False, False], r"yukawa\.conjugate_higs: unknown key"),
+    (["lattice", "derivatve"], "central_difference", r"lattice\.derivatve: unknown key"),
+    (["higgs", "sead"], [[0.0, 0.0], [0.0, 1.0]], r"higgs\.sead: unknown key"),
+    (["fermions", "gradng"], [1, 1, -1], r"fermions\.gradng: unknown key"),
+    (["wilson", "phi"], 0.1, r"wilson\.phi: unknown key \(known: theta\)"),
+], ids=["top-level", "algebra", "lattice", "yukawa-optional", "lattice-optional", "higgs",
+        "fermions-optional", "wilson"])
+def test_unknown_keys_are_input_errors(capsys, tmp_path, path, value, where):
+    # a misspelt key would otherwise be ignored, and a misspelt optional
+    # one would leave its default in force
+    doc = ew_reference().to_json_dict()
+    _set(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    for command in ("check", "verify-all"):
+        code, out, err = run(capsys, command, "--model", str(model))
+        assert (code, out) == (2, "")
+        assert re.match(rf"error: {where}", err), err
 
 
 @pytest.mark.parametrize("rep", ["higgs_doublet", "lepton_left"])

@@ -163,6 +163,19 @@ def test_builders_produce_consistent_objects():
     assert np.asarray(cfg.higgs_seed()).shape == (2,)
 
 
+def test_build_parses_every_section():
+    cfg = ew_reference()
+    cfg.tolerances = {"closure": 1e-9}
+    built = cfg.build()
+    assert (built.lattice.n, built.lattice.L) == (1, 4)
+    assert built.theta.tolist() == [[0.25], [0.0]]
+    assert built.tol == DEFAULT.with_overrides({"closure": 1e-9})
+    # the representations are checked against the model's tolerances
+    assert built.higgs.rep.tol is built.tol and built.frep.rep_L.tol is built.tol
+    cfg.wilson = None
+    assert cfg.build().theta is None
+
+
 def test_invariance_override_reaches_validation():
     # the reference potential's invariance residual is about 1e-15
     cfg = ew_reference()
