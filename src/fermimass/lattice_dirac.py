@@ -266,6 +266,12 @@ def _derivative_line(lat, axis, block):
     return line, lat.axis_derivative()[0][:, None, None] * block
 
 
+# bytes of the blocks _product_stencil gathers for one stacked product;
+# larger gathers are mapped afresh by the allocator on every call, and
+# their page faults cost more than the products
+_PRODUCT_BYTES = 1 << 18
+
+
 def _product_stencil(A, B, lat):
     """(sites, blocks) of the product of two stencil operators, given as
     their (sites, blocks).
@@ -277,21 +283,37 @@ def _product_stencil(A, B, lat):
     product of the blocks A(s) side by side, s ascending, with the blocks
     B(r - s) stacked; its four real products are summed apart and combined
     last, as in the complex product of the dense matrices, so the
-    cancellations that were exact there stay exact.
+    cancellations that were exact there stay exact.  The blocks whose
+    sums s + t hold the same number of pairs are multiplied as one stack,
+    a chunk of _PRODUCT_BYTES at a time, each with the bits of its own
+    product.
     """
     (sa, A), (sb, B) = A, B
     F = A.shape[1]
     ia, ib = (np.flatnonzero(np.any(X, axis=(1, 2))) for X in (A, B))
     target = _index(lat, _coords(lat, sa[ia])[:, :, None] + _coords(lat, sb[ib])[:, None, :])
-    sites = _union([target])
-    out = np.empty((sites.size, F, F), dtype=complex)
-    for k, r in enumerate(sites):
-        i, j = np.nonzero(target == r)
-        a = A[ia[i]].transpose(1, 0, 2).reshape(F, -1)
-        b = B[ib[j]].reshape(-1, F)
-        out[k].real = a.real @ b.real - a.imag @ b.imag
-        out[k].imag = a.real @ b.imag + a.imag @ b.real
-    return sites, out
+    # the pairs (s, t) grouped by their site s + t, s ascending within a
+    # group: one stable sort, then stacked products of groups of one size
+    order = np.argsort(target, axis=None, kind="stable")
+    keys = target.take(order)
+    edge = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    i, j = np.divmod(order, ib.size)
+    ka, kb = ia[i], ib[j]
+    out = np.empty((starts.size, F, F), dtype=complex)
+    for c in np.flatnonzero(np.bincount(sizes)):
+        groups = np.flatnonzero(sizes == c)
+        step = max(1, _PRODUCT_BYTES // (c * F * F * 16))
+        for k in range(0, groups.size, step):
+            g = groups[k:k + step]
+            pairs = starts[g, None] + np.arange(c)
+            a = A[ka[pairs]].transpose(0, 2, 1, 3).reshape(g.size, F, c * F)
+            b = B[kb[pairs]].reshape(g.size, c * F, F)
+            out.real[g] = a.real @ b.real - a.imag @ b.imag
+            out.imag[g] = a.real @ b.imag + a.imag @ b.real
+    return keys[starts], out
 
 
 def wilson_flatness(fields):
@@ -733,8 +755,9 @@ def _eigenvalues(X, Y, graded):
 # bytes of the Bloch blocks and phases formed at once by _bloch_blocks
 _CHUNK_BYTES = 1 << 22
 # peak bytes per value of the squared spectrum in a verify-all run, most
-# of them the report's list and its JSON text: 144 under tracemalloc at
-# n=2, L=12 and n=3, L=4 (lattice_footprint)
+# of them the report's list, the reprs of its values and its JSON text:
+# under tracemalloc, less the chunk and plane terms of lattice_footprint,
+# 109 at n=2, L=12, 79 at n=3, L=4 and 132 at n=3, L=8
 _BYTES_PER_VALUE = 144
 
 

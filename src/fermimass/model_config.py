@@ -250,7 +250,10 @@ class ModelConfig:
         """The model's runtime objects, each section parsed once, in the order
         that fixes a bad file's first error: generator labels, representations
         (the first parses the tolerances their closure checks read), higgs,
-        fermions, yukawa, lattice and wilson.theta."""
+        fermions, yukawa, lattice and wilson.theta.  fermions.grading is
+        only a consistency check, accepted only as [1] * n_left + [-1] *
+        n_right; the chirality of each fermion follows from rep_left and
+        rep_right, and nothing reads the key."""
         labels = self.generator_labels
         if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
             raise ModelError("algebra.generator_labels: expected a list of strings")

@@ -4,13 +4,16 @@ A report is a list of checks, each carrying the residual value and the
 tolerance it was tested against, plus a data section with the computed
 quantities.  Pass/fail verdicts are derivable from the entries alone.
 Reports contain no timestamps and use canonical JSON, so identical
-model files produce byte-identical output.
+model files produce byte-identical output: a JSON report's bytes are
+exactly json.dumps(report, sort_keys=True, indent=2) + "\n", written by
+canonical_json without json's per-value encoder.
 """
 
 import contextlib
-import json
+import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -110,7 +113,7 @@ class Report:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict()) + "\n"
 
     def to_csv(self):
         """Flat key,value rows; the lattice spectrum, when present, uses the
@@ -138,8 +141,58 @@ class Report:
         return rows
 
 
+def canonical_json(value, indent=""):
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    json writes each value of an indented document through its pure-Python
+    encoder, one generator step per value.  Here a list of finite floats,
+    such as a report's spectrum, is written in one join of their reprs; any
+    other list, or one holding a NaN or an infinity, is written item by item.
+    Dict keys must be str, and values str, int, float, bool, None, dicts,
+    lists or tuples; anything else (a numpy scalar, say) is a TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = sep.join(f"{encode_basestring_ascii(k)}: {canonical_json(v, inner)}"
+                        for k, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            body = None
+        # nan and inf are the only float reprs with an "n", and json writes
+        # them as NaN and Infinity
+        if body is None or "n" in body:
+            body = sep.join(canonical_json(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _float_list(values):
-    return [float(v) for v in np.asarray(values).reshape(-1)]
+    return np.asarray(values, dtype=float).reshape(-1).tolist()
 
 
 # The stages of a run that may fail, each named by the check that then

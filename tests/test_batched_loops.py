@@ -2,16 +2,19 @@
 the per-element loops they replaced, kept here as references.  The orbit
 lemma, the equivariance and the invariance residuals are equal bit for bit;
 the closure residual, whose one least-squares solve takes every commutator
-as a right-hand side, agrees to 1e-15."""
+as a right-hand side, agrees to 1e-15.  The stencil product's grouped
+products equal its per-site loop bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fermimass import apply_yukawa, check_equivariance, ew_reference, exp_map, lemma_verify
-from fermimass import mass_matrix, minimize
+from fermimass import TorusLattice, apply_yukawa, build_clifford, build_vacuum_connection
+from fermimass import build_vacuum_dirac, check_equivariance, ew_reference, exp_map, lemma_verify
+from fermimass import lattice_dirac, mass_matrix, minimize
 from fermimass.group_rep import closure_residual
 from fermimass.higgs_vacuum import invariance_residual
+from fermimass.lattice_dirac import _coords, _index, _product_stencil, _union
 from fermimass.yukawa_mass import ORBIT_MOVES, ORBIT_SEED
 from test_charge_models import charge_models
 from test_lattice_dirac import two_generation_leptons
@@ -124,3 +127,95 @@ def test_closure_of_non_closing_generators_agrees_with_the_loop():
     got, want = closure_residual(gens), closure_loop(gens)
     assert want > 0.1
     assert abs(got - want) <= 1e-15 * want
+
+
+def product_loop(A, B, lat):
+    """(sites, blocks) of the stencil product A B, one site of the result at
+    a time: the blocks A(s) side by side times the blocks B(r - s) stacked."""
+    (sa, A), (sb, B) = A, B
+    F = A.shape[1]
+    ia, ib = (np.flatnonzero(np.any(X, axis=(1, 2))) for X in (A, B))
+    target = _index(lat, _coords(lat, sa[ia])[:, :, None] + _coords(lat, sb[ib])[:, None, :])
+    sites = _union([target])
+    out = np.empty((sites.size, F, F), dtype=complex)
+    for k, r in enumerate(sites):
+        i, j = np.nonzero(target == r)
+        a = A[ia[i]].transpose(1, 0, 2).reshape(F, -1)
+        b = B[ib[j]].reshape(-1, F)
+        out[k].real = a.real @ b.real - a.imag @ b.imag
+        out[k].imag = a.real @ b.imag + a.imag @ b.real
+    return sites, out
+
+
+def assert_product_equals_the_loop(A, B, lat):
+    (sites, blocks), (want_sites, want_blocks) = _product_stencil(A, B, lat), product_loop(A, B, lat)
+    assert sites.dtype == want_sites.dtype
+    assert np.array_equal(sites, want_sites)
+    assert blocks.shape == want_blocks.shape
+    assert blocks.tobytes() == want_blocks.tobytes()
+
+
+def ew_stencils(n, L, kind, wilson):
+    """ew-reference's vacuum Dirac stencil and the components of its mass
+    and plain connections, as (sites, blocks), on the n, L, kind lattice."""
+    cfg = ew_reference()
+    cfg.lattice.update({"n": n, "sites_per_dim": L, "derivative": kind})
+    cfg.wilson = {"theta": [[0.25], [0.0], [0.1], [-0.3]][: 2 * n]} if wilson else None
+    built = cfg.build()
+    vac = minimize(built.higgs, built.seed)
+    md = mass_matrix(built.ymap, vac)
+    lat, cl = built.lattice, build_clifford(n)
+    fields = built.wilson_fields(vac)
+    ops = [build_vacuum_dirac(lat, cl, md, built.frep, fields)]
+    ops += build_vacuum_connection(lat, cl, md, built.frep, fields)
+    ops += build_vacuum_connection(lat, cl, None, built.frep, fields)
+    return lat, [(op.sites, op.blocks) for op in ops]
+
+
+@pytest.mark.parametrize("wilson", [False, True])
+@pytest.mark.parametrize("kind", ["fourier_spectral", "central_difference"])
+@pytest.mark.parametrize("n, L", [(1, 1), (1, 2), (1, 3), (1, 5), (1, 8), (2, 2), (2, 3), (2, 4)])
+def test_stencil_product_equals_the_loop_on_vacuum_operators(n, L, kind, wilson):
+    lat, (dirac, *components) = ew_stencils(n, L, kind, wilson)
+    assert_product_equals_the_loop(dirac, dirac, lat)
+    for comp in components:
+        assert_product_equals_the_loop(comp, comp, lat)
+    # products of different operators, whose supports differ
+    assert_product_equals_the_loop(dirac, components[0], lat)
+    assert_product_equals_the_loop(components[0], components[-1], lat)
+
+
+def random_support(rng, lat, F):
+    """(sites, blocks) on a random ascending site set, one block of it zero."""
+    size = int(rng.integers(1, lat.n_sites + 1))
+    sites = np.sort(rng.choice(lat.n_sites, size=size, replace=False))
+    blocks = rng.standard_normal((size, F, F)) + 1j * rng.standard_normal((size, F, F))
+    blocks[rng.integers(size)] = 0.0
+    return sites, blocks
+
+
+def closed_under_negation(lat, sites):
+    return np.array_equal(np.sort(_index(lat, -_coords(lat, sites))), sites)
+
+
+# the default chunks, and one group per stacked product
+@pytest.mark.parametrize("chunk_bytes", [lattice_dirac._PRODUCT_BYTES, 1])
+def test_stencil_product_equals_the_loop_on_random_supports(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(lattice_dirac, "_PRODUCT_BYTES", chunk_bytes)
+    rng = np.random.default_rng(20)
+    open_supports = 0
+    for _ in range(50):
+        lat = TorusLattice(n=int(rng.integers(1, 3)), L=int(rng.integers(1, 5)))
+        F = int(rng.integers(1, 5))
+        A, B = random_support(rng, lat, F), random_support(rng, lat, F)
+        open_supports += not closed_under_negation(lat, A[0])
+        assert_product_equals_the_loop(A, B, lat)
+    assert open_supports >= 25
+    # an operator that is zero on its whole support: the product is empty
+    lat = TorusLattice(n=1, L=3)
+    zero = (np.array([0, 1]), np.zeros((2, 3, 3), dtype=complex))
+    one = (np.array([0]), np.ones((1, 3, 3), dtype=complex))
+    for A, B in ((zero, one), (one, zero)):
+        assert_product_equals_the_loop(A, B, lat)
+        sites, blocks = _product_stencil(A, B, lat)
+        assert (sites.size, blocks.shape) == (0, (0, 3, 3))

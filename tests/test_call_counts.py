@@ -3,11 +3,14 @@ is decoded once, each pipeline stage runs at most once per run, a failing
 one included, and
 the lattice command forms no N x N matrix.  The orbit and closure checks
 make stacked calls, the parser is built once per process, and the dense
-site-dependent path does no per-site or per-entry work in Python."""
+site-dependent path does no per-site or per-entry work in Python.  The
+report is written without json's per-value encoder, and a run does not
+import numpy.ma."""
 
 import argparse
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,13 @@ from fermimass import (
     save_model,
     yukawa_mass,
 )
+from test_cli import fresh_python
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def python_encoder(*args, **kwargs):
+    raise AssertionError("json's pure-Python encoder was called")
 
 
 @pytest.fixture()
@@ -131,10 +141,22 @@ def test_lattice_path_never_densifies(monkeypatch, capsys, tmp_path):
     assert peak < 100 * 2 ** 20
 
 
-def test_dump_operator_uses_the_c_json_encoder(monkeypatch, tmp_path, ew_md, ew_frep):
-    def python_encoder(*args, **kwargs):
-        raise AssertionError("dump_operator went through json's pure-Python encoder")
+def test_verify_all_report_skips_the_pure_python_json_encoder(monkeypatch, capsys):
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    assert cli.main(["verify-all", "--model", "ew-reference"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "verify_all_ew.json").read_bytes()
 
+
+def test_verify_all_does_not_import_numpy_ma():
+    # numpy.ma costs about 1 MB of peak memory; np.unique imports it
+    code = ("import sys; from fermimass import cli; "
+            "assert cli.main(['verify-all', '--model', 'ew-reference']) == 0; "
+            "print('numpy.ma' in sys.modules, file=sys.stderr)")
+    done = fresh_python("-c", code)
+    assert (done.returncode, done.stderr) == (0, "False\n")
+
+
+def test_dump_operator_uses_the_c_json_encoder(monkeypatch, tmp_path, ew_md, ew_frep):
     monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
     op = build_vacuum_dirac(TorusLattice(n=1, L=2), build_clifford(1), ew_md, ew_frep)
     operator_io.dump_operator(op, tmp_path / "op.json")
