@@ -44,19 +44,22 @@ fluctuation writes its site blocks into the r = 0 column, and a gauge
 transform multiplies each block by its two sites' unitaries.  Their
 Hermiticity pairs blocks[x, r] with blocks[x + r, -r], and their
 spectrum fills in the two off-diagonal blocks of the chirality split
-straight from the blocks.  Any operator's dense matrix is filled in
-only when read (LatticeOperator.matrix); the operator dump writes the
-sites and blocks, and the loader gives them back.
+straight from the blocks.  Any operator's dense matrix is filled in on
+every read (LatticeOperator.matrix) and never kept; the operator dump
+writes the sites and blocks, and the loader gives them back.
 
-The spectrum has one path.  i*op is Hermitian, and for the Dirac
-operators of this package, their fluctuations and their transforms by
-the gauge group it is odd under a grading of the fiber slots, gamma5 x
-chi with chi = +1 on the left fermions and -1 on the right ones.  Its
-eigenvalues are then plus and minus the singular values of the (+, -)
-block, half the side of the matrix.  A site-dependent operator is one
-such matrix; a stencil operator is diagonalized per momentum, one Bloch block
-B(k) = sum_r B(r) exp(-2 pi i m.r / L) at a time, each odd under the same
-grading.  An operator without a grading takes the Hermitized eigensolve.
+The spectrum has one path, validated first by hermiticity_residual.
+i*op is Hermitian, and for the Dirac operators of this package, their
+fluctuations and their transforms by the gauge group it is odd under a
+grading of the fiber slots, gamma5 x chi with chi = +1 on the left
+fermions and -1 on the right ones.  Its eigenvalues are then plus and
+minus the singular values of the (+, -) block, half the side of the
+matrix.  A site-dependent operator is one such matrix; a stencil
+operator is diagonalized per momentum, one Bloch block B(k) = sum_r B(r)
+exp(-2 pi i m.r / L) at a time, each odd under the same grading.  An
+operator without a grading takes the Hermitized eigensolve.  Either way
+the matrix diagonalized is (i M_pq + (i M_qp)^dagger) / 2 for the two
+off-diagonal blocks of the grading, M_pq = M_qp = M when there is none.
 
 The central_difference derivative kind is provided for robustness cross
 checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
@@ -64,6 +67,7 @@ branches at the zone edge.  Closed-form spectrum checks use the spectral
 kind.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -114,28 +118,32 @@ class TorusLattice:
         """Per-axis momentum values 2 pi m / (L a), m = 0 .. L-1."""
         return 2.0 * np.pi * np.arange(self.L) / (self.L * self.a)
 
-    def axis_derivative(self):
-        """One-axis derivative matrix (L x L), anti-Hermitian and circulant:
-        entry (x, y) depends on (x - y) mod L only."""
+    @functools.cached_property
+    def derivative_row(self):
+        """Row 0 of axis_derivative(), read-only: entry y couples site 0 of an
+        axis to site y.  Computed once per lattice."""
         L, a = self.L, self.a
         vals = np.zeros(L, dtype=complex)
         if self.derivative_kind == "fourier_spectral":
             # Closed form of U diag(i k_m) U^dagger over the momentum set;
             # exact roots of unity are used where they are Gaussian units.
-            for d in range(L):
-                if d == 0:
-                    vals[d] = 1j * np.pi * (L - 1) / (L * a)
-                else:
-                    if (4 * d) % L == 0:
-                        w = 1j ** ((4 * d) // L)
-                    else:
-                        w = np.exp(2j * np.pi * d / L)
-                    vals[d] = (2j * np.pi / (L * a)) / (w - 1.0)
+            vals[0] = 1j * np.pi * (L - 1) / (L * a)
+            for d in range(1, L):
+                w = 1j ** ((4 * d) // L) if (4 * d) % L == 0 else np.exp(2j * np.pi * d / L)
+                vals[d] = (2j * np.pi / (L * a)) / (w - 1.0)
         else:
             vals[-1 % L] += 1.0 / (2.0 * a)
             vals[1 % L] -= 1.0 / (2.0 * a)
-        x = np.arange(L)
-        return vals[(x[:, None] - x) % L]
+        # vals[d] is the entry (x, x - d)
+        row = vals[-np.arange(L) % L]
+        row.flags.writeable = False
+        return row
+
+    def axis_derivative(self):
+        """One-axis derivative matrix (L x L), anti-Hermitian and circulant:
+        entry (x, y) is derivative_row[(y - x) mod L]."""
+        x = np.arange(self.L)
+        return self.derivative_row[(x - x[:, None]) % self.L]
 
 
 class LatticeOperator:
@@ -147,17 +155,14 @@ class LatticeOperator:
     of shape (len(sites), fiber, fiber), the blocks B(r_j) coupling site 0
     to site r_j, the same at every site.  A site-dependent one holds
     (n_sites, len(sites), fiber, fiber), blocks[x, j] coupling site x to
-    site x + r_j.  The matrix is filled in from the blocks when read: a
-    stencil's on first read and kept, a site-dependent operator's on every
-    read and not kept, so that such an operator, S/nnz times smaller than
-    its matrix, is held once.  Writing into the matrix changes nothing the
-    functions of this module compute; they read the blocks.  load_operator
-    gives back the form an operator was dumped in; from_matrix holds a
-    dense matrix per site on the full support of all n_sites offsets.
+    site x + r_j.  The matrix is filled in from the blocks on every read
+    and never kept; the functions of this module read the blocks.
+    load_operator gives back the form an operator was dumped in;
+    from_matrix holds a dense matrix per site on the full support of all
+    n_sites offsets.
     """
 
     def __init__(self, lattice, spinor_dim, internal_dim, sites, blocks, kind="", meta=None):
-        self._matrix = None
         self.sites = sites
         self.blocks = blocks
         self.lattice = lattice
@@ -183,12 +188,7 @@ class LatticeOperator:
 
     @property
     def matrix(self):
-        if self._matrix is not None:
-            return self._matrix
-        mat = _fill(self.lattice, self.sites, _per_site(self.lattice, self.blocks))
-        if self.blocks.ndim == 3:
-            self._matrix = mat
-        return mat
+        return _fill(self.lattice, self.sites, _per_site(self.lattice, self.blocks))
 
 
 def _coords(lat, sites):
@@ -234,12 +234,15 @@ def _fill(lat, sites, blocks):
     return out.reshape(S * p, S * q)
 
 
-def _scatter(union, sites, blocks):
-    """The blocks at their sites' places in union, an ascending superset of
-    sites, and zero blocks at the other places."""
-    out = np.zeros((union.size,) + blocks.shape[1:], dtype=complex)
-    out[np.searchsorted(union, sites)] = blocks
-    return out
+def _summed(terms):
+    """(sites, blocks) of the sum of a list of (sites, blocks) terms: the
+    union of their sites, ascending, and at each site the blocks of the
+    terms holding it added in list order to a zero block."""
+    sites = _union([s for s, _ in terms])
+    total = np.zeros((sites.size,) + terms[0][1].shape[1:], dtype=complex)
+    for s, blocks in terms:
+        total[np.searchsorted(sites, s)] += blocks
+    return sites, total
 
 
 def _union(sites_list):
@@ -261,9 +264,9 @@ def _kron(a, b):
 
 def _derivative_line(lat, axis, block):
     """(sites, blocks) of the derivative along one axis, tensored with a fiber
-    block: axis_derivative()'s first row times block, on the axis line."""
+    block: derivative_row times block, on the axis line."""
     line = np.arange(lat.L) * lat.L ** (lat.dim - axis - 1)
-    return line, lat.axis_derivative()[0][:, None, None] * block
+    return line, lat.derivative_row[:, None, None] * block
 
 
 # bytes of the blocks _product_stencil gathers for one stacked product;
@@ -359,14 +362,14 @@ def build_vacuum_dirac(lat, cl, md, frep, fields=None):
     nf = _check_lattice_inputs(lat, cl, frep, md, fields)
     ident_f = np.eye(nf, dtype=complex)
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    lines = [_derivative_line(lat, a, _kron(cl.gamma[a], ident_f)) for a in range(lat.dim)]
-    sites = _union([line for line, _ in lines])
-    blocks = np.zeros((sites.size, cl.spinor_dim * nf, cl.spinor_dim * nf), dtype=complex)
-    for a, (line, deriv) in enumerate(lines):
-        blocks[np.searchsorted(sites, line)] += deriv
+    origin = np.zeros(1, dtype=int)
+    terms = []
+    for a in range(lat.dim):
+        terms.append(_derivative_line(lat, a, _kron(cl.gamma[a], ident_f)))
         if fields is not None:
-            blocks[0] += _kron(cl.gamma[a], fields[a])
-    blocks[0] += _kron(cl.gamma5, d_int)
+            terms.append((origin, _kron(cl.gamma[a], fields[a])[None]))
+    terms.append((origin, _kron(cl.gamma5, d_int)[None]))
+    sites, blocks = _summed(terms)
     return LatticeOperator(lat, cl.spinor_dim, nf, kind="vacuum_dirac", sites=sites, blocks=blocks)
 
 
@@ -381,19 +384,17 @@ def build_vacuum_connection(lat, cl, md, frep, fields=None):
     component is a stencil operator held on its own axis line, L sites.
     """
     nf = _check_lattice_inputs(lat, cl, frep, md, fields)
-    fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
+    origin = np.zeros(1, dtype=int)
     comps = []
     for a in range(lat.dim):
-        line, deriv = _derivative_line(lat, a, np.eye(fiber, dtype=complex))
-        # from zeros, so the product's signed zeros come out as +0.0
-        blocks = np.zeros_like(deriv)
-        blocks += deriv
+        terms = [_derivative_line(lat, a, np.eye(cl.spinor_dim * nf, dtype=complex))]
         if fields is not None:
-            blocks[0] += _kron(np.eye(cl.spinor_dim), fields[a])
-        blocks[0] += _kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)
+            terms.append((origin, _kron(np.eye(cl.spinor_dim), fields[a])[None]))
+        terms.append((origin, _kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)[None]))
+        sites, blocks = _summed(terms)
         comps.append(LatticeOperator(lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}",
-                                     sites=line, blocks=blocks))
+                                     sites=sites, blocks=blocks))
     return comps
 
 
@@ -405,12 +406,9 @@ def contraction_residual(conn, cl, dirac_op):
     """
     eye = np.eye(dirac_op.internal_dim)
     d_sites, d_blocks = _support(dirac_op)
-    supports = [_support(comp) for comp in conn]
-    union = _union([d_sites] + [sites for sites, _ in supports])
-    total = np.zeros((union.size,) + d_blocks.shape[1:], dtype=complex)
-    for g, (sites, blocks) in zip(cl.gamma, supports):
-        total[np.searchsorted(union, sites)] += _kron(g, eye) @ blocks
-    return float(np.max(np.abs(total - _scatter(union, d_sites, d_blocks))))
+    terms = [(sites, _kron(g, eye) @ blocks) for g, (sites, blocks) in zip(cl.gamma, map(_support, conn))]
+    _, diff = _summed(terms + [(d_sites, -d_blocks)])
+    return float(np.max(np.abs(diff)))
 
 
 def bochner_laplacian(conn):
@@ -421,10 +419,7 @@ def bochner_laplacian(conn):
     """
     first = conn[0]
     squares = [_product_stencil(_support(comp), _support(comp), first.lattice) for comp in conn]
-    sites = _union([s for s, _ in squares])
-    lap = np.zeros((sites.size, first.fiber_dim, first.fiber_dim), dtype=complex)
-    for s, sq in squares:
-        lap[np.searchsorted(sites, s)] -= sq
+    sites, lap = _summed([(s, -sq) for s, sq in squares])
     return LatticeOperator(first.lattice, first.spinor_dim, first.internal_dim,
                            kind="bochner_laplacian", sites=sites, blocks=lap)
 
@@ -441,12 +436,11 @@ def dirac_potential(dirac_op, laplacian):
     site-constant by construction.  It is held on the union of the supports
     of (i D)^2 and the Laplacian.
     """
-    D, lap = _support(dirac_op), _support(laplacian)
+    D, (lap_sites, lap) = _support(dirac_op), _support(laplacian)
     if (dirac_op.lattice.n_sites, dirac_op.fiber_dim) != (laplacian.lattice.n_sites, laplacian.fiber_dim):
         raise ValueError("operator and Laplacian act on different spaces")
-    sq = _product_stencil(D, D, dirac_op.lattice)
-    sites = _union([sq[0], lap[0]])
-    V = -_scatter(sites, *sq) - _scatter(sites, *lap)
+    sq_sites, sq = _product_stencil(D, D, dirac_op.lattice)
+    sites, V = _summed([(sq_sites, -sq), (lap_sites, -lap)])
     leak = float(np.max(np.abs(V[sites != 0]), initial=0.0))
     return LatticeOperator(
         dirac_op.lattice, dirac_op.spinor_dim, dirac_op.internal_dim, kind="dirac_potential",
@@ -500,9 +494,7 @@ class CurvatureResult:
     residual: float
 
     def max_component_norm(self):
-        if not self.components:
-            return 0.0
-        return max(float(np.max(np.abs(F))) for _, F in self.components)
+        return max((float(np.max(np.abs(F))) for _, F in self.components), default=0.0)
 
 
 def relative_curvature(conn, cl, md, frep):
@@ -519,15 +511,12 @@ def relative_curvature(conn, cl, md, frep):
     """
     lat = conn[0].lattice
     nf = frep.n_total
-    fiber = cl.spinor_dim * nf
     d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
     m2_int = -(d_int @ d_int)
     omega = []
     for a, comp in enumerate(conn):
-        sites, blocks = _support(comp)
-        line, deriv = _derivative_line(lat, a, np.eye(fiber))
-        union = _union([sites, line])
-        zero_order = _scatter(union, sites, blocks) - _scatter(union, line, deriv)
+        line, deriv = _derivative_line(lat, a, np.eye(cl.spinor_dim * nf))
+        _, zero_order = _summed([_support(comp), (line, -deriv)])
         if np.any(zero_order[1:]):
             raise ValueError(f"zero-order part of connection component {a} is not site-constant")
         omega.append(zero_order[0])
@@ -640,35 +629,6 @@ def gauge_transform(op, u_site, tol=DEFAULT):
                            blocks=moved)
 
 
-def _hermitian_blocks(M, plus):
-    """(X, Y) for H = i * M, M a matrix or a stack of them: (H, H^dagger),
-    or, with plus a mask of the + class of a grading over M's rows, the
-    off-diagonal blocks (H_{+-}, (H_{-+})^dagger).  (X + Y) / 2 is the
-    Hermitized matrix diagonalized; max |X - Y| is H's Hermiticity residual
-    when the same-class blocks of H are zero."""
-    if plus is None:
-        H = 1j * M
-        return H, H.conj().swapaxes(-1, -2)
-    P, Q = np.flatnonzero(plus), np.flatnonzero(~plus)
-    return _hermitian_pair(M[..., P[:, None], Q], M[..., Q[:, None], P])
-
-
-def _hermitian_pair(M_pq, M_qp):
-    """(H_{+-}, (H_{-+})^dagger) for H = i * M from M's two off-diagonal
-    blocks of a grading, computed in their place."""
-    M_pq *= 1j
-    M_qp *= 1j
-    return M_pq, np.conjugate(M_qp, out=M_qp).swapaxes(-1, -2)
-
-
-def _residual(H, H_dag):
-    """(max |H - H^dagger|, max(1, max |H|, max |H^dagger|)); the last two
-    are equal for a full pair, and together cover the two off-diagonal
-    blocks of a chirally split one."""
-    peak = max(float(np.max(np.abs(X), initial=0.0)) for X in (H, H_dag))
-    return float(np.max(np.abs(H - H_dag), initial=0.0)), max(1.0, peak)
-
-
 def hermiticity_residual(op):
     """(max |H - H^dagger|, max(1, max |H|)) for H = i * op.
 
@@ -679,7 +639,7 @@ def hermiticity_residual(op):
     same for every site.  A partner at -r missing from the support counts
     as zero; the block at -r is then -H(r)^dagger, whose entries have the
     magnitudes of H(r)'s, so the support alone holds every value of the
-    maximum.
+    maximum.  spectrum validates either form with these two numbers.
     """
     lat, sites, blocks = op.lattice, op.sites, op.blocks
     negated = _index(lat, -_coords(lat, sites))
@@ -692,15 +652,8 @@ def hermiticity_residual(op):
     else:
         partner = H.swapaxes(-1, -2)[_neighbours(lat, sites)[:, held], at[held]]
         H_dag[:, held] = np.conjugate(partner, out=partner)
-    return _residual(H, H_dag)
-
-
-def _validate_hermitian(residual, tol):
-    dev, scale = residual
-    if dev > tol.hermiticity * scale:
-        raise NonHermitian(
-            f"i * operator deviates from Hermitian by {dev:.3e} (> {tol.hermiticity:.0e} x scale)"
-        )
+    peak = float(np.max(np.abs(H), initial=0.0))
+    return float(np.max(np.abs(H - H_dag), initial=0.0)), max(1.0, peak)
 
 
 def _chirality(op):
@@ -736,14 +689,27 @@ def _chirality(op):
     return colour == 0
 
 
-def _eigenvalues(X, Y, graded):
-    """Eigenvalues of each Hermitized matrix of a stack, from the pair
-    _hermitian_blocks returns: those of A = (X + Y) / 2, or, when graded,
-    those of [[0, A], [A^dagger, 0]], plus and minus A's singular values
-    with |p - q| zeros for a p x q block A.  One row per matrix.  A is
-    formed in X's place."""
-    A = X
-    A += Y
+def _split(M, plus):
+    """(M_pq, M_qp), the two off-diagonal blocks of M's last two axes under
+    a grading whose + class is the mask plus, or (M, M) when plus is None."""
+    if plus is None:
+        return M, M
+    P, Q = np.flatnonzero(plus), np.flatnonzero(~plus)
+    return M[..., P[:, None], Q], M[..., Q[:, None], P]
+
+
+def _eigenvalues(M_pq, M_qp, graded):
+    """Eigenvalues of the Hermitized A = (i M_pq + (i M_qp)^dagger) / 2 of
+    each matrix of a stack, one row per matrix: those of A, or, when
+    graded, those of [[0, A], [A^dagger, 0]], plus and minus A's singular
+    values with |p - q| zeros for a p x q block A.  A is formed in M_pq's
+    place, and (i M_qp)^dagger in M_qp's unless the two are one array."""
+    A = np.multiply(M_pq, 1j, out=M_pq)
+    if M_qp is M_pq:
+        A_dag = A.conj()
+    else:
+        A_dag = np.conjugate(np.multiply(M_qp, 1j, out=M_qp), out=M_qp)
+    A += A_dag.swapaxes(-1, -2)
     A *= 0.5
     if not graded:
         return np.linalg.eigvalsh(A)
@@ -779,44 +745,35 @@ def _bloch_blocks(op):
 def spectrum(op, square_first=False, tol=DEFAULT):
     """Sorted real eigenvalues of i*op, or of (i*op)^2 when square_first.
 
-    Validates that i*op is Hermitian (hermiticity_residual), raising
+    First validates either form with hermiticity_residual, raising
     NonHermitian when the deviation exceeds tol.hermiticity times the
-    scale.  A stencil operator is diagonalized per momentum: i*op is
-    block-diagonal over the momenta, with the Bloch blocks i B(k)
-    (_bloch_blocks), formed a chunk of momenta at a time from the support,
-    so no N x N matrix is formed.  A site-dependent operator is
-    diagonalized as one matrix, filled in from its blocks.  Either way the
-    matrices are diagonalized through their chirality split when op has
-    one (_chirality): i*op = [[0, C], [C^dagger, 0]] in the grading's
-    basis, so the eigenvalues are +-svd(C), with |p - q| more zeros when
-    the two classes hold p and q rows.  C is the Hermitized (+, -) block,
-    and only C's singular values are computed, at half the side of the
-    full matrix: a site-dependent operator's two off-diagonal blocks are
-    filled in straight from its site blocks, rows and columns site-major
-    and then by slot, as they sit in op.matrix.  An operator without a
-    grading, a gauge transform by chirality-mixing unitaries say, takes
-    the full Hermitized eigensolve.  With square_first these eigenvalues
-    are squared, so each singular value of a split counts twice.  A
-    site-dependent operator's Hermiticity is read off the matrices it is
-    diagonalized from; the same-class blocks of a split operator are
-    exactly zero, so these are hermiticity_residual's two numbers bit for
-    bit.
+    scale.  A stencil operator is diagonalized per momentum, one chunk of
+    Bloch blocks i B(k) at a time (_bloch_blocks), so no N x N matrix is
+    formed; a site-dependent one as one matrix filled in from its blocks.
+    With a chirality split (_chirality), i*op = [[0, C], [C^dagger, 0]] in
+    the grading's basis, and the eigenvalues are +-svd(C) with |p - q|
+    more zeros for classes of p and q rows: _split takes the two
+    off-diagonal blocks of each Bloch chunk, or of the site blocks before
+    they are filled in, site-major and then by slot as in op.matrix.
+    Without one, a gauge transform by chirality-mixing unitaries say, the
+    matrix is filled in once for the full Hermitized eigensolve.  With
+    square_first the eigenvalues are squared, so each singular value of a
+    split counts twice.
     """
+    dev, scale = hermiticity_residual(op)
+    if dev > tol.hermiticity * scale:
+        raise NonHermitian(
+            f"i * operator deviates from Hermitian by {dev:.3e} (> {tol.hermiticity:.0e} x scale)"
+        )
     plus = _chirality(op)
-    lat, sites, blocks = op.lattice, op.sites, op.blocks
-    if blocks.ndim == 3:
-        _validate_hermitian(hermiticity_residual(op), tol)
-        vals = np.concatenate([_eigenvalues(*_hermitian_blocks(B, plus), plus is not None).reshape(-1)
+    if op.blocks.ndim == 3:
+        vals = np.concatenate([_eigenvalues(*_split(B, plus), plus is not None).reshape(-1)
                                for B in _bloch_blocks(op)])
     else:
-        if plus is None:
-            pair = _hermitian_blocks(_fill(lat, sites, blocks), None)
-        else:
-            P, Q = np.flatnonzero(plus), np.flatnonzero(~plus)
-            pair = _hermitian_pair(_fill(lat, sites, blocks[..., P[:, None], Q]),
-                                   _fill(lat, sites, blocks[..., Q[:, None], P]))
-        _validate_hermitian(_residual(*pair), tol)
-        vals = _eigenvalues(*pair, plus is not None)
+        pq, qp = _split(op.blocks, plus)
+        M_pq = _fill(op.lattice, op.sites, pq)
+        M_qp = M_pq if qp is pq else _fill(op.lattice, op.sites, qp)
+        vals = _eigenvalues(M_pq, M_qp, plus is not None)
     if square_first:
         np.square(vals, out=vals)
     vals.sort()
@@ -880,7 +837,7 @@ def expected_squared_spectrum(lat, cl, md, frep, shifts=None):
         raise ValueError("closed-form spectra are defined for the spectral derivative kind")
     blocks = _mass_blocks_full_fiber(md, frep.n_total)
     if shifts is None:
-        shifts = branch_momentum_shifts(lat, md, frep, None)
+        shifts = [(m2, [0.0] * lat.dim) for m2, _ in blocks]
     ks = lat.momenta()
     vals = []
     for (m2, basis), (_, qs) in zip(blocks, shifts, strict=True):

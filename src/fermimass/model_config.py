@@ -390,14 +390,13 @@ class ModelConfig:
     def build_wilson(self, vac):
         return self.build().wilson_fields(vac)
 
-    def build_tolerances(self, scale=1.0):
+    def build_tolerances(self):
         if not isinstance(self.tolerances, dict):
             raise ModelError(f"tolerances: expected an object, got {type(self.tolerances).__name__}")
         try:
-            tol = DEFAULT.with_overrides(self.tolerances)
+            return DEFAULT.with_overrides(self.tolerances)
         except ValueError as exc:
             raise ModelError(f"tolerances: {exc}") from exc
-        return tol.scale(scale) if scale != 1.0 else tol
 
 
 def validate_model(cfg):

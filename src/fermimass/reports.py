@@ -12,6 +12,7 @@ canonical_json without json's per-value encoder.
 import contextlib
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -363,10 +364,14 @@ def cmd_masses(run):
 
 def require_lattice_fits(run):
     """A ValueError, raised before anything is built, when the lattice
-    stage's estimated memory (lattice_footprint) exceeds the host's
-    physical memory."""
+    stage's estimated memory (lattice_footprint) plus the peak resident
+    memory of the process so far exceeds the host's physical memory."""
+    import resource  # POSIX only, as os.sysconf below
+
     lat = run.model.lattice
-    need = lattice_footprint(lat, run.model.frep.n_total)
+    # ru_maxrss is in KiB, on macOS in bytes
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+    need = lattice_footprint(lat, run.model.frep.n_total) + rss
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(

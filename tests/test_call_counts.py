@@ -8,6 +8,7 @@ report is written without json's per-value encoder, and a run does not
 import numpy.ma."""
 
 import argparse
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -70,6 +71,17 @@ def counts(monkeypatch):
     count(higgs_vacuum, "exp_map")
     count(yukawa_mass, "exp_map")
     count(np.linalg, "lstsq")
+    # a cached property: count the computations behind the cache
+    row = TorusLattice.__dict__["derivative_row"].func
+    seen["derivative_row"] = 0
+
+    def counted_row(lat):
+        seen["derivative_row"] += 1
+        return row(lat)
+
+    cached = functools.cached_property(counted_row)
+    cached.__set_name__(TorusLattice, "derivative_row")
+    monkeypatch.setattr(TorusLattice, "derivative_row", cached)
     return seen
 
 
@@ -80,11 +92,12 @@ def test_verify_all_builds_each_object_once(counts, capsys):
     # each with one least-squares closure solve; the Wilson line's fields
     # and momentum shifts are computed once; one stacked exp_map samples
     # the potential's invariance and the orbit lemma makes one per
-    # representation
+    # representation; the lattice's derivative row is computed once for the
+    # Dirac operator, both connections and the curvature
     assert counts == {"build": 1, "build_rep": 3, "build_lattice": 1, "wilson_theta": 1,
                       "build_tolerances": 1, "__post_init__": 4, "lstsq": 4, "minimize": 1,
                       "mass_matrix": 1, "branch_momentum_shifts": 1, "wilson_fields": 1,
-                      "exp_map": 3}
+                      "exp_map": 3, "derivative_row": 1}
 
 
 def test_check_parses_the_model_once(counts, capsys, tmp_path):

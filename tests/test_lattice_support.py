@@ -22,6 +22,7 @@ from fermimass import (
     expected_squared_spectrum,
     mass_matrix,
     minimize,
+    reports,
     save_model,
     spectrum,
 )
@@ -297,3 +298,15 @@ def test_oversized_lattice_exits_2_before_building(command, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: lattice n=4, L=40 needs about ") and "GiB" in err
     assert peak < 2 ** 20 and elapsed < 5.0
+
+
+def test_memory_guard_counts_the_process_so_far(monkeypatch, tmp_path, capsys):
+    # physical memory 1 MiB above the lattice stage's own estimate: the
+    # interpreter and numpy already resident make the run not fit
+    path = model_file(tmp_path, 1, 4)
+    sysconf = reports.os.sysconf
+    have = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": lattice_footprint(TorusLattice(n=1, L=4), 3) + 2 ** 20}
+    monkeypatch.setattr(reports.os, "sysconf", lambda name: have[name] if name in have else sysconf(name))
+    assert cli.main(["lattice", "--model", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: lattice n=1, L=4 needs about ") and "GiB" in err

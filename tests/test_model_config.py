@@ -125,7 +125,7 @@ def test_tolerance_overrides():
     tol = cfg.build_tolerances()
     assert tol.dispersion == 1e-6
     assert tol.commutant == DEFAULT.commutant
-    scaled = cfg.build_tolerances(scale=10.0)
+    scaled = cfg.build_tolerances().scale(10.0)
     assert scaled.dispersion == pytest.approx(1e-5)
 
 

@@ -20,8 +20,6 @@ from fermimass import (
 from fermimass.lattice_dirac import (
     LatticeOperator,
     _chirality,
-    _hermitian_blocks,
-    _residual,
     _support,
     hermiticity_residual,
 )
@@ -33,6 +31,7 @@ from test_lattice_dirac import (
     chiral_svd_spectrum,
     chirality_mixing_unitaries,
     dense_copy,
+    dense_hermiticity_residual,
     ew_grading,
     gauge_oracle,
     hermitized_eigvalsh,
@@ -51,6 +50,15 @@ def ew(ew_cfg, ew_vac, ew_frep, ew_ymap, ew_md):
         md = ew_md
 
     return Bundle
+
+
+def forbid_dense_fill(monkeypatch):
+    """Make every read of an operator's dense matrix fail, as the lattice
+    path's check does."""
+    def dense_fill(op):
+        raise AssertionError(f"filled in the dense matrix of {op.kind!r}")
+
+    monkeypatch.setattr(LatticeOperator, "matrix", property(dense_fill))
 
 
 def dense_fluctuation(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=None):
@@ -94,7 +102,7 @@ def case(request, ew):
 # ----- fluctuations -------------------------------------------------------
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 1.0, -0.5])
-def test_fluctuation_matrix_is_the_dense_construction_bitwise(ew, case, t):
+def test_fluctuation_matrix_is_the_dense_construction_bitwise(ew, case, t, monkeypatch):
     op, cl, A, phi, split = case
     for A_fl in (A, None):
         got = fluctuation_operator(op, A_fl, phi, ew.ymap, cl, ew.frep, t, unitary_split=split)
@@ -102,9 +110,8 @@ def test_fluctuation_matrix_is_the_dense_construction_bitwise(ew, case, t):
         assert np.array_equal(bits(got.matrix), bits(want))
         assert got.sites is not None and got.sites[0] == 0
     # the vacuum is never densified along the way
-    fresh = build_vacuum_dirac(op.lattice, cl, ew.md, ew.frep)
-    fluctuation_operator(fresh, A, phi, ew.ymap, cl, ew.frep, t)
-    assert fresh._matrix is None
+    forbid_dense_fill(monkeypatch)
+    fluctuation_operator(build_vacuum_dirac(op.lattice, cl, ew.md, ew.frep), A, phi, ew.ymap, cl, ew.frep, t)
 
 
 def test_t0_keeps_the_vacuum_stencil(ew, case):
@@ -161,7 +168,7 @@ def test_site_hermiticity_residual_is_the_dense_one_bitwise(ew, case):
     moved = gauge_transform(fl, site_unitaries(ew.frep, op.lattice.n_sites, 8))
     for site_op in (fl, moved):
         tiled = np.tile(_chirality(site_op), op.lattice.n_sites)
-        assert hermiticity_residual(site_op) == _residual(*_hermitian_blocks(site_op.matrix, tiled))
+        assert hermiticity_residual(site_op) == dense_hermiticity_residual(site_op.matrix, tiled)
         assert hermiticity_residual(site_op)[0] > 0.0
 
 
@@ -172,7 +179,7 @@ def test_site_hermiticity_of_a_support_not_closed_under_negation():
     shape = (lat.n_sites, 3, 2, 2)
     blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     op = LatticeOperator(lat, 1, 2, sites=np.array([0, 1, 5]), blocks=blocks)
-    want = _residual(*_hermitian_blocks(op.matrix, None))
+    want = dense_hermiticity_residual(op.matrix)
     assert hermiticity_residual(op) == want == hermiticity_residual(dense_copy(op))
 
 
@@ -188,17 +195,18 @@ def test_site_spectrum_is_the_dense_chiral_svd_bitwise(ew, case):
     assert np.array_equal(spectrum(mixed), hermitized_eigvalsh(mixed))
 
 
-def test_writing_into_the_matrix_changes_nothing(ew, case):
-    # a site-dependent operator's matrix is filled in on every read and not
-    # kept; a stencil's is kept
+def test_writing_into_the_matrix_changes_nothing(ew, case, monkeypatch):
+    # either form's matrix is filled in on every read and not kept, and the
+    # spectrum reads the blocks
     op, cl, A, phi, split = case
     fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 1.0, unitary_split=split)
-    before = spectrum(fl)
-    mat = fl.matrix
-    mat[0, 1] += 1.0
-    assert fl.matrix is not mat and fl._matrix is None
-    assert np.array_equal(spectrum(fl), before)
-    assert op.matrix is op.matrix
+    before = [spectrum(x) for x in (op, fl)]
+    for x in (op, fl):
+        mat = x.matrix
+        mat[0, 1] += 1.0
+        assert x.matrix is not mat and not np.array_equal(x.matrix, mat)
+    forbid_dense_fill(monkeypatch)
+    assert all(np.array_equal(spectrum(x), want) for x, want in zip((op, fl), before))
 
 
 def test_support_rejects_a_site_dependent_operator(ew, case):
@@ -224,7 +232,7 @@ def test_gauge_transform_of_a_fluctuation_matches_the_dense_product(ew, case):
         assert np.array_equal(gauge_transform(source, eye).matrix, source.matrix)
 
 
-def test_fluctuation_and_gauge_transform_form_no_dense_matrix(ew):
+def test_fluctuation_and_gauge_transform_form_no_dense_matrix(ew, monkeypatch):
     # n=1, L=16: N = 1536, where one dense matrix is 37.7 MB; the site
     # blocks are S nnz F^2 complex numbers, 4.6 MB
     lat, cl = TorusLattice(n=1, L=16), build_clifford(1)
@@ -235,15 +243,15 @@ def test_fluctuation_and_gauge_transform_form_no_dense_matrix(ew):
     phi = 0.3 * (rng.standard_normal((S, 2)) + 1j * rng.standard_normal((S, 2)))
     us = site_unitaries(ew.frep, S, 16)
     split = (ew.vac.goldstone_basis, ew.vac.physical_basis)
+    forbid_dense_fill(monkeypatch)
     tracemalloc.start()
     try:
         fl = fluctuation_operator(op, A, phi, ew.ymap, cl, ew.frep, 0.5, unitary_split=split)
-        moved = gauge_transform(fl, us)
+        gauge_transform(fl, us)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * S * nnz * F * F * 16
-    assert fl._matrix is None and moved._matrix is None and op._matrix is None
 
 
 # ----- the derivative circulant ----------------------------------------------
