@@ -131,6 +131,15 @@ def infinitesimal_action(rep, coeffs, z):
     return rep.element(coeffs) @ z
 
 
+def orbit_directions(rep, z0):
+    """The (dim_g, rep_dim) array whose row k is the orbit direction X_k z0,
+    from one stacked product."""
+    z0 = np.asarray(z0, dtype=complex).reshape(-1)
+    if z0.shape[0] != rep.rep_dim:
+        raise ValueError(f"vector has length {z0.shape[0]}, representation acts on C^{rep.rep_dim}")
+    return np.asarray(rep.generators) @ z0
+
+
 def isotropy_algebra(rep, z0, tol=DEFAULT):
     """Unbroken subalgebra {X : X z0 = 0} as a real null-space computation.
 
@@ -138,18 +147,10 @@ def isotropy_algebra(rep, z0, tol=DEFAULT):
     2*rep_dim x dim_g matrix and keeps the right singular vectors whose
     singular value falls below tol.nullspace_cut * sigma_max.
     """
-    z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    if z0.shape[0] != rep.rep_dim:
-        raise ValueError(f"vector has length {z0.shape[0]}, representation acts on C^{rep.rep_dim}")
-    d, g = rep.rep_dim, rep.dim_g
-    A = np.zeros((2 * d, g))
-    for k, X in enumerate(rep.generators):
-        col = X @ z0
-        A[:d, k] = col.real
-        A[d:, k] = col.imag
-    _, s, vt = np.linalg.svd(A)
+    cols = orbit_directions(rep, z0)
+    _, s, vt = np.linalg.svd(np.concatenate((cols.real, cols.imag), axis=1).T)
     smax = s[0] if s.size else 0.0
-    rows = [vt[k] for k in range(g) if k >= s.size or s[k] <= tol.nullspace_cut * smax]
+    rows = [vt[k] for k in range(rep.dim_g) if k >= s.size or s[k] <= tol.nullspace_cut * smax]
     return IsotropyResult(basis=tuple(rows), dim=len(rows))
 
 

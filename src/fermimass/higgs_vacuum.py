@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_rep import LieAlgebraRep, IsotropyResult, exp_map, isotropy_algebra
+from .group_rep import LieAlgebraRep, IsotropyResult, exp_map, isotropy_algebra, orbit_directions
 from .tolerances import DEFAULT
 
 POTENTIAL_KINDS = ("mexican_hat", "custom_polynomial")
@@ -156,15 +156,9 @@ def goldstone_split(rep, z0, tol=DEFAULT):
     of singular value above tol.nullspace_cut * sigma_max; the physical
     block is its orthogonal complement.  Columns are the basis vectors.
     """
-    z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    if z0.shape[0] != rep.rep_dim:
-        raise ValueError(f"vector has length {z0.shape[0]}, representation acts on C^{rep.rep_dim}")
-    two_n = 2 * rep.rep_dim
-    T = np.zeros((two_n, rep.dim_g))
-    for k, X in enumerate(rep.generators):
-        T[:, k] = realify(X @ z0)
+    T = realify(orbit_directions(rep, z0)).T
     if not T.any():
-        return np.zeros((two_n, 0)), np.eye(two_n)
+        return np.zeros((T.shape[0], 0)), np.eye(T.shape[0])
     u, s, _ = np.linalg.svd(T)
     rank = int(np.sum(s > tol.nullspace_cut * s[0]))
     return u[:, :rank], u[:, rank:]

@@ -74,6 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import kron
 from .higgs_vacuum import unitary_gauge_project
 from .tolerances import DEFAULT
 from .yukawa_mass import apply_yukawa
@@ -254,14 +255,6 @@ def _union(sites_list):
     return s[first]
 
 
-def _kron(a, b):
-    """np.kron of two matrices, bit for bit: each entry is the same product.
-    np.kron's general axis handling costs about 16 us a call against 2 us
-    here, and the lattice command makes a few dozen calls on small blocks."""
-    (p, q), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
-
-
 def _derivative_line(lat, axis, block):
     """(sites, blocks) of the derivative along one axis, tensored with a fiber
     block: derivative_row times block, on the axis line."""
@@ -365,10 +358,10 @@ def build_vacuum_dirac(lat, cl, md, frep, fields=None):
     origin = np.zeros(1, dtype=int)
     terms = []
     for a in range(lat.dim):
-        terms.append(_derivative_line(lat, a, _kron(cl.gamma[a], ident_f)))
+        terms.append(_derivative_line(lat, a, kron(cl.gamma[a], ident_f)))
         if fields is not None:
-            terms.append((origin, _kron(cl.gamma[a], fields[a])[None]))
-    terms.append((origin, _kron(cl.gamma5, d_int)[None]))
+            terms.append((origin, kron(cl.gamma[a], fields[a])[None]))
+    terms.append((origin, kron(cl.gamma5, d_int)[None]))
     sites, blocks = _summed(terms)
     return LatticeOperator(lat, cl.spinor_dim, nf, kind="vacuum_dirac", sites=sites, blocks=blocks)
 
@@ -390,8 +383,8 @@ def build_vacuum_connection(lat, cl, md, frep, fields=None):
     for a in range(lat.dim):
         terms = [_derivative_line(lat, a, np.eye(cl.spinor_dim * nf, dtype=complex))]
         if fields is not None:
-            terms.append((origin, _kron(np.eye(cl.spinor_dim), fields[a])[None]))
-        terms.append((origin, _kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)[None]))
+            terms.append((origin, kron(np.eye(cl.spinor_dim), fields[a])[None]))
+        terms.append((origin, kron(cl.xi_scale * (cl.gamma[a] @ cl.gamma5), d_int)[None]))
         sites, blocks = _summed(terms)
         comps.append(LatticeOperator(lat, cl.spinor_dim, nf, kind=f"covariant_derivative_{a}",
                                      sites=sites, blocks=blocks))
@@ -406,7 +399,7 @@ def contraction_residual(conn, cl, dirac_op):
     """
     eye = np.eye(dirac_op.internal_dim)
     d_sites, d_blocks = _support(dirac_op)
-    terms = [(sites, _kron(g, eye) @ blocks) for g, (sites, blocks) in zip(cl.gamma, map(_support, conn))]
+    terms = [(sites, kron(g, eye) @ blocks) for g, (sites, blocks) in zip(cl.gamma, map(_support, conn))]
     _, diff = _summed(terms + [(d_sites, -d_blocks)])
     return float(np.max(np.abs(diff)))
 
@@ -527,7 +520,7 @@ def relative_curvature(conn, cl, md, frep):
         for b in range(a + 1, lat.dim):
             F = omega[a] @ omega[b] - omega[b] @ omega[a]
             wedge = c * c * (cl.gamma[a] @ cl.gamma[b] - cl.gamma[b] @ cl.gamma[a])
-            residual = max(residual, float(np.max(np.abs(F - _kron(wedge, m2_int)))))
+            residual = max(residual, float(np.max(np.abs(F - kron(wedge, m2_int)))))
             comps.append(((a, b), F))
     return CurvatureResult(components=tuple(comps), residual=residual)
 
@@ -577,12 +570,10 @@ def fluctuation_operator(vac_op, A_fl, phi_fl, ymap, cl, frep, t, unitary_split=
                 f"gauge fluctuation has shape {gauge.shape}, expected "
                 f"({lat.dim}, {S}, {frep.total.dim_g})"
             )
-    # np.kron of a (1, p, p) and an (S, q, q) stack is the stack of the S
-    # site blocks' Kronecker products
-    blk = np.kron(cl.gamma5[None], apply_yukawa(ymap, phis))
+    blk = kron(cl.gamma5, apply_yukawa(ymap, phis))
     if gauge is not None:
         for a in range(lat.dim):
-            blk += np.kron(cl.gamma[a][None], frep.total.element(gauge[a]))
+            blk += kron(cl.gamma[a], frep.total.element(gauge[a]))
     t = float(t)
     vac = _per_site(lat, vac_blocks)
     if not (sites.size and sites[0] == 0):
@@ -721,9 +712,9 @@ def _eigenvalues(M_pq, M_qp, graded):
 # bytes of the Bloch blocks and phases formed at once by _bloch_blocks
 _CHUNK_BYTES = 1 << 22
 # peak bytes per value of the squared spectrum in a verify-all run, most
-# of them the report's list, the reprs of its values and its JSON text:
-# under tracemalloc, less the chunk and plane terms of lattice_footprint,
-# 109 at n=2, L=12, 79 at n=3, L=4 and 132 at n=3, L=8
+# of them the report's list and copies of its JSON text: under
+# tracemalloc, less the chunk and plane terms of lattice_footprint, 89 at
+# n=2, L=12, 59 at n=3, L=4 and 111 at n=3, L=8; the guard counts more
 _BYTES_PER_VALUE = 144
 
 

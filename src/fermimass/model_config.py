@@ -23,7 +23,6 @@ offending entry; so is any key an object of the file does not take.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .clifford import build_clifford
 from .group_rep import LieAlgebraRep
 from .higgs_vacuum import HiggsModel, invariance_residual
 from .lattice_dirac import DERIVATIVE_KINDS, TorusLattice
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, Tolerances, finite_number
 from .yukawa_mass import ChiralFermionRep, YukawaMap
 
 SCHEMA_VERSION = 1
@@ -42,62 +41,54 @@ class ModelError(ValueError):
     """A model file failed schema or invariant validation."""
 
 
-def encode_complex_matrix(m):
-    """Nested row-major [re, im] pairs for a complex matrix."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+def encode_complex(a):
+    """A complex array of any rank as nested lists ending in [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def encode_complex_vector(z):
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in z]
+def decode_array(obj, path, shape, pairs=True):
+    """The array that the nested lists obj hold: complex numbers written as
+    [re, im] pairs, or with pairs=False real numbers.
 
+    shape gives the length of each level; a None length is free, fixed by
+    the first list at that level.  Each list's type and length is checked
+    before its entries, depth first, so the ModelError raised names the
+    path of the first bad entry.  A complex array is its float64 pairs
+    viewed as complex128, so each part keeps its bits, the sign of a zero
+    included.
+    """
+    dims = list(shape)
+    values = []
 
-def _real(v):
-    """v as a float, or None unless it is a finite JSON number."""
-    # bool is an int subclass, but a JSON true is not a number
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return None
-    try:
-        v = float(v)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return v if math.isfinite(v) else None
+    def walk(node, where, depth):
+        if depth == len(dims):
+            if pairs:
+                parts = [finite_number(v) for v in node] if isinstance(node, list) and len(node) == 2 else [None]
+            else:
+                parts = [finite_number(node)]
+            if None in parts:
+                what = "a [re, im] pair of finite numbers" if pairs else "a finite real number"
+                raise ModelError(f"{where}: expected {what}, got {node!r}")
+            values.extend(parts)
+            return
+        if not isinstance(node, list):
+            raise ModelError(f"{where}: expected a list, got {type(node).__name__}")
+        if dims[depth] is None:
+            dims[depth] = len(node)
+        elif len(node) != dims[depth]:
+            if shape[depth] is None:
+                raise ModelError(f"{path}: ragged rows, {where} has length {len(node)}, "
+                                 f"expected {dims[depth]}")
+            raise ModelError(f"{where}: expected length {dims[depth]}, got {len(node)}")
+        for i, v in enumerate(node):
+            walk(v, f"{where}[{i}]", depth + 1)
 
-
-def _pair(obj, path):
-    parts = [_real(v) for v in obj] if isinstance(obj, (list, tuple)) and len(obj) == 2 else [None]
-    if None in parts:
-        raise ModelError(f"{path}: expected a [re, im] pair of finite numbers, got {obj!r}")
-    return complex(*parts)
-
-
-def decode_complex_vector(obj, path, length=None):
-    if not isinstance(obj, list):
-        raise ModelError(f"{path}: expected a list of [re, im] pairs")
-    vec = np.array([_pair(v, f"{path}[{i}]") for i, v in enumerate(obj)])
-    if length is not None and vec.shape[0] != length:
-        raise ModelError(f"{path}: expected length {length}, got {vec.shape[0]}")
-    return vec
-
-
-def decode_complex_matrix(obj, path, shape=None):
-    if not isinstance(obj, list) or not obj:
-        raise ModelError(f"{path}: expected a non-empty list of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            raise ModelError(f"{path}[{i}]: expected a row of [re, im] pairs")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ModelError(f"{path}[{i}]: ragged row, expected {width} entries")
-        rows.append([_pair(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    m = np.array(rows)
-    if shape is not None and m.shape != shape:
-        raise ModelError(f"{path}: expected shape {shape}, got {m.shape}")
-    return m
+    walk(obj, path, 0)
+    # a free length below an empty list is never fixed
+    dims = [0 if d is None else d for d in dims]
+    values = np.array(values, dtype=float)
+    return (values.view(complex) if pairs else values).reshape(dims)
 
 
 def _require(mapping, key, path, kind=None):
@@ -229,16 +220,10 @@ class ModelConfig:
         path = f"algebra.representations.{name}"
         if name not in self.representations:
             raise ModelError(f"{path}: representation not defined")
-        entry, dim_g = self.representations[name], len(self.generator_labels)
-        if not isinstance(entry, list) or len(entry) != dim_g:
-            raise ModelError(f"{path}: expected one matrix per generator ({dim_g})")
-        gens = []
-        first = decode_complex_matrix(entry[0], f"{path}[0]")
-        if first.shape[0] != first.shape[1]:
-            raise ModelError(f"{path}[0]: matrix is not square, shape {first.shape}")
-        gens.append(first)
-        for k in range(1, dim_g):
-            gens.append(decode_complex_matrix(entry[k], f"{path}[{k}]", shape=first.shape))
+        # one matrix per generator, each of the shape of the first
+        gens = decode_array(self.representations[name], path, (len(self.generator_labels), None, None))
+        if gens.shape[1] != gens.shape[2] or not gens.shape[1]:
+            raise ModelError(f"{path}[0]: expected a non-empty square matrix, got shape {gens.shape[1:]}")
         if tol is None:
             tol = self.build_tolerances()
         try:
@@ -285,15 +270,14 @@ class ModelConfig:
         else:
             raise ModelError(f"{path}.potential: unknown kind {kind!r}")
         for where, value in named.items():
-            if _real(value) is None:
-                raise ModelError(f"{where}: expected a finite real number, got {value!r}")
+            decode_array(value, where, (), pairs=False)
         params = tuple(named.values())
         try:
             higgs = HiggsModel(rep=higgs_rep, potential_kind=kind, params=params)
         except ValueError as exc:
             raise ModelError(f"{path}.params: {exc}") from exc
         nh = higgs_rep.rep_dim
-        seed = decode_complex_vector(_require(self.higgs, "seed", path), "higgs.seed", length=nh)
+        seed = decode_array(_require(self.higgs, "seed", path), "higgs.seed", (nh,))
 
         path = "fermions"
         _section(self.fermions, path, ("rep_left", "rep_right", "grading"))
@@ -311,18 +295,8 @@ class ModelConfig:
 
         path = "yukawa"
         _section(self.yukawa, path, ("tensor", "conjugate_higgs"))
-        raw = _require(self.yukawa, "tensor", path, list)
-        nl, nr = frep.n_left, frep.n_right
-        if len(raw) != nl:
-            raise ModelError(f"{path}.tensor: expected {nl} left slots, got {len(raw)}")
-        tensor = np.zeros((nl, nr, nh), dtype=complex)
-        for l in range(nl):
-            if not isinstance(raw[l], list) or len(raw[l]) != nr:
-                raise ModelError(f"{path}.tensor[{l}]: expected {nr} right slots")
-            for r in range(nr):
-                tensor[l, r] = decode_complex_vector(
-                    raw[l][r], f"{path}.tensor[{l}][{r}]", length=nh
-                )
+        tensor = decode_array(_require(self.yukawa, "tensor", path, list), f"{path}.tensor",
+                              (frep.n_left, frep.n_right, nh))
         flags = self.yukawa.get("conjugate_higgs", [False] * nh)
         if not isinstance(flags, list) or len(flags) != nh or not all(isinstance(f, bool) for f in flags):
             raise ModelError(f"{path}.conjugate_higgs: expected {nh} booleans")
@@ -351,14 +325,15 @@ class ModelConfig:
         _section(self.lattice, path, ("n", "sites_per_dim", "spacing", "derivative"))
         n = _require(self.lattice, "n", path, int)
         L = _require(self.lattice, "sites_per_dim", path, int)
-        a = _require(self.lattice, "spacing", path, (int, float))
-        if not 0 < a < np.inf:  # NaN fails both comparisons
-            raise ModelError(f"{path}.spacing: expected a finite positive number, got {a!r}")
+        spacing = _require(self.lattice, "spacing", path)
+        a = finite_number(spacing)
+        if a is None or a <= 0.0:
+            raise ModelError(f"{path}.spacing: expected a finite positive number, got {spacing!r}")
         kind = self.lattice.get("derivative", "fourier_spectral")
         if kind not in DERIVATIVE_KINDS:
             raise ModelError(f"{path}.derivative: unknown kind {kind!r}")
         try:
-            return TorusLattice(n=n, L=L, a=float(a), derivative_kind=kind)
+            return TorusLattice(n=n, L=L, a=a, derivative_kind=kind)
         except (OverflowError, ValueError) as exc:
             raise ModelError(f"{path}: {exc}") from exc
 
@@ -373,19 +348,8 @@ class ModelConfig:
         """
         if self.wilson is None:
             return None
-        path = "wilson.theta"
         theta = _require(_section(self.wilson, "wilson", ("theta",)), "theta", "wilson", list)
-        if len(theta) != dim:
-            raise ModelError(f"{path}: expected {dim} axis rows, got {len(theta)}")
-        rows = []
-        for a, row in enumerate(theta):
-            values = [_real(v) for v in row] if isinstance(row, list) else [None]
-            if None in values:
-                raise ModelError(f"{path}[{a}]: expected a list of finite real coefficients")
-            rows.append(values)
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ModelError(f"{path}: ragged rows")
-        return np.array(rows, dtype=float)
+        return decode_array(theta, "wilson.theta", (dim, None), pairs=False)
 
     def build_wilson(self, vac):
         return self.build().wilson_fields(vac)

@@ -11,7 +11,7 @@ so the unbroken direction is T3 + Y/2.
 
 import numpy as np
 
-from .model_config import ModelConfig, encode_complex_matrix, encode_complex_vector, read_model
+from .model_config import ModelConfig, encode_complex, read_model
 
 Y_E = 0.5
 LAM = 1.0
@@ -23,14 +23,12 @@ _S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _doublet(hypercharge):
-    gens = [-0.5j * _S1, -0.5j * _S2, -0.5j * _S3, -1.0j * hypercharge * np.eye(2)]
-    return [encode_complex_matrix(g) for g in gens]
+    return encode_complex([-0.5j * _S1, -0.5j * _S2, -0.5j * _S3, -1.0j * hypercharge * np.eye(2)])
 
 
 def _singlet(hypercharge):
     zero = np.zeros((1, 1), dtype=complex)
-    gens = [zero, zero, zero, -1.0j * hypercharge * np.eye(1)]
-    return [encode_complex_matrix(g) for g in gens]
+    return encode_complex([zero, zero, zero, -1.0j * hypercharge * np.eye(1)])
 
 
 def ew_reference(y_right=-2.0):
@@ -51,12 +49,11 @@ def ew_reference(y_right=-2.0):
             "rep": "higgs_doublet",
             "potential": "mexican_hat",
             "params": {"lam": LAM, "v": V},
-            "seed": encode_complex_vector(np.array([0.0, 1.0])),
+            "seed": encode_complex([0.0, 1.0]),
         },
         fermions={"rep_left": "lepton_left", "rep_right": "lepton_right"},
         yukawa={
-            "tensor": [[encode_complex_vector(tensor[l, r])
-                        for r in range(1)] for l in range(2)],
+            "tensor": encode_complex(tensor),
             "conjugate_higgs": [False, False],
         },
         lattice={"n": 1, "sites_per_dim": 4, "spacing": 1.0, "derivative": "fourier_spectral"},

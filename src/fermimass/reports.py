@@ -37,7 +37,7 @@ from .lattice_dirac import (
     spectrum,
     wilson_flatness,
 )
-from .model_config import encode_complex_matrix, encode_complex_vector
+from .model_config import encode_complex
 from .yukawa_mass import (
     BlockStructureViolation,
     check_equivariance,
@@ -117,8 +117,10 @@ class Report:
         return canonical_json(self.to_dict()) + "\n"
 
     def to_csv(self):
-        """Flat key,value rows; the lattice spectrum, when present, uses the
-        spectrum CSV layout (index,eigenvalue at 17 significant digits)."""
+        """Flat key,value rows: each check's value, tol and passed flag, then
+        every spectrum_sq list of the data (lattice.spectrum_sq and
+        masses.spectrum_sq among them) as key[i],value rows, then the
+        verdict; numbers at 17 significant digits."""
         lines = ["key,value"]
         for c in self.checks:
             lines.append(f"check.{c.check_id}.value,{c.value:.16e}")
@@ -142,13 +144,21 @@ class Report:
         return rows
 
 
+# floats per str.join in canonical_json: a join holds one repr string
+# (about 75 B) per value at once, so a long spectrum is joined a slice at a
+# time; a slice's reprs (about 5 MB) stay near the momentum chunk that
+# lattice_footprint counts, which is freed before the report is written
+_JOIN_SLICE = 1 << 16
+
+
 def canonical_json(value, indent=""):
     """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
 
     json writes each value of an indented document through its pure-Python
     encoder, one generator step per value.  Here a list of finite floats,
-    such as a report's spectrum, is written in one join of their reprs; any
-    other list, or one holding a NaN or an infinity, is written item by item.
+    such as a report's spectrum, is written in joins of their reprs, a slice
+    at a time; any other list, or one holding a NaN or an infinity, is
+    written item by item.
     Dict keys must be str, and values str, int, float, bool, None, dicts,
     lists or tuples; anything else (a numpy scalar, say) is a TypeError.
     """
@@ -180,14 +190,18 @@ def canonical_json(value, indent=""):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        parts = []
         try:
-            body = sep.join(map(float.__repr__, value))
+            for i in range(0, len(value), _JOIN_SLICE):
+                parts.append(sep.join(map(float.__repr__, value[i:i + _JOIN_SLICE])))
         except TypeError:  # an item that is not a float
-            body = None
+            parts = None
         # nan and inf are the only float reprs with an "n", and json writes
         # them as NaN and Infinity
-        if body is None or "n" in body:
+        if parts is None or any("n" in part for part in parts):
             body = sep.join(canonical_json(v, inner) for v in value)
+        else:
+            body = sep.join(parts)
         return f"[\n{inner}{body}\n{indent}]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -294,7 +308,7 @@ def cmd_break(run):
         )
         rep.data.update(
             {
-                "z0": encode_complex_vector(vac.z0),
+                "z0": encode_complex(vac.z0),
                 "potential_value": float(vac.value),
                 "gradient_norm": grad_norm,
                 "isotropy_dim": vac.isotropy.dim,
@@ -341,13 +355,13 @@ def cmd_masses(run):
                     "m2": float(blk.m2),
                     "left_dim": blk.left_dim,
                     "right_dim": blk.right_dim,
-                    "left_basis": encode_complex_matrix(blk.left_basis) if blk.left_dim else [],
-                    "right_basis": encode_complex_matrix(blk.right_basis) if blk.right_dim else [],
+                    "left_basis": encode_complex(blk.left_basis) if blk.left_dim else [],
+                    "right_basis": encode_complex(blk.right_basis) if blk.right_dim else [],
                 }
             )
         rep.data.update(
             {
-                "M_F": encode_complex_matrix(md.M_F),
+                "M_F": encode_complex(md.M_F),
                 "spectrum_sq": _float_list(md.spectrum_sq),
                 "n_left": md.n_left,
                 "n_right": md.n_right,

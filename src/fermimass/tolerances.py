@@ -12,6 +12,19 @@ import math
 from dataclasses import dataclass, fields
 
 
+def finite_number(v):
+    """v as a float, or None unless it is a finite JSON number; the one test
+    of a number that a model file or its tolerance overrides may hold."""
+    # bool is an int subclass, but a JSON true is not a number
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class Tolerances:
     # generator anti-Hermiticity
@@ -86,13 +99,8 @@ class Tolerances:
             raise ValueError(f"unknown tolerance name(s): {', '.join(bad)}")
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in overrides.items():
-            # bool is an int subclass, but a JSON true is not a number
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            try:
-                values[name] = float(value) if number else math.nan
-            except OverflowError:  # an integer beyond the float range
-                values[name] = math.nan
-            if not 0.0 <= values[name] < math.inf:  # NaN fails both comparisons
+            values[name] = finite_number(value)
+            if values[name] is None or values[name] < 0.0:
                 raise ValueError(f"{name}: expected a finite non-negative number, got {value!r}")
         return Tolerances(**values)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fermimass import ModelConfig, save_model
 from fermimass.cli import main
-from fermimass.model_config import encode_complex_matrix
+from fermimass.model_config import encode_complex
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -51,7 +51,7 @@ def charge_models(draw, off_rule=False):
 
     def charge_rep(charges):
         # one diagonal generator -i diag(q_j) per u(1) factor j
-        return [encode_complex_matrix(np.diag(-1.0j * charges[:, j])) for j in range(k)]
+        return encode_complex([np.diag(-1.0j * charges[:, j]) for j in range(k)])
 
     cfg = ModelConfig(
         schema_version=1,
@@ -62,7 +62,7 @@ def charge_models(draw, off_rule=False):
         higgs={"rep": "higgs", "potential": "mexican_hat", "params": {"lam": 1.0, "v": v},
                "seed": [[1.0, 0.0]]},
         fermions={"rep_left": "left", "rep_right": "right"},
-        yukawa={"tensor": [[[pair] for pair in row] for row in encode_complex_matrix(tensor)],
+        yukawa={"tensor": encode_complex(tensor[..., None]),
                 "conjugate_higgs": [False]},
         lattice={"n": 1, "sites_per_dim": 2, "spacing": 1.0, "derivative": "fourier_spectral"},
     )

@@ -146,11 +146,13 @@ def test_invalid_json_is_input_error(capsys, tmp_path):
     [
         (lambda doc: doc["lattice"].update(spacing=float("inf")), "lattice.spacing"),
         (lambda doc: doc["lattice"].update(spacing=float("nan")), "lattice.spacing"),
+        (lambda doc: doc["lattice"].update(spacing=10 ** 400), "lattice.spacing"),
         (lambda doc: doc["lattice"].update(n=True), "lattice.n"),
         (lambda doc: doc["lattice"].update(sites_per_dim=True), "lattice.sites_per_dim"),
         (lambda doc: doc.update(schema_version=True), "schema_version"),
     ],
-    ids=["infinite-spacing", "nan-spacing", "bool-n", "bool-sites", "bool-schema-version"],
+    ids=["infinite-spacing", "nan-spacing", "huge-int-spacing", "bool-n", "bool-sites",
+         "bool-schema-version"],
 )
 def test_non_finite_spacing_and_bool_integers_are_input_errors(capsys, tmp_path, edit, named):
     doc = ew_reference().to_json_dict()
@@ -394,8 +396,15 @@ def test_check_rejects_malformed_wilson_theta(capsys, tmp_path, theta, where):
     (["tolerances", "dispersion"], True, "tolerances: dispersion"),
     (["tolerances", "dispersion"], "1e-6", "tolerances: dispersion"),
     (["tolerances", "dispersion"], 10 ** 400, "tolerances: dispersion"),
+    (["higgs", "seed", 0], [0.0, False], r"higgs.seed\[0\]: expected a \[re, im\] pair"),
+    (["yukawa", "tensor", 0, 0, 1], [10 ** 400, 0.0], r"yukawa.tensor\[0\]\[0\]\[1\]"),
+    (["algebra", "representations", "higgs_doublet", 2, 1], [[0.0, 0.0]],
+     r"algebra.representations.higgs_doublet: ragged rows, "
+     r"algebra.representations.higgs_doublet\[2\]\[1\] has length 1, expected 2"),
+    (["yukawa", "tensor", 1, 0], [[0.5, 0.0]], r"yukawa.tensor\[1\]\[0\]: expected length 2, got 1"),
 ], ids=["generator", "seed", "yukawa", "lam", "v", "tolerance-nan", "tolerance-negative",
-        "tolerance-null", "tolerance-bool", "tolerance-string", "tolerance-huge-int"])
+        "tolerance-null", "tolerance-bool", "tolerance-string", "tolerance-huge-int", "bool-leaf",
+        "huge-int-leaf", "short-generator-row", "yukawa-cell-length"])
 def test_check_rejects_non_finite_numbers(capsys, tmp_path, path, value, where):
     doc = ew_reference().to_json_dict()
     doc["tolerances"] = {}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fermimass import build_clifford, canonical_xi, clifford_action
+from fermimass.clifford import kron
 
 TOL = 1e-12
 
@@ -150,3 +151,18 @@ def test_xi_components_are_scaled_gammas():
     xi = canonical_xi(cl)
     for a in range(cl.dim):
         assert np.abs(xi[a] - cl.gamma[a] / 4.0).max() <= TOL
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 3), (4, 5)), ((4, 4), (16, 3, 3)), ((16, 2, 2), (3, 3)), ((5, 1, 2, 2), (4, 3, 3)),
+])
+def test_kron_matches_numpy_bitwise(a_shape, b_shape):
+    # the leading axes broadcast; each block is np.kron of its pair of matrices
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
+    got = kron(a, b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a_all, b_all = (np.broadcast_to(x, lead + x.shape[-2:]).reshape((-1,) + x.shape[-2:]) for x in (a, b))
+    want = np.array([np.kron(x, y) for x, y in zip(a_all, b_all)]).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()

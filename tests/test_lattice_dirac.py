@@ -39,7 +39,7 @@ from fermimass.lattice_dirac import (
     contraction_residual,
     hermiticity_residual,
 )
-from fermimass.model_config import encode_complex_matrix, encode_complex_vector
+from fermimass.model_config import encode_complex
 from fermimass.operator_io import dump_operator, load_operator
 from fermimass.yukawa_mass import mass_data_from_operator
 from conftest import S1, S2, S3
@@ -488,10 +488,10 @@ def two_generation_leptons(yuk=((0.3 + 0.1j, 0.05 - 0.2j), (0.15j, 0.25 + 0.05j)
         for c in range(2):
             tensor[2 * i + c, :, c] = yuk[i]
     cfg = ew_reference()
-    cfg.representations["lepton_left"] = [encode_complex_matrix(g) for g in left]
-    cfg.representations["lepton_right"] = [encode_complex_matrix(g) for g in right]
+    cfg.representations["lepton_left"] = encode_complex(left)
+    cfg.representations["lepton_right"] = encode_complex(right)
     cfg.yukawa = {
-        "tensor": [[encode_complex_vector(tensor[l, r]) for r in range(2)] for l in range(4)],
+        "tensor": encode_complex(tensor),
         "conjugate_higgs": [False, False],
     }
     return cfg

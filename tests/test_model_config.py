@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fermimass import ModelError, ew_reference, load_model, resolve_model, save_model
-from fermimass.model_config import ModelConfig, validate_model
+from fermimass.model_config import ModelConfig, decode_array, encode_complex, validate_model
 from fermimass.tolerances import DEFAULT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -20,8 +20,22 @@ def test_round_trip_save_load(tmp_path):
     cfg = ew_reference()
     path = tmp_path / "model.json"
     save_model(cfg, path)
+    assert path.read_bytes() == (REPO_ROOT / "models" / "ew_reference.json").read_bytes()
     back = load_model(path)
     assert back == cfg
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5)])
+def test_complex_arrays_round_trip_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    parts = rng.standard_normal((2,) + shape)
+    # signed zeros and subnormals in both parts
+    parts.reshape(2, -1)[:, :4] = [[-0.0, 0.0, 5e-324, -2.5e-310], [0.0, -0.0, -5e-324, 1e-315]]
+    a = np.empty(shape, dtype=complex)
+    a.real, a.imag = parts
+    back = decode_array(json.loads(json.dumps(encode_complex(a))), "a", shape)
+    assert back.dtype == complex and back.shape == shape
+    assert back.tobytes() == a.tobytes()
 
 
 def test_shipped_reference_file_matches_registry():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermimass.reports import canonical_json
+from fermimass.reports import _JOIN_SLICE, canonical_json
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -63,6 +63,9 @@ def test_mixed_float_int_bool_lists(items):
     {"b": 1, "a": 2, "B": 3, "": 4, "aa": 5}, np.arange(5, dtype=float).tolist(),
     # a float subclass is written by float's repr, as json does
     [np.float64(0.1), np.float64(math.nan)], np.float64(2.5),
+    # longer than one join slice, with a NaN, an int or a str in the last slice
+    [0.5] * _JOIN_SLICE + [0.1], [0.5] * _JOIN_SLICE + [math.nan],
+    [0.5] * _JOIN_SLICE + [1], [0.5] * _JOIN_SLICE + ["x"],
 ])
 def test_edge_documents(doc):
     assert canonical_json(doc) == dumps(doc)
@@ -71,7 +74,7 @@ def test_edge_documents(doc):
 @pytest.mark.parametrize("doc", [
     np.int64(3), [np.int64(3)], {"a": np.int64(3)}, [1.0, np.int64(3)], np.bool_(True),
     {1: "a"}, {"a": {2.0: 1}}, {None: 1}, {("a",): 1}, {1, 2}, b"bytes", object(),
-    np.array([1.0, 2.0]),
+    np.array([1.0, 2.0]), [0.5] * _JOIN_SLICE + [np.int64(3)],
 ])
 def test_numpy_integers_other_objects_and_non_str_keys_raise(doc):
     with pytest.raises(TypeError):
