@@ -1,14 +1,13 @@
 """Fermion mass matrices, vacuum geometry and lattice Dirac spectra for
 spontaneously broken gauge theories."""
 
-from .clifford import CliffordAlgebra, build_clifford, canonical_xi, clifford_action
+from .clifford import CliffordAlgebra, build_clifford
 from .group_rep import (
     IsotropyResult,
     LieAlgebraRep,
     commutant_check,
     direct_sum,
     exp_map,
-    infinitesimal_action,
     isotropy_algebra,
 )
 from .higgs_vacuum import (

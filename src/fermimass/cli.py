@@ -8,6 +8,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .reference import REGISTRY, resolve_model
 from .reports import Run, cmd_break, cmd_check, cmd_lattice, cmd_masses, cmd_verify_all
 
@@ -58,18 +60,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        report = COMMANDS[args.command](Run(resolve_model(args.model), args.tol_scale))
+        with np.errstate(over="raise", invalid="raise"):
+            report = COMMANDS[args.command](Run(resolve_model(args.model), args.tol_scale))
         text = report.to_json() if args.format == "json" else report.to_csv()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         # a ModelError is a ValueError; some input problems only surface
         # mid-run, e.g. a Wilson theta width that disagrees with the
-        # computed isotropy dimension, and an --out path that cannot be
-        # written only at the end
+        # computed isotropy dimension, a float overflow from a model's
+        # absurd magnitudes (a FloatingPointError), and an --out path that
+        # cannot be written only at the end
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1

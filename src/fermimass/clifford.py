@@ -34,11 +34,6 @@ class CliffordAlgebra:
     xi_scale: float
 
     @property
-    def dim(self):
-        """Space-time dimension 2n."""
-        return 2 * self.n
-
-    @property
     def spinor_dim(self):
         return 2 ** self.n
 
@@ -81,24 +76,3 @@ def build_clifford(n):
         gamma5=gamma5,
         xi_scale=1.0 / (2 * n),
     )
-
-
-def clifford_action(cl, covector, spinor_block):
-    """Apply sum_a covector_a gamma^a to a spinor block from the left."""
-    covector = np.asarray(covector, dtype=float)
-    if covector.shape != (cl.dim,):
-        raise ValueError(f"covector must have length {cl.dim}, got shape {covector.shape}")
-    spinor_block = np.asarray(spinor_block, dtype=complex)
-    if spinor_block.shape[0] != cl.spinor_dim:
-        raise ValueError(
-            f"spinor block must have {cl.spinor_dim} rows, got {spinor_block.shape}"
-        )
-    slash = np.zeros((cl.spinor_dim, cl.spinor_dim), dtype=complex)
-    for a in range(cl.dim):
-        slash += covector[a] * cl.gamma[a]
-    return slash @ spinor_block
-
-
-def canonical_xi(cl):
-    """Components xi_a = xi_scale * gamma_a of the canonical one-form."""
-    return [cl.xi_scale * g for g in cl.gamma]

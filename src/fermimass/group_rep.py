@@ -123,14 +123,6 @@ def direct_sum(reps):
     return LieAlgebraRep(generators=tuple(gens), label=label, tol=reps[0].tol)
 
 
-def infinitesimal_action(rep, coeffs, z):
-    """Apply the algebra element with the given coefficients to a vector."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != rep.rep_dim:
-        raise ValueError(f"vector has length {z.shape[0]}, representation acts on C^{rep.rep_dim}")
-    return rep.element(coeffs) @ z
-
-
 def orbit_directions(rep, z0):
     """The (dim_g, rep_dim) array whose row k is the orbit direction X_k z0,
     from one stacked product."""

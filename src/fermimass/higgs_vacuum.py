@@ -22,6 +22,8 @@ from .group_rep import LieAlgebraRep, IsotropyResult, exp_map, isotropy_algebra,
 from .tolerances import DEFAULT
 
 POTENTIAL_KINDS = ("mexican_hat", "custom_polynomial")
+INVARIANCE_SAMPLES = 6
+INVARIANCE_SEED = 7
 
 
 class SaddleConverged(RuntimeError):
@@ -134,15 +136,16 @@ def hessian(model, z):
     return 4.0 * _poly_eval(c2, s) * np.outer(x, x) + 2.0 * _poly_eval(c1, s) * np.eye(x.shape[0])
 
 
-def invariance_residual(model, n_samples=8, seed=0):
+def invariance_residual(model):
     """Max relative change of V along random group motions of random points.
 
-    Each sample draws a point z (real, then imaginary parts) and then the
-    coefficients of a group element; all samples come from one draw of that
-    layout, are moved by one stacked exp_map and evaluated together.
+    Each of INVARIANCE_SAMPLES samples draws a point z (real, then imaginary
+    parts) and then the coefficients of a group element; all samples come
+    from one draw of that layout, seeded with INVARIANCE_SEED, are moved by
+    one stacked exp_map and evaluated together.
     """
     d, g = model.rep.rep_dim, model.rep.dim_g
-    draws = np.random.default_rng(seed).standard_normal((n_samples, 2 * d + g))
+    draws = np.random.default_rng(INVARIANCE_SEED).standard_normal((INVARIANCE_SAMPLES, 2 * d + g))
     z = draws[:, :d] + 1j * draws[:, d : 2 * d]
     moved = (exp_map(model.rep, draws[:, 2 * d :]) @ z[..., None])[..., 0]
     v0, v1 = potential_eval(model, z), potential_eval(model, moved)

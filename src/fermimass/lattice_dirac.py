@@ -86,6 +86,17 @@ class NonHermitian(RuntimeError):
     """i times the operator failed the Hermiticity validation."""
 
 
+def spacing_fits(n, a):
+    """Whether a > 0 leaves a^(2n), the volume element, and 2n (2 pi / a)^2,
+    the largest kinetic value of either derivative kind, finite."""
+    try:
+        n, a = int(n), float(a)
+        # NaN fails 0 < a < inf
+        return 0 < a < math.inf and math.isfinite(a ** (2 * n)) and math.isfinite(2 * n * (2 * math.pi / a) ** 2)
+    except OverflowError:  # float ** int, and an int beyond the float range, raise where numpy gives inf
+        return False
+
+
 @dataclass(frozen=True)
 class TorusLattice:
     """A flat 2n-torus sampled with L sites per axis at spacing a."""
@@ -100,8 +111,9 @@ class TorusLattice:
             raise ValueError("half-dimension n must be a positive integer")
         if self.L < 1:
             raise ValueError("need at least one site per axis")
-        if not 0 < self.a < np.inf:  # NaN fails both comparisons
-            raise ValueError(f"lattice spacing must be finite and positive, got {self.a!r}")
+        if not spacing_fits(self.n, self.a):
+            raise ValueError(f"lattice spacing must be finite and positive, with finite a^(2n) "
+                             f"and 2n (2 pi / a)^2, got {self.a!r} at n={self.n}")
         if self.derivative_kind not in DERIVATIVE_KINDS:
             raise ValueError(
                 f"unknown derivative kind {self.derivative_kind!r}, expected one of {DERIVATIVE_KINDS}"
@@ -121,8 +133,10 @@ class TorusLattice:
 
     @functools.cached_property
     def derivative_row(self):
-        """Row 0 of axis_derivative(), read-only: entry y couples site 0 of an
-        axis to site y.  Computed once per lattice."""
+        """Row 0 of the one-axis derivative, read-only: entry y couples site 0
+        of an axis to site y, and the derivative's (L x L) matrix, circulant
+        and anti-Hermitian, has entry (x, y) = row[(y - x) mod L].  Computed
+        once per lattice."""
         L, a = self.L, self.a
         vals = np.zeros(L, dtype=complex)
         if self.derivative_kind == "fourier_spectral":
@@ -140,12 +154,6 @@ class TorusLattice:
         row.flags.writeable = False
         return row
 
-    def axis_derivative(self):
-        """One-axis derivative matrix (L x L), anti-Hermitian and circulant:
-        entry (x, y) is derivative_row[(y - x) mod L]."""
-        x = np.arange(self.L)
-        return self.derivative_row[(x - x[:, None]) % self.L]
-
 
 class LatticeOperator:
     """An operator on site x spinor x internal space, held on a support.
@@ -158,9 +166,7 @@ class LatticeOperator:
     (n_sites, len(sites), fiber, fiber), blocks[x, j] coupling site x to
     site x + r_j.  The matrix is filled in from the blocks on every read
     and never kept; the functions of this module read the blocks.
-    load_operator gives back the form an operator was dumped in;
-    from_matrix holds a dense matrix per site on the full support of all
-    n_sites offsets.
+    load_operator gives back the form an operator was dumped in.
     """
 
     def __init__(self, lattice, spinor_dim, internal_dim, sites, blocks, kind="", meta=None):
@@ -171,17 +177,6 @@ class LatticeOperator:
         self.internal_dim = internal_dim
         self.kind = kind
         self.meta = {} if meta is None else meta
-
-    @classmethod
-    def from_matrix(cls, matrix, lattice, spinor_dim, internal_dim, kind=""):
-        """The operator with this (N, N) matrix, held per site on the full
-        support: blocks[x, j] is the block at block row x and block column
-        x + j, one (n_sites, n_sites, fiber, fiber) copy of the matrix."""
-        S, F = lattice.n_sites, spinor_dim * internal_dim
-        sites = np.arange(S)
-        M = matrix.reshape(S, F, S, F)
-        return cls(lattice, spinor_dim, internal_dim, sites,
-                   M[sites[:, None], :, _neighbours(lattice, sites), :], kind=kind)
 
     @property
     def fiber_dim(self):

@@ -385,13 +385,15 @@ def require_lattice_fits(run):
     lat = run.model.lattice
     # ru_maxrss is in KiB, on macOS in bytes
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
-    need = lattice_footprint(lat, run.model.frep.n_total) + rss
+    # 2^bits <= 2^n L^(2n), the spectrum's length over N_F, from bit lengths:
+    # from 2^64 on no host fits, and 2^n and L^(2n) are not formed
+    bits = lat.n + lat.dim * (lat.L.bit_length() - 1)
+    need = lattice_footprint(lat, run.model.frep.n_total) + rss if bits < 64 else None
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"lattice n={lat.n}, L={lat.L} needs about {need / 2 ** 30:.3g} GiB, "
-            f"more than this host's {have / 2 ** 30:.3g} GiB of memory"
-        )
+    if need is None or need > have:
+        size = f"more than 2^{bits} bytes" if need is None else f"about {need / 2 ** 30:.3g} GiB"
+        raise ValueError(f"lattice n={lat.n}, L={lat.L} needs {size}, "
+                         f"more than this host's {have / 2 ** 30:.3g} GiB of memory")
 
 
 def cmd_lattice(run):

@@ -57,11 +57,6 @@ class ChiralFermionRep:
     def n_total(self):
         return self.n_left + self.n_right
 
-    @property
-    def grading(self):
-        """diag(+1 on the left block, -1 on the right block)."""
-        return np.diag(np.concatenate([np.ones(self.n_left), -np.ones(self.n_right)])).astype(complex)
-
 
 @dataclass(frozen=True)
 class YukawaMap:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fermimass import HiggsModel, LieAlgebraRep, ew_reference, mass_matrix, minimize
+from fermimass import HiggsModel, LatticeOperator, LieAlgebraRep, ew_reference, mass_matrix, minimize
+from fermimass.lattice_dirac import _neighbours
 
 S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 S2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -65,3 +66,21 @@ def ew_perturbed_objects(y_right):
 
 def mexican_hat_on(rep, lam=1.0, v=2.0):
     return HiggsModel(rep=rep, potential_kind="mexican_hat", params=(lam, v))
+
+
+def axis_derivative(lat):
+    """Oracle: the one-axis derivative matrix (L x L), anti-Hermitian and
+    circulant: entry (x, y) is lat.derivative_row[(y - x) mod L]."""
+    x = np.arange(lat.L)
+    return lat.derivative_row[(x - x[:, None]) % lat.L]
+
+
+def from_matrix(matrix, lattice, spinor_dim, internal_dim, kind=""):
+    """The operator with this (N, N) matrix, held per site on the full
+    support: blocks[x, j] is the block at block row x and block column
+    x + j, one (n_sites, n_sites, fiber, fiber) copy of the matrix."""
+    S, F = lattice.n_sites, spinor_dim * internal_dim
+    sites = np.arange(S)
+    M = matrix.reshape(S, F, S, F)
+    return LatticeOperator(lattice, spinor_dim, internal_dim, sites,
+                           M[sites[:, None], :, _neighbours(lattice, sites), :], kind=kind)

@@ -19,7 +19,6 @@ from fermimass import (
     build_clifford,
     build_vacuum_connection,
     build_vacuum_dirac,
-    canonical_xi,
     check_equivariance,
     dirac_potential,
     exp_map,
@@ -48,15 +47,14 @@ def test_criterion_01_clifford_suite():
     for n in (1, 2):
         cl = build_clifford(n)
         eye = np.eye(cl.spinor_dim)
-        for a in range(cl.dim):
-            for b in range(cl.dim):
+        for a in range(2 * n):
+            for b in range(2 * n):
                 acomm = cl.gamma[a] @ cl.gamma[b] + cl.gamma[b] @ cl.gamma[a]
                 want = 2.0 * (1.0 if a == b else 0.0) * eye
                 assert np.abs(acomm - want).max() <= 1e-12
             assert np.abs(cl.gamma5 @ cl.gamma[a] + cl.gamma[a] @ cl.gamma5).max() <= 1e-12
         assert np.abs(cl.gamma5 @ cl.gamma5 - eye).max() <= 1e-12
-        xi = canonical_xi(cl)
-        acc = sum(cl.gamma[a] @ xi[a] for a in range(cl.dim))
+        acc = sum(g @ (cl.xi_scale * g) for g in cl.gamma)
         assert np.abs(acc - eye).max() <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

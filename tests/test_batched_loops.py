@@ -13,7 +13,7 @@ from fermimass import TorusLattice, apply_yukawa, build_clifford, build_vacuum_c
 from fermimass import build_vacuum_dirac, check_equivariance, ew_reference, exp_map, lemma_verify
 from fermimass import lattice_dirac, mass_matrix, minimize
 from fermimass.group_rep import closure_residual
-from fermimass.higgs_vacuum import invariance_residual
+from fermimass.higgs_vacuum import INVARIANCE_SAMPLES, INVARIANCE_SEED, invariance_residual
 from fermimass.lattice_dirac import _coords, _index, _product_stencil, _union
 from fermimass.yukawa_mass import ORBIT_MOVES, ORBIT_SEED
 from test_charge_models import charge_models
@@ -96,9 +96,7 @@ def assert_stacked_equals_loops(cfg):
     assert (lemma.orbit_deviation, lemma.orbit_transport_residual) == orbit_loop(
         ymap, md, vac, frep, higgs)
     assert check_equivariance(ymap, higgs.rep, frep) == equivariance_loop(ymap, higgs.rep, frep)
-    # the load-time sampling and the function's defaults
-    for args in ((6, 7), (8, 0)):
-        assert invariance_residual(higgs, *args) == invariance_loop(higgs, *args)
+    assert invariance_residual(higgs) == invariance_loop(higgs, INVARIANCE_SAMPLES, INVARIANCE_SEED)
     for rep in (higgs.rep, frep.rep_L, frep.rep_R, frep.total):
         assert abs(closure_residual(rep.generators) - closure_loop(rep.generators)) <= 1e-15
         coeffs = np.random.default_rng(rep.rep_dim).standard_normal((5, rep.dim_g))

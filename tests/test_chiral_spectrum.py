@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fermimass import TorusLattice, spectrum
-from fermimass.lattice_dirac import LatticeOperator, _chirality
+from fermimass.lattice_dirac import _chirality
+from conftest import from_matrix
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -42,7 +43,7 @@ def odd_hermitian(L, colours, couplings, pairs, seed, scale):
 
 def operator(H, L):
     """The operator op with i*op = H, one spinor component per site."""
-    return LatticeOperator.from_matrix(-1j * H, TorusLattice(n=1, L=L), 1, H.shape[0] // (L * L))
+    return from_matrix(-1j * H, TorusLattice(n=1, L=L), 1, H.shape[0] // (L * L))
 
 
 def hermitized_eigvalsh(op):

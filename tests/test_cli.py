@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,28 +142,46 @@ def test_invalid_json_is_input_error(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def _without_wilson(doc, **lattice):
+    doc.pop("wilson")
+    doc["lattice"].update(lattice)
+
+
+LOAD_AND_RUN = ("check", "lattice", "verify-all")
+RUN_ONLY = ("lattice", "verify-all")  # check accepts a lattice that is only too large
+
+
 @pytest.mark.parametrize(
-    "edit, named",
+    "edit, named, commands",
     [
-        (lambda doc: doc["lattice"].update(spacing=float("inf")), "lattice.spacing"),
-        (lambda doc: doc["lattice"].update(spacing=float("nan")), "lattice.spacing"),
-        (lambda doc: doc["lattice"].update(spacing=10 ** 400), "lattice.spacing"),
-        (lambda doc: doc["lattice"].update(n=True), "lattice.n"),
-        (lambda doc: doc["lattice"].update(sites_per_dim=True), "lattice.sites_per_dim"),
-        (lambda doc: doc.update(schema_version=True), "schema_version"),
+        (lambda doc: doc["lattice"].update(spacing=float("inf")), "lattice.spacing", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(spacing=float("nan")), "lattice.spacing", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(spacing=10 ** 400), "lattice.spacing", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(spacing=1e300), "lattice.spacing", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(spacing=1e-300), "lattice.spacing", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(n=True), "lattice.n", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(sites_per_dim=True), "lattice.sites_per_dim", LOAD_AND_RUN),
+        (lambda doc: doc.update(schema_version=True), "schema_version", LOAD_AND_RUN),
+        (lambda doc: doc["lattice"].update(sites_per_dim=10 ** 400), "error: lattice n=1, L=1000", RUN_ONLY),
+        (lambda doc: _without_wilson(doc, n=1000), "error: lattice n=1000, L=4 needs more than 2^", RUN_ONLY),
+        (lambda doc: _without_wilson(doc, n=10 ** 9), "error: lattice n=1000000000, L=4 needs", RUN_ONLY),
+        # 2n (2 pi / a)^2 has no float at this n, whatever the spacing
+        (lambda doc: _without_wilson(doc, n=10 ** 400), "lattice.spacing", LOAD_AND_RUN),
     ],
-    ids=["infinite-spacing", "nan-spacing", "huge-int-spacing", "bool-n", "bool-sites",
-         "bool-schema-version"],
+    ids=["infinite-spacing", "nan-spacing", "huge-int-spacing", "huge-spacing", "tiny-spacing",
+         "bool-n", "bool-sites", "bool-schema-version", "huge-sites", "huge-n", "giant-n",
+         "beyond-float-n"],
 )
-def test_non_finite_spacing_and_bool_integers_are_input_errors(capsys, tmp_path, edit, named):
+def test_non_finite_spacing_and_bool_integers_are_input_errors(capsys, tmp_path, edit, named, commands):
     doc = ew_reference().to_json_dict()
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "lattice", "--model", str(path))
-    assert code == 2
-    assert out == ""
-    assert named in err
+    for command in commands:
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert (code, out) == (2, "") and time.perf_counter() - start < 1.0
+        assert named in err, err
 
 
 def test_invariant_violation_is_exit_one(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fermimass import build_clifford, canonical_xi, clifford_action
+from fermimass import build_clifford
 from fermimass.clifford import kron
 
 TOL = 1e-12
@@ -9,11 +9,11 @@ TOL = 1e-12
 
 def anticommutator_residual(cl):
     # brute force over every pair
-    g = np.eye(cl.dim)
+    g = np.eye(2 * cl.n)
     eye = np.eye(cl.spinor_dim)
     worst = 0.0
-    for a in range(cl.dim):
-        for b in range(cl.dim):
+    for a in range(2 * cl.n):
+        for b in range(2 * cl.n):
             acomm = cl.gamma[a] @ cl.gamma[b] + cl.gamma[b] @ cl.gamma[a]
             worst = max(worst, np.abs(acomm - 2.0 * g[a, b] * eye).max())
     return worst
@@ -75,10 +75,9 @@ def test_hermiticity_per_signature(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_right_inverse_identity(n):
     cl = build_clifford(n)
-    xi = canonical_xi(cl)
     acc = np.zeros((cl.spinor_dim, cl.spinor_dim), dtype=complex)
-    for a in range(cl.dim):
-        acc += cl.gamma[a] @ xi[a]
+    for g in cl.gamma:
+        acc += g @ (cl.xi_scale * g)
     assert np.abs(acc - np.eye(cl.spinor_dim)).max() <= TOL
 
 
@@ -91,51 +90,6 @@ def test_xi_scale_forced_by_contraction():
         assert cl.xi_scale == pytest.approx(1.0 / (2 * n))
 
 
-def test_action_basis_covector():
-    cl = build_clifford(2)
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    out = clifford_action(cl, e1, np.eye(4))
-    assert np.abs(out - cl.gamma[0]).max() == 0.0
-
-
-def test_action_zero_covector():
-    cl = build_clifford(1)
-    out = clifford_action(cl, np.zeros(2), np.eye(2))
-    assert np.abs(out).max() == 0.0
-
-
-def test_action_linearity():
-    cl = build_clifford(2)
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal(4)
-    v = rng.standard_normal(4)
-    blk = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    lhs = clifford_action(cl, 2.0 * u - 3.0 * v, blk)
-    rhs = 2.0 * clifford_action(cl, u, blk) - 3.0 * clifford_action(cl, v, blk)
-    assert np.abs(lhs - rhs).max() <= 1e-13
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_action_squared_is_metric_norm(n):
-    # (gamma(v))^2 = g(v, v) Id; for v = e1 + e2 in euclidean this is 2 Id,
-    # so acting twice on the identity gives 2 Id (direct multiplication oracle)
-    cl = build_clifford(n)
-    v = np.zeros(cl.dim)
-    v[0] = v[1] = 1.0
-    once = clifford_action(cl, v, np.eye(cl.spinor_dim))
-    twice = clifford_action(cl, v, once)
-    assert np.abs(twice - 2.0 * np.eye(cl.spinor_dim)).max() <= TOL
-
-
-def test_action_dimension_mismatch():
-    cl = build_clifford(1)
-    with pytest.raises(ValueError):
-        clifford_action(cl, np.zeros(3), np.eye(2))
-    with pytest.raises(ValueError):
-        clifford_action(cl, np.zeros(2), np.eye(4))
-
-
 def test_reject_bad_n_and_signature():
     with pytest.raises(ValueError):
         build_clifford(0)
@@ -144,13 +98,6 @@ def test_reject_bad_n_and_signature():
     # the algebra is euclidean only: there is no signature to choose
     with pytest.raises(TypeError):
         build_clifford(1, "lorentzian")
-
-
-def test_xi_components_are_scaled_gammas():
-    cl = build_clifford(2)
-    xi = canonical_xi(cl)
-    for a in range(cl.dim):
-        assert np.abs(xi[a] - cl.gamma[a] / 4.0).max() <= TOL
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [

@@ -7,9 +7,9 @@ from fermimass import (
     direct_sum,
     ew_reference,
     exp_map,
-    infinitesimal_action,
     isotropy_algebra,
 )
+from fermimass.group_rep import orbit_directions
 from conftest import S1, S2, S3, ew_rep, su2_doublet
 
 
@@ -60,36 +60,20 @@ def test_direct_sum_rejects_mismatched_algebras():
         direct_sum([rep, u1])
 
 
-def test_infinitesimal_action_zero_coeffs():
-    rep = su2_doublet()
-    z = np.array([1.0, 2.0j])
-    assert np.abs(infinitesimal_action(rep, np.zeros(3), z)).max() == 0.0
-
-
-def test_infinitesimal_action_unbroken_direction_annihilates():
+def test_element_unbroken_direction_annihilates():
     # electric-charge combination T3 + Y/2 annihilates (0, v)
     rep = ew_rep(+1.0, 2, "higgs")
     z0 = np.array([0.0, 2.0])
-    out = infinitesimal_action(rep, np.array([0.0, 0.0, 1.0, 0.5]), z0)
+    out = rep.element(np.array([0.0, 0.0, 1.0, 0.5])) @ z0
     assert np.abs(out).max() <= 1e-14
 
 
-def test_infinitesimal_action_broken_direction():
+def test_element_broken_direction():
     # T1 on (0, v): -(i/2) sigma1 (0, v)^T = (-i v/2, 0)
     rep = ew_rep(+1.0, 2, "higgs")
     v = 2.0
-    out = infinitesimal_action(rep, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, v]))
+    out = rep.element(np.array([1.0, 0.0, 0.0, 0.0])) @ np.array([0.0, v])
     assert np.abs(out - np.array([-1j * v / 2.0, 0.0])).max() <= 1e-14
-
-
-def test_infinitesimal_action_linearity():
-    rep = su2_doublet()
-    rng = np.random.default_rng(11)
-    c1, c2 = rng.standard_normal(3), rng.standard_normal(3)
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = infinitesimal_action(rep, c1 + 2.0 * c2, z)
-    rhs = infinitesimal_action(rep, c1, z) + 2.0 * infinitesimal_action(rep, c2, z)
-    assert np.abs(lhs - rhs).max() <= 1e-13
 
 
 def test_isotropy_zero_vector_is_everything():
@@ -109,7 +93,7 @@ def test_isotropy_electroweak_vacuum():
     overlap = abs(float(np.dot(iso.basis[0], direction)))
     assert overlap == pytest.approx(1.0, abs=1e-12)
     # the basis element annihilates z0
-    out = infinitesimal_action(rep, iso.basis[0], z0)
+    out = rep.element(iso.basis[0]) @ z0
     assert np.abs(out).max() <= 1e-10 * max(1.0, np.linalg.norm(z0))
 
 
@@ -204,5 +188,5 @@ def test_element_coefficient_shape_checked():
     rep = su2_doublet()
     with pytest.raises(ValueError):
         rep.element(np.zeros(2))
-    with pytest.raises(ValueError):
-        infinitesimal_action(rep, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="acts on C\\^2"):
+        orbit_directions(rep, np.zeros(3))

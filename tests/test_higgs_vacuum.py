@@ -92,7 +92,7 @@ def test_derivatives_match_finite_differences(params):
 
 def test_invariance_under_group():
     model = mexican_hat_on(ew_rep(+1.0, 2, "higgs"))
-    assert invariance_residual(model, n_samples=12, seed=5) <= 1e-9
+    assert invariance_residual(model) <= 1e-9
 
 
 def test_unbounded_potential_rejected():
@@ -225,9 +225,7 @@ def test_unitary_gauge_projection_kills_goldstone():
     rep = ew_rep(+1.0, 2, "higgs")
     z0 = np.array([0.0, 2.0])
     split = goldstone_split(rep, z0)
-    from fermimass import infinitesimal_action
-
-    phi = infinitesimal_action(rep, np.array([1.0, 0.0, 0.0, 0.0]), z0)
+    phi = rep.element(np.array([1.0, 0.0, 0.0, 0.0])) @ z0
     assert np.abs(unitary_gauge_project(split, phi)).max() <= 1e-12
 
 

