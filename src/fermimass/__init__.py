@@ -23,7 +23,6 @@ from .higgs_vacuum import (
 )
 from .lattice_dirac import (
     CurvatureResult,
-    LagrangianDensity,
     LatticeOperator,
     NonHermitian,
     TorusLattice,

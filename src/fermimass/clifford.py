@@ -4,13 +4,14 @@ Conventions, fixed once for the whole package:
 
 * euclidean: ``{gamma_a, gamma_b} = +2 delta_ab Id`` with every gamma_a
   Hermitian.  The metric is the identity, so gamma^a = gamma_a and
-  ``cl.gamma[a]`` serves for both.
+  ``cl.gamma[a]``, row a of the read-only (2n, 2^n, 2^n) stack, serves
+  for both.
 * chirality: ``gamma5 = (-i)^n gamma_1 ... gamma_{2n}``, which makes
   gamma5 Hermitian with gamma5^2 = Id.
 * canonical one-form: ``xi_a = gamma_a / (2n)``, the unique constant
   multiple of gamma_a with ``sum_a gamma^a xi_a = Id``, i.e. xi
   right-inverts the Clifford action.  On a flat torus its components are
-  constant matrices.
+  constant matrices; ``cl.xi_scale`` is 1 / (2n), derived from n.
 """
 
 from dataclasses import dataclass
@@ -29,13 +30,16 @@ class CliffordAlgebra:
     """Gamma matrices, chirality operator and canonical one-form scale."""
 
     n: int
-    gamma: tuple
+    gamma: np.ndarray
     gamma5: np.ndarray
-    xi_scale: float
 
     @property
     def spinor_dim(self):
         return 2 ** self.n
+
+    @property
+    def xi_scale(self):
+        return 1.0 / (2 * self.n)
 
 
 def kron(a, b):
@@ -70,9 +74,6 @@ def build_clifford(n):
     for g in gammas:
         gamma5 = gamma5 @ g
     gamma5 = (-1j) ** n * gamma5
-    return CliffordAlgebra(
-        n=int(n),
-        gamma=tuple(gammas),
-        gamma5=gamma5,
-        xi_scale=1.0 / (2 * n),
-    )
+    gamma = np.array(gammas)
+    gamma.flags.writeable = False
+    return CliffordAlgebra(n=int(n), gamma=gamma, gamma5=gamma5)

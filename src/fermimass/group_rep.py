@@ -4,7 +4,7 @@ The linear algebra of symmetry breaking lives here: infinitesimal orbit
 directions, isotropy (unbroken) subalgebras computed as real null spaces,
 commutant residuals, and finite transformations as the spectral
 exponential of the Hermitian matrix i*X.  Lie algebra elements are always
-real coefficient vectors over the fixed generator list; reductive algebras
+real coefficient vectors over the fixed generator stack; reductive algebras
 with abelian factors are admitted.
 """
 
@@ -19,32 +19,37 @@ from .tolerances import DEFAULT, Tolerances
 class LieAlgebraRep:
     """A unitary representation given by anti-Hermitian generator matrices.
 
-    The generators are checked on construction against tol.anti_hermitian
-    and tol.closure, so a model's tolerance overrides reach them.
+    generators is one read-only (dim_g, d, d) complex stack, copied from
+    the matrices given.  They are checked on construction against
+    tol.anti_hermitian and tol.closure, so a model's tolerance overrides
+    reach them.
     """
 
-    generators: tuple
+    generators: np.ndarray
     label: str = ""
     tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if not gens:
-            raise ValueError("a representation needs at least one generator")
         name = self.label or "representation"
-        d = gens[0].shape
+        shapes = [np.shape(X) for X in self.generators]
+        if not shapes:
+            raise ValueError("a representation needs at least one generator")
+        d = shapes[0]
         if len(d) != 2 or d[0] != d[1]:
             raise ValueError(f"{name}: generator 0 is not a square matrix, shape {d}")
-        for k, X in enumerate(gens):
-            if X.shape != d:
-                raise ValueError(f"{name}: generator {k} has shape {X.shape}, expected {d}")
-            dev = float(np.max(np.abs(X + X.conj().T)))
-            if dev > self.tol.anti_hermitian:
-                raise ValueError(
-                    f"{name}: generator {k} is not anti-Hermitian "
-                    f"(|X + X^dagger| = {dev:.3e} > {self.tol.anti_hermitian:.0e})"
-                )
+        for k, shape in enumerate(shapes):
+            if shape != d:
+                raise ValueError(f"{name}: generator {k} has shape {shape}, expected {d}")
+        gens = np.array(self.generators, dtype=complex)
+        gens.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
+        dev = np.max(np.abs(gens + gens.conj().swapaxes(-1, -2)), axis=(1, 2))
+        bad = np.flatnonzero(dev > self.tol.anti_hermitian)
+        if bad.size:
+            raise ValueError(
+                f"{name}: generator {bad[0]} is not anti-Hermitian "
+                f"(|X + X^dagger| = {dev[bad[0]]:.3e} > {self.tol.anti_hermitian:.0e})"
+            )
         res = closure_residual(gens)
         if res > self.tol.closure:
             raise ValueError(
@@ -67,7 +72,7 @@ class LieAlgebraRep:
         if coeffs.shape[-1:] != (self.dim_g,):
             raise ValueError(f"expected {self.dim_g} coefficients, got shape {coeffs.shape}")
         # summed from 0 one generator after the other, as in X = 0; X += c_k G_k
-        terms = coeffs[..., None, None] * np.asarray(self.generators)
+        terms = coeffs[..., None, None] * self.generators
         return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
@@ -79,14 +84,14 @@ def _real_columns(mats):
     return np.concatenate([flat.real, flat.imag], axis=1).T
 
 
-def closure_residual(generators):
-    """Largest least-squares distance of any [X_i, X_j] from the real span.
+def closure_residual(gens):
+    """Largest least-squares distance of any [X_i, X_j] from the real span
+    of a (k, d, d) complex stack.
 
     The commutators of all pairs i < j come from one stacked product, and
     one least-squares solve takes them as right-hand-side columns against
     the realified generators; the result is the largest column residual.
     """
-    gens = np.asarray(generators, dtype=complex)
     i, j = np.triu_indices(gens.shape[0], 1)
     comm = gens[i] @ gens[j] - gens[j] @ gens[i]
     basis, target = _real_columns(gens), _real_columns(comm)
@@ -96,10 +101,14 @@ def closure_residual(generators):
 
 @dataclass(frozen=True)
 class IsotropyResult:
-    """Orthonormal coefficient vectors spanning the unbroken subalgebra."""
+    """Orthonormal coefficient vectors spanning the unbroken subalgebra: the
+    rows of basis, a read-only (dim, dim_g) array."""
 
-    basis: tuple
-    dim: int
+    basis: np.ndarray
+
+    @property
+    def dim(self):
+        return self.basis.shape[0]
 
 
 def direct_sum(reps):
@@ -120,7 +129,7 @@ def direct_sum(reps):
     for r, lo, hi in zip(reps, edges, edges[1:]):
         gens[:, lo:hi, lo:hi] = r.generators
     label = "+".join(r.label for r in reps if r.label)
-    return LieAlgebraRep(generators=tuple(gens), label=label, tol=reps[0].tol)
+    return LieAlgebraRep(generators=gens, label=label, tol=reps[0].tol)
 
 
 def orbit_directions(rep, z0):
@@ -129,7 +138,7 @@ def orbit_directions(rep, z0):
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
     if z0.shape[0] != rep.rep_dim:
         raise ValueError(f"vector has length {z0.shape[0]}, representation acts on C^{rep.rep_dim}")
-    return np.asarray(rep.generators) @ z0
+    return rep.generators @ z0
 
 
 def isotropy_algebra(rep, z0, tol=DEFAULT):
@@ -142,22 +151,21 @@ def isotropy_algebra(rep, z0, tol=DEFAULT):
     cols = orbit_directions(rep, z0)
     _, s, vt = np.linalg.svd(np.concatenate((cols.real, cols.imag), axis=1).T)
     smax = s[0] if s.size else 0.0
-    rows = [vt[k] for k in range(rep.dim_g) if k >= s.size or s[k] <= tol.nullspace_cut * smax]
-    return IsotropyResult(basis=tuple(rows), dim=len(rows))
+    basis = vt[[k for k in range(rep.dim_g) if k >= s.size or s[k] <= tol.nullspace_cut * smax]]
+    basis.flags.writeable = False
+    return IsotropyResult(basis)
 
 
 def commutant_check(matrices, candidate):
-    """Max-abs entry of [candidate, M] over the given matrices."""
+    """Max-abs entry of [candidate, M] over a (k, d, d) stack of matrices M,
+    0.0 for an empty one."""
     candidate = np.asarray(candidate, dtype=complex)
     if candidate.ndim != 2 or candidate.shape[0] != candidate.shape[1]:
         raise ValueError(f"candidate must be square, got shape {candidate.shape}")
-    worst = 0.0
-    for k, M in enumerate(matrices):
-        M = np.asarray(M, dtype=complex)
-        if M.shape != candidate.shape:
-            raise ValueError(f"matrix {k} has shape {M.shape}, candidate has {candidate.shape}")
-        worst = max(worst, float(np.max(np.abs(candidate @ M - M @ candidate))))
-    return worst
+    M = np.asarray(matrices, dtype=complex)
+    if M.shape[1:] != candidate.shape:
+        raise ValueError(f"matrices have shape {M.shape[1:]}, candidate has {candidate.shape}")
+    return float(np.max(np.abs(candidate @ M - M @ candidate), initial=0.0))
 
 
 def exp_map(rep, coeffs):

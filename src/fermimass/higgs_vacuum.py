@@ -1,11 +1,11 @@
 """Invariant Higgs potentials, their minima, and the Goldstone split.
 
-Potentials are real polynomials in the single invariant s = |z|^2, which
-covers rotationally symmetric models; other invariants can be supplied
-through the custom_polynomial kind.  The realification convention is
-fixed package-wide: C^N is identified with R^{2N} by interleaving,
-(Re z_1, Im z_1, Re z_2, Im z_2, ...).  All real gradients, Hessians and
-basis vectors below use it.
+Potentials are real polynomials p in the single invariant s = |z|^2,
+held by their ascending coefficients, which covers rotationally
+symmetric models.  The realification convention is fixed package-wide:
+C^N is identified with R^{2N} by interleaving, (Re z_1, Im z_1, Re z_2,
+Im z_2, ...).  All real gradients, Hessians and basis vectors below use
+it.
 
 The gradient of V(z) = p(|z|^2) is 2 p'(|z|^2) z, parallel to z, so
 the minimum on the ray through a seed solves a one-dimensional problem:
@@ -21,7 +21,6 @@ import numpy as np
 from .group_rep import LieAlgebraRep, IsotropyResult, exp_map, isotropy_algebra, orbit_directions
 from .tolerances import DEFAULT
 
-POTENTIAL_KINDS = ("mexican_hat", "custom_polynomial")
 INVARIANCE_SAMPLES = 6
 INVARIANCE_SEED = 7
 
@@ -57,49 +56,26 @@ def complexify(x):
 class HiggsModel:
     """An invariant potential V(z) = p(|z|^2) over a unitary representation.
 
-    mexican_hat: params = (lam, v) with V(z) = lam * (|z|^2 - v^2)^2.
-    custom_polynomial: params = ascending coefficients of p(s).
+    coeffs are the ascending coefficients of p(s), s = |z|^2, held as a
+    read-only float array: at least one, all finite, and a positive
+    leading one when p is not constant, so that V is bounded from below.
     """
 
     rep: LieAlgebraRep
-    potential_kind: str
-    params: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if not all(map(np.isfinite, self.params)):
-            raise ValueError(f"potential parameters must be finite, got {self.params}")
-        if self.potential_kind not in POTENTIAL_KINDS:
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 1 or not coeffs.size:
+            raise ValueError(f"p(s) needs a list of at least one coefficient, got shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"the coefficients of p(s) must be finite, got {coeffs.tolist()}")
+        if coeffs.size > 1 and coeffs[-1] <= 0:
             raise ValueError(
-                f"unknown potential kind {self.potential_kind!r}, expected one of {POTENTIAL_KINDS}"
+                "potential is not bounded from below: leading coefficient must be positive"
             )
-        if self.potential_kind == "mexican_hat":
-            if len(self.params) != 2:
-                raise ValueError("mexican_hat takes exactly (lam, v)")
-            lam, v = self.params
-            if lam <= 0 or v <= 0:
-                raise ValueError("mexican_hat needs lam > 0 and v > 0")
-        else:
-            coeffs = self.params
-            if not coeffs:
-                raise ValueError("custom_polynomial needs at least one coefficient")
-            if len(coeffs) > 1 and coeffs[-1] <= 0:
-                raise ValueError(
-                    "potential is not bounded from below: leading coefficient must be positive"
-                )
-        try:
-            finite = bool(np.isfinite(self.poly_coefficients()).all())
-        except OverflowError:  # a float power past the largest double
-            finite = False
-        if not finite:
-            raise ValueError(f"the coefficients of p(s) overflow for parameters {self.params}")
-
-    def poly_coefficients(self):
-        """Ascending coefficients of p(s), s = |z|^2."""
-        if self.potential_kind == "mexican_hat":
-            lam, v = self.params
-            return np.array([lam * v ** 4, -2.0 * lam * v ** 2, lam])
-        return np.array(self.params)
 
 
 def _poly_eval(coeffs, s):
@@ -116,14 +92,14 @@ def potential_eval(model, z):
     """V(z) = p(|z|^2), or the array of values for a stack of states (last axis)."""
     z = np.asarray(z, dtype=complex)
     s = (z.conj()[..., None, :] @ z[..., None])[..., 0, 0].real
-    v = np.polynomial.polynomial.polyval(s, model.poly_coefficients())
+    v = np.polynomial.polynomial.polyval(s, model.coeffs)
     return float(v) if z.ndim == 1 else v
 
 
 def gradient(model, z):
     """Real gradient of V in the interleaved coordinates, length 2N."""
     x = realify(z)
-    c1 = _poly_derivative(model.poly_coefficients())
+    c1 = _poly_derivative(model.coeffs)
     return 2.0 * _poly_eval(c1, float(x @ x)) * x
 
 
@@ -131,7 +107,7 @@ def hessian(model, z):
     """Real symmetric Hessian of V in the interleaved coordinates."""
     x = realify(z)
     s = float(x @ x)
-    c1 = _poly_derivative(model.poly_coefficients())
+    c1 = _poly_derivative(model.coeffs)
     c2 = _poly_derivative(c1)
     return 4.0 * _poly_eval(c2, s) * np.outer(x, x) + 2.0 * _poly_eval(c1, s) * np.eye(x.shape[0])
 
@@ -218,7 +194,7 @@ def minimize(model, seed, tol=DEFAULT):
     norm = float(np.linalg.norm(z))
     z0 = z
     if norm > 0.0:
-        c = model.poly_coefficients()
+        c = model.coeffs
         c1 = _poly_derivative(c)
         c2 = _poly_derivative(c1)
         roots = np.polynomial.polynomial.polyroots(c1).real

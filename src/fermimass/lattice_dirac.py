@@ -76,7 +76,7 @@ import numpy as np
 
 from .clifford import kron
 from .higgs_vacuum import unitary_gauge_project
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, shown
 from .yukawa_mass import apply_yukawa
 
 DERIVATIVE_KINDS = ("fourier_spectral", "central_difference")
@@ -113,7 +113,7 @@ class TorusLattice:
             raise ValueError("need at least one site per axis")
         if not spacing_fits(self.n, self.a):
             raise ValueError(f"lattice spacing must be finite and positive, with finite a^(2n) "
-                             f"and 2n (2 pi / a)^2, got {self.a!r} at n={self.n}")
+                             f"and 2n (2 pi / a)^2, got {self.a!r} at n={shown(self.n)}")
         if self.derivative_kind not in DERIVATIVE_KINDS:
             raise ValueError(
                 f"unknown derivative kind {self.derivative_kind!r}, expected one of {DERIVATIVE_KINDS}"
@@ -436,35 +436,14 @@ def dirac_potential(dirac_op, laplacian):
     )
 
 
-@dataclass(frozen=True)
-class LagrangianDensity:
-    """Fiber trace of the Dirac potential per site, with the volume element.
-
-    per_site_trace is the scalar density the potential carries.  The
-    trace runs over the full spinor x internal fiber; internal_trace
-    divides out the spinor dimension so readings that count only the
-    internal factor are recoverable.  On a curved base the fiber trace
-    would also hold r/4 of the base scalar curvature r, and the base would
-    have to be an Einstein manifold.
-    """
-
-    per_site_trace: float
-    volume_element: float
-    spinor_dim: int
-    internal_trace: float
-
-
-def lagrangian_density(v_op, lat):
+def lagrangian_density(v_op):
     """Scalar density carried by a multiplication-operator Dirac potential:
-    the fiber trace of its site block V(0)."""
+    the fiber trace of its site block V(0), over the full spinor x internal
+    fiber.  On a curved base the fiber trace would also hold r/4 of the base
+    scalar curvature r, and the base would have to be an Einstein manifold.
+    """
     sites, blocks = _support(v_op)
-    per_site = float(np.trace(blocks[0]).real) if sites.size and sites[0] == 0 else 0.0
-    return LagrangianDensity(
-        per_site_trace=per_site,
-        volume_element=float(lat.a ** lat.dim),
-        spinor_dim=v_op.spinor_dim,
-        internal_trace=per_site / v_op.spinor_dim,
-    )
+    return float(np.trace(blocks[0]).real) if sites.size and sites[0] == 0 else 0.0
 
 
 def mean_mass(md):

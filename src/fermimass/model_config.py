@@ -16,13 +16,17 @@ level keys:
     tolerances       optional overrides, keyed by Tolerances field names
 
 ``algebra.representations`` maps a name to the list, one entry per
-generator, of rep_dim x rep_dim matrices.  All numeric invariants
-(anti-Hermiticity, closure, bounded potential, tensor shapes, finite
-numbers) are re-validated on build and reported with the JSON path of the
-offending entry; so is any key an object of the file does not take.
+generator, of rep_dim x rep_dim matrices.  ``higgs.potential`` is one of
+POTENTIAL_KINDS, file syntax only: build() turns it and ``higgs.params``
+into the ascending coefficients of p(s) that HiggsModel holds.  All
+numeric invariants (anti-Hermiticity, closure, bounded potential, tensor
+shapes, finite numbers) are re-validated on build and reported with the
+JSON path of the offending entry; so is any key an object of the file
+does not take.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +35,13 @@ from .clifford import build_clifford
 from .group_rep import LieAlgebraRep
 from .higgs_vacuum import HiggsModel, invariance_residual
 from .lattice_dirac import DERIVATIVE_KINDS, TorusLattice, spacing_fits
-from .tolerances import DEFAULT, Tolerances, finite_number
+from .tolerances import DEFAULT, Tolerances, finite_number, shown
 from .yukawa_mass import ChiralFermionRep, YukawaMap
 
 SCHEMA_VERSION = 1
+# each kind's higgs.params: mexican_hat {lam, v} for V(z) = lam (|z|^2 -
+# v^2)^2, custom_polynomial the ascending coefficients of p(s), s = |z|^2
+POTENTIAL_KINDS = ("mexican_hat", "custom_polynomial")
 
 
 class ModelError(ValueError):
@@ -69,7 +76,7 @@ def decode_array(obj, path, shape, pairs=True):
                 parts = [finite_number(node)]
             if None in parts:
                 what = "a [re, im] pair of finite numbers" if pairs else "a finite real number"
-                raise ModelError(f"{where}: expected {what}, got {node!r}")
+                raise ModelError(f"{where}: expected {what}, got {shown(node)}")
             values.extend(parts)
             return
         if not isinstance(node, list):
@@ -142,8 +149,7 @@ class BuiltModel:
                 f"wilson.theta: rows have {self.theta.shape[1]} coefficients, the vacuum isotropy "
                 f"algebra has dimension {vac.isotropy.dim}"
             )
-        basis = np.reshape(vac.isotropy.basis, (vac.isotropy.dim, self.frep.total.dim_g))
-        return self.frep.total.element(self.theta @ basis)
+        return self.frep.total.element(self.theta @ vac.isotropy.basis)
 
 
 @dataclass
@@ -189,7 +195,7 @@ class ModelConfig:
         version = _require(doc, "schema_version", source, int)
         if version != SCHEMA_VERSION:
             raise ModelError(
-                f"{source}.schema_version: {version} unsupported, this build reads {SCHEMA_VERSION}"
+                f"{source}.schema_version: {shown(version)} unsupported, this build reads {SCHEMA_VERSION}"
             )
         _section(doc, source, ("schema_version", "algebra", "higgs", "fermions", "yukawa",
                                "lattice", "wilson", "tolerances"))
@@ -227,7 +233,7 @@ class ModelConfig:
         if tol is None:
             tol = self.build_tolerances()
         try:
-            return LieAlgebraRep(generators=tuple(gens), label=name, tol=tol)
+            return LieAlgebraRep(generators=gens, label=name, tol=tol)
         except ValueError as exc:
             raise ModelError(f"{path}: {exc}") from exc
 
@@ -262,18 +268,27 @@ class ModelConfig:
         if kind == "mexican_hat":
             if not isinstance(params_obj, dict) or set(params_obj) != {"lam", "v"}:
                 raise ModelError(f"{path}.params: mexican_hat takes exactly {{lam, v}}")
-            named = {f"{path}.params.{k}": params_obj[k] for k in ("lam", "v")}
+            lam, v = (float(decode_array(params_obj[k], f"{path}.params.{k}", (), pairs=False))
+                      for k in ("lam", "v"))
+            if not (lam > 0 and v > 0):
+                raise ModelError(f"{path}.params: mexican_hat needs lam > 0 and v > 0")
+            try:
+                coeffs = [lam * v ** 4, -2.0 * lam * v ** 2, lam]
+                finite = all(map(math.isfinite, coeffs))
+            except OverflowError:  # a float power past the largest double
+                finite = False
+            if not finite:
+                raise ModelError(
+                    f"{path}.params: the coefficients of p(s) overflow for parameters {(lam, v)}")
         elif kind == "custom_polynomial":
             if not isinstance(params_obj, list) or not params_obj:
                 raise ModelError(f"{path}.params: custom_polynomial takes ascending coefficients")
-            named = {f"{path}.params[{i}]": c for i, c in enumerate(params_obj)}
+            coeffs = [float(decode_array(c, f"{path}.params[{i}]", (), pairs=False))
+                      for i, c in enumerate(params_obj)]
         else:
-            raise ModelError(f"{path}.potential: unknown kind {kind!r}")
-        for where, value in named.items():
-            decode_array(value, where, (), pairs=False)
-        params = tuple(named.values())
+            raise ModelError(f"{path}.potential: unknown kind {kind!r}, expected one of {POTENTIAL_KINDS}")
         try:
-            higgs = HiggsModel(rep=higgs_rep, potential_kind=kind, params=params)
+            higgs = HiggsModel(higgs_rep, coeffs)
         except ValueError as exc:
             raise ModelError(f"{path}.params: {exc}") from exc
         nh = higgs_rep.rep_dim
@@ -325,14 +340,16 @@ class ModelConfig:
         _section(self.lattice, path, ("n", "sites_per_dim", "spacing", "derivative"))
         n = _require(self.lattice, "n", path, int)
         L = _require(self.lattice, "sites_per_dim", path, int)
+        if finite_number(n) is None:
+            raise ModelError(f"{path}.n: expected an integer within the float range, got {shown(n)}")
         spacing = _require(self.lattice, "spacing", path)
         a = finite_number(spacing)
         if a is None or not spacing_fits(n, a):
             raise ModelError(f"{path}.spacing: expected a finite positive number, with finite "
-                             f"a^(2n) and 2n (2 pi / a)^2 at n={n}, got {spacing!r}")
+                             f"a^(2n) and 2n (2 pi / a)^2 at n={shown(n)}, got {shown(spacing)}")
         kind = self.lattice.get("derivative", "fourier_spectral")
         if kind not in DERIVATIVE_KINDS:
-            raise ModelError(f"{path}.derivative: unknown kind {kind!r}")
+            raise ModelError(f"{path}.derivative: unknown kind {shown(kind)}")
         try:
             return TorusLattice(n=n, L=L, a=a, derivative_kind=kind)
         except ValueError as exc:

@@ -38,6 +38,7 @@ from .lattice_dirac import (
     wilson_flatness,
 )
 from .model_config import encode_complex
+from .tolerances import shown
 from .yukawa_mass import (
     BlockStructureViolation,
     check_equivariance,
@@ -238,6 +239,8 @@ class Run:
         self.model = model_config.validate_model(cfg)
         self.tol = self.model.tol.scale(tol_scale)
         self._stages = {}
+        # set by require_lattice_fits once the lattice is known to fit
+        self.lattice_fits = False
 
     def stage(self, check_id, fn, *args, **kwargs):
         """fn(*args, **kwargs), computed at most once in this run."""
@@ -312,7 +315,7 @@ def cmd_break(run):
                 "potential_value": float(vac.value),
                 "gradient_norm": grad_norm,
                 "isotropy_dim": vac.isotropy.dim,
-                "isotropy_basis": [_float_list(b) for b in vac.isotropy.basis],
+                "isotropy_basis": vac.isotropy.basis.tolist(),
                 "goldstone_count": vac.goldstone_count,
                 "physical_count": vac.physical_count,
                 "transversal_hessian_eigs": _float_list(vac.transversal_hessian_eigs),
@@ -379,7 +382,8 @@ def cmd_masses(run):
 def require_lattice_fits(run):
     """A ValueError, raised before anything is built, when the lattice
     stage's estimated memory (lattice_footprint) plus the peak resident
-    memory of the process so far exceeds the host's physical memory."""
+    memory of the process so far exceeds the host's physical memory;
+    otherwise run.lattice_fits is set, so that a run checks once."""
     import resource  # POSIX only, as os.sysconf below
 
     lat = run.model.lattice
@@ -391,9 +395,10 @@ def require_lattice_fits(run):
     need = lattice_footprint(lat, run.model.frep.n_total) + rss if bits < 64 else None
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need is None or need > have:
-        size = f"more than 2^{bits} bytes" if need is None else f"about {need / 2 ** 30:.3g} GiB"
-        raise ValueError(f"lattice n={lat.n}, L={lat.L} needs {size}, "
+        size = f"more than 2^{shown(bits)} bytes" if need is None else f"about {need / 2 ** 30:.3g} GiB"
+        raise ValueError(f"lattice n={shown(lat.n)}, L={shown(lat.L)} needs {size}, "
                          f"more than this host's {have / 2 ** 30:.3g} GiB of memory")
+    run.lattice_fits = True
 
 
 def cmd_lattice(run):
@@ -403,7 +408,8 @@ def cmd_lattice(run):
     no N x N matrix and no array that grows with n_sites x fiber^2 is
     formed.
     """
-    require_lattice_fits(run)
+    if not run.lattice_fits:
+        require_lattice_fits(run)
     with _reporting("lattice", run) as rep:
         tol, lat, frep = run.tol, run.model.lattice, run.model.frep
         vac, md = run.vacuum(), run.mass_data()
@@ -430,17 +436,18 @@ def cmd_lattice(run):
         )
         m2_scale = float(np.max(md.spectrum_sq, initial=1.0))
         curv = relative_curvature(conn, cl, md, frep)
+        curv_max = curv.max_component_norm()
         rep.add(residual_check("lattice.curvature_identity", curv.residual, tol.curvature * m2_scale))
         lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
         vd = dirac_potential(vac_op, lap)
         rep.add(residual_check("lattice.potential_offsite", vd.meta["offsite_leakage"],
                                tol.potential_offsite * m2_scale))
-        dens = lagrangian_density(vd, lat)
+        per_site = lagrangian_density(vd)
         trace_expected = cl.spinor_dim * float(md.spectrum_sq.sum())
         rep.add(
             residual_check(
                 "lattice.potential_trace",
-                abs(dens.per_site_trace - trace_expected),
+                abs(per_site - trace_expected),
                 tol.potential_trace * max(1.0, abs(trace_expected)),
                 f"per-site trace vs 2^n * sum m^2 = {trace_expected:.6g}",
             )
@@ -449,13 +456,14 @@ def cmd_lattice(run):
             {
                 "momenta": _float_list(lat.momenta()),
                 "spectrum_sq": _float_list(spec_sq),
-                "per_site_trace": dens.per_site_trace,
-                "internal_trace": dens.internal_trace,
-                "spinor_dim": dens.spinor_dim,
-                "volume_element": dens.volume_element,
+                "per_site_trace": per_site,
+                # the trace with the spinor dimension divided out
+                "internal_trace": per_site / cl.spinor_dim,
+                "spinor_dim": cl.spinor_dim,
+                "volume_element": float(lat.a ** lat.dim),
                 "mean_mass_sq": mean_mass(md),
-                "curvature_max": curv.max_component_norm(),
-                "flat": curv.max_component_norm() <= tol.curvature,
+                "curvature_max": curv_max,
+                "flat": curv_max <= tol.curvature,
             }
         )
         if fields is not None:

@@ -25,6 +25,18 @@ def finite_number(v):
     return v if math.isfinite(v) else None
 
 
+def shown(v):
+    """repr(v) for a message, an int of more than 20 digits written by its
+    digit count, also inside a list."""
+    if isinstance(v, list):
+        return f"[{', '.join(map(shown, v))}]"
+    if isinstance(v, int) and abs(v) >= 10 ** 20:
+        # 10^(e-1) <= |v| < 10^(e+1) for e = floor(bits * log10 2)
+        e = int(v.bit_length() * math.log10(2))
+        return f"<an integer of {e + (abs(v) >= 10 ** e)} digits>"
+    return repr(v)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     # generator anti-Hermiticity
@@ -101,7 +113,7 @@ class Tolerances:
         for name, value in overrides.items():
             values[name] = finite_number(value)
             if values[name] is None or values[name] < 0.0:
-                raise ValueError(f"{name}: expected a finite non-negative number, got {value!r}")
+                raise ValueError(f"{name}: expected a finite non-negative number, got {shown(value)}")
         return Tolerances(**values)
 
 

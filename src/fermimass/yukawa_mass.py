@@ -123,8 +123,8 @@ def check_equivariance(ymap, rep_H, frep):
     eye = np.eye(ymap.n_higgs, dtype=complex)
     # (2 N_H, N_H): e_0, i e_0, e_1, i e_1, ...
     probes = np.stack([eye, 1j * eye], axis=1).reshape(-1, ymap.n_higgs)
-    XH = np.asarray(rep_H.generators)[:, None]
-    XF = np.asarray(frep.total.generators)[:, None]
+    XH = rep_H.generators[:, None]
+    XF = frep.total.generators[:, None]
     G = apply_yukawa(ymap, probes)
     lhs = XF @ G - G @ XF
     rhs = apply_yukawa(ymap, (XH @ probes[..., None])[..., 0])
@@ -150,14 +150,21 @@ class MassBlock:
 
 @dataclass(frozen=True)
 class MassData:
-    """The constant mass endomorphism, its spectrum and eigenspaces."""
+    """The constant mass endomorphism, its spectrum and eigenspaces; M_F is
+    the (N_L, N_R) upper-right block of -i D_matrix."""
 
     D_matrix: np.ndarray
     M_F: np.ndarray
     spectrum_sq: np.ndarray
     eigenspaces: tuple
-    n_left: int
-    n_right: int
+
+    @property
+    def n_left(self):
+        return self.M_F.shape[0]
+
+    @property
+    def n_right(self):
+        return self.M_F.shape[1]
 
     @property
     def n_total(self):
@@ -239,8 +246,6 @@ def mass_data_from_operator(D, n_left, n_right, tol=DEFAULT):
         M_F=M,
         spectrum_sq=_squared_spectrum(M, n_left, n_right),
         eigenspaces=_decompose(M, tol),
-        n_left=n_left,
-        n_right=n_right,
     )
 
 
@@ -289,8 +294,7 @@ def lemma_verify(ymap, md, vac, frep, model):
     exp_map per representation, apply_yukawa on the moved states, the
     singular values and the transport g_f D g_f^dagger.
     """
-    iso_mats = [frep.total.element(c) for c in vac.isotropy.basis]
-    comm = commutant_check(iso_mats, md.D_matrix)
+    comm = commutant_check(frep.total.element(vac.isotropy.basis), md.D_matrix)
 
     coeffs = np.random.default_rng(ORBIT_SEED).standard_normal((ORBIT_MOVES, model.rep.dim_g))
     moved = apply_yukawa(ymap, exp_map(model.rep, coeffs) @ vac.z0)

@@ -64,8 +64,13 @@ def ew_perturbed_objects(y_right):
     return cfg, higgs, frep, ymap
 
 
+def mexican_hat_coeffs(lam, v):
+    """Oracle: the ascending coefficients of p(s) = lam (s - v^2)^2."""
+    return [lam * v ** 4, -2.0 * lam * v ** 2, lam]
+
+
 def mexican_hat_on(rep, lam=1.0, v=2.0):
-    return HiggsModel(rep=rep, potential_kind="mexican_hat", params=(lam, v))
+    return HiggsModel(rep, mexican_hat_coeffs(lam, v))
 
 
 def axis_derivative(lat):

@@ -143,17 +143,17 @@ def test_criterion_06_dirac_potential_and_density(ew_md, ew_frep):
     lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, ew_frep))
     vd = dirac_potential(op, lap)
     assert vd.meta["offsite_leakage"] <= 1e-10
-    dens = lagrangian_density(vd, lat)
+    dens = lagrangian_density(vd)
     trace_want = 2.0 * float(ew_md.spectrum_sq.sum())  # 2^n sum m^2 = 4
-    assert abs(dens.per_site_trace - trace_want) <= 1e-9
-    assert abs(dens.per_site_trace - 2.0 * 3.0 * mean_mass(ew_md)) <= 1e-12
+    assert abs(dens - trace_want) <= 1e-9
+    assert abs(dens - 2.0 * 3.0 * mean_mass(ew_md)) <= 1e-12
     # massless case: the density vanishes exactly
     for L in (2, 4):
         lat0 = TorusLattice(n=1, L=L, a=1.0)
         op0 = build_vacuum_dirac(lat0, cl, None, ew_frep)
         lap0 = bochner_laplacian(build_vacuum_connection(lat0, cl, None, ew_frep))
-        dens0 = lagrangian_density(dirac_potential(op0, lap0), lat0)
-        assert dens0.per_site_trace == 0.0
+        dens0 = lagrangian_density(dirac_potential(op0, lap0))
+        assert dens0 == 0.0
     _announce(6, "Dirac potential site-diagonal, trace 2^n sum m^2, massless density 0")
 
 

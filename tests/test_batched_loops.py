@@ -1,6 +1,9 @@
 """The stacked forms of the verify-all pipeline's small-matrix work against
 the per-element loops they replaced, kept here as references.  The orbit
-lemma, the equivariance and the invariance residuals are equal bit for bit;
+lemma, the equivariance and the invariance residuals are equal bit for bit,
+and so are the algebra elements, their exponentials, the orbit directions,
+the direct sum, the unbroken generators and their commutant residual, each
+against its loop over the generator stack;
 the closure residual, whose one least-squares solve takes every commutator
 as a right-hand side, agrees to 1e-15.  The stencil product's grouped
 products equal its per-site loop bit for bit."""
@@ -12,17 +15,25 @@ from hypothesis import given, settings
 from fermimass import TorusLattice, apply_yukawa, build_clifford, build_vacuum_connection
 from fermimass import build_vacuum_dirac, check_equivariance, ew_reference, exp_map, lemma_verify
 from fermimass import lattice_dirac, mass_matrix, minimize
-from fermimass.group_rep import closure_residual
+from fermimass.group_rep import closure_residual, direct_sum, orbit_directions
 from fermimass.higgs_vacuum import INVARIANCE_SAMPLES, INVARIANCE_SEED, invariance_residual
 from fermimass.lattice_dirac import _coords, _index, _product_stencil, _union
 from fermimass.yukawa_mass import ORBIT_MOVES, ORBIT_SEED
 from test_charge_models import charge_models
 from test_lattice_dirac import two_generation_leptons
 
+def seeded_leptons(seed):
+    """The two-generation su(2)+u(1) lepton model with a seeded complex
+    2x2 Yukawa matrix of entries of order one."""
+    rng = np.random.default_rng(seed)
+    return two_generation_leptons(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+
+
 MODELS = {
     "ew": ew_reference,
     "ew-off-rule": lambda: ew_reference(y_right=-2.1),
     "leptons": two_generation_leptons,
+    **{f"leptons-seed-{seed}": lambda seed=seed: seeded_leptons(seed) for seed in range(3)},
 }
 
 
@@ -60,7 +71,7 @@ def equivariance_loop(ymap, rep_H, frep):
 
 def invariance_loop(model, n_samples, seed):
     rng = np.random.default_rng(seed)
-    c = model.poly_coefficients()
+    c = model.coeffs
 
     def potential(z):
         return float(np.polynomial.polynomial.polyval(float(np.vdot(z, z).real), c))
@@ -72,6 +83,33 @@ def invariance_loop(model, n_samples, seed):
         v0, v1 = potential(z), potential(g @ z)
         worst = max(worst, abs(v1 - v0) / max(1.0, abs(v0)))
     return worst
+
+
+def element_loop(rep, coeffs):
+    """X = 0; X += c_k G_k, one generator after the other."""
+    X = np.zeros((rep.rep_dim, rep.rep_dim), dtype=complex)
+    for c, G in zip(coeffs, rep.generators):
+        X += c * G
+    return X
+
+
+def exp_loop(rep, coeffs):
+    """exp of element_loop's X from the eigendecomposition of i X."""
+    w, V = np.linalg.eigh(1j * element_loop(rep, coeffs))
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+def direct_sum_loop(reps):
+    """Each generator of the direct sum assembled block by block."""
+    gens = []
+    for k in range(reps[0].dim_g):
+        X = np.zeros((sum(r.rep_dim for r in reps),) * 2, dtype=complex)
+        lo = 0
+        for r in reps:
+            X[lo:lo + r.rep_dim, lo:lo + r.rep_dim] = r.generators[k]
+            lo += r.rep_dim
+        gens.append(X)
+    return gens
 
 
 def closure_loop(generators):
@@ -97,12 +135,24 @@ def assert_stacked_equals_loops(cfg):
         ymap, md, vac, frep, higgs)
     assert check_equivariance(ymap, higgs.rep, frep) == equivariance_loop(ymap, higgs.rep, frep)
     assert invariance_residual(higgs) == invariance_loop(higgs, INVARIANCE_SAMPLES, INVARIANCE_SEED)
+    assert np.array_equal(orbit_directions(higgs.rep, vac.z0), [X @ vac.z0 for X in higgs.rep.generators])
+    assert np.array_equal(direct_sum([frep.rep_L, frep.rep_R]).generators,
+                          direct_sum_loop([frep.rep_L, frep.rep_R]))
+    # the unbroken generators of the commutant check, from the isotropy stack
+    nf, iso = frep.n_total, vac.isotropy.basis
+    unbroken = [element_loop(frep.total, c) for c in iso]
+    assert np.array_equal(frep.total.element(iso), np.reshape(unbroken, (-1, nf, nf)))
+    D = md.D_matrix
+    assert lemma.commutant_residual == max((float(np.max(np.abs(D @ X - X @ D))) for X in unbroken),
+                                           default=0.0)
     for rep in (higgs.rep, frep.rep_L, frep.rep_R, frep.total):
         assert abs(closure_residual(rep.generators) - closure_loop(rep.generators)) <= 1e-15
         coeffs = np.random.default_rng(rep.rep_dim).standard_normal((5, rep.dim_g))
         stacked = exp_map(rep, coeffs)
         assert stacked.shape == (5, rep.rep_dim, rep.rep_dim)
         assert np.array_equal(stacked, np.array([exp_map(rep, c) for c in coeffs]))
+        assert np.array_equal(stacked, [exp_loop(rep, c) for c in coeffs])
+        assert np.array_equal(rep.element(coeffs), [element_loop(rep, c) for c in coeffs])
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -62,6 +62,7 @@ def counts(monkeypatch):
     count(group_rep.LieAlgebraRep, "__post_init__")
     count(reports, "minimize")
     count(reports, "mass_matrix")
+    count(reports, "require_lattice_fits")
     # one counter for both bindings of the name
     count(reports, "branch_momentum_shifts")
     count(lattice_dirac, "branch_momentum_shifts")
@@ -93,11 +94,17 @@ def test_verify_all_builds_each_object_once(counts, capsys):
     # and momentum shifts are computed once; one stacked exp_map samples
     # the potential's invariance and the orbit lemma makes one per
     # representation; the lattice's derivative row is computed once for the
-    # Dirac operator, both connections and the curvature
+    # Dirac operator, both connections and the curvature; the memory guard
+    # runs once, before anything is computed
     assert counts == {"build": 1, "build_rep": 3, "build_lattice": 1, "wilson_theta": 1,
                       "build_tolerances": 1, "__post_init__": 4, "lstsq": 4, "minimize": 1,
-                      "mass_matrix": 1, "branch_momentum_shifts": 1, "wilson_fields": 1,
-                      "exp_map": 3, "derivative_row": 1}
+                      "mass_matrix": 1, "require_lattice_fits": 1, "branch_momentum_shifts": 1,
+                      "wilson_fields": 1, "exp_map": 3, "derivative_row": 1}
+
+
+def test_lattice_runs_the_memory_guard_once(counts, capsys):
+    assert cli.main(["lattice", "--model", "ew-reference"]) == 0
+    assert counts["require_lattice_fits"] == 1
 
 
 def test_check_parses_the_model_once(counts, capsys, tmp_path):

@@ -162,11 +162,12 @@ RUN_ONLY = ("lattice", "verify-all")  # check accepts a lattice that is only too
         (lambda doc: doc["lattice"].update(n=True), "lattice.n", LOAD_AND_RUN),
         (lambda doc: doc["lattice"].update(sites_per_dim=True), "lattice.sites_per_dim", LOAD_AND_RUN),
         (lambda doc: doc.update(schema_version=True), "schema_version", LOAD_AND_RUN),
-        (lambda doc: doc["lattice"].update(sites_per_dim=10 ** 400), "error: lattice n=1, L=1000", RUN_ONLY),
+        (lambda doc: doc["lattice"].update(sites_per_dim=10 ** 400),
+         "error: lattice n=1, L=<an integer of 401 digits> needs", RUN_ONLY),
         (lambda doc: _without_wilson(doc, n=1000), "error: lattice n=1000, L=4 needs more than 2^", RUN_ONLY),
         (lambda doc: _without_wilson(doc, n=10 ** 9), "error: lattice n=1000000000, L=4 needs", RUN_ONLY),
-        # 2n (2 pi / a)^2 has no float at this n, whatever the spacing
-        (lambda doc: _without_wilson(doc, n=10 ** 400), "lattice.spacing", LOAD_AND_RUN),
+        # an n without a float is refused before the spacing is tested
+        (lambda doc: _without_wilson(doc, n=10 ** 400), "error: lattice.n: ", LOAD_AND_RUN),
     ],
     ids=["infinite-spacing", "nan-spacing", "huge-int-spacing", "huge-spacing", "tiny-spacing",
          "bool-n", "bool-sites", "bool-schema-version", "huge-sites", "huge-n", "giant-n",
@@ -417,13 +418,14 @@ def test_check_rejects_malformed_wilson_theta(capsys, tmp_path, theta, where):
     (["tolerances", "dispersion"], 10 ** 400, "tolerances: dispersion"),
     (["higgs", "seed", 0], [0.0, False], r"higgs.seed\[0\]: expected a \[re, im\] pair"),
     (["yukawa", "tensor", 0, 0, 1], [10 ** 400, 0.0], r"yukawa.tensor\[0\]\[0\]\[1\]"),
+    (["lattice", "n"], 10 ** 400, "lattice.n"),
     (["algebra", "representations", "higgs_doublet", 2, 1], [[0.0, 0.0]],
      r"algebra.representations.higgs_doublet: ragged rows, "
      r"algebra.representations.higgs_doublet\[2\]\[1\] has length 1, expected 2"),
     (["yukawa", "tensor", 1, 0], [[0.5, 0.0]], r"yukawa.tensor\[1\]\[0\]: expected length 2, got 1"),
 ], ids=["generator", "seed", "yukawa", "lam", "v", "tolerance-nan", "tolerance-negative",
         "tolerance-null", "tolerance-bool", "tolerance-string", "tolerance-huge-int", "bool-leaf",
-        "huge-int-leaf", "short-generator-row", "yukawa-cell-length"])
+        "huge-int-leaf", "lattice-n-huge-int", "short-generator-row", "yukawa-cell-length"])
 def test_check_rejects_non_finite_numbers(capsys, tmp_path, path, value, where):
     doc = ew_reference().to_json_dict()
     doc["tolerances"] = {}
@@ -523,6 +525,21 @@ def test_check_rejects_higgs_params_whose_coefficients_overflow(tmp_path, params
     assert (proc.returncode, proc.stdout) == (2, "")
     assert re.match(r"error: higgs.params: the coefficients of p\(s\) overflow", proc.stderr), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("potential, params, message", [
+    ("mexican_hat", {"lam": 0.0, "v": 2.0}, "mexican_hat needs lam > 0 and v > 0"),
+    ("custom_polynomial", [0.0, 1.0, -2.0],
+     "potential is not bounded from below: leading coefficient must be positive"),
+    ("mexican_hat", {"lam": 1.0, "v": 1e100},
+     "the coefficients of p(s) overflow for parameters (1.0, 1e+100)"),
+], ids=["lam-zero", "unbounded", "v-1e100"])
+def test_check_names_a_bad_potential(capsys, tmp_path, potential, params, message):
+    cfg = ew_reference()
+    cfg.higgs = dict(cfg.higgs, potential=potential, params=params)
+    path = tmp_path / "potential.json"
+    save_model(cfg, path)
+    assert run(capsys, "check", "--model", str(path)) == (2, "", f"error: higgs.params: {message}\n")
 
 
 def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):

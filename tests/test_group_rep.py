@@ -3,6 +3,7 @@ import pytest
 
 from fermimass import (
     LieAlgebraRep,
+    build_clifford,
     commutant_check,
     direct_sum,
     ew_reference,
@@ -14,8 +15,36 @@ from conftest import S1, S2, S3, ew_rep, su2_doublet
 
 
 def test_rejects_non_antihermitian_generator():
-    with pytest.raises(ValueError, match="generator 1"):
-        LieAlgebraRep(generators=(-0.5j * S1, S2), label="bad")
+    # the stacked test names the first offending generator and its deviation
+    message = r"bad: generator 1 is not anti-Hermitian \(\|X \+ X\^dagger\| = 2\.000e\+00"
+    with pytest.raises(ValueError, match=message):
+        LieAlgebraRep(generators=(-0.5j * S1, S2, S3), label="bad")
+
+
+@pytest.mark.parametrize("gens, message", [
+    ((np.zeros((2, 2)), np.zeros((3, 3))), r"ragged: generator 1 has shape \(3, 3\), expected \(2, 2\)"),
+    ((np.zeros((2, 3)),), r"ragged: generator 0 is not a square matrix, shape \(2, 3\)"),
+    ((), "at least one generator"),
+], ids=["ragged", "not-square", "empty"])
+def test_rejects_generators_of_the_wrong_shape(gens, message):
+    with pytest.raises(ValueError, match=message):
+        LieAlgebraRep(generators=gens, label="ragged")
+
+
+def test_generators_are_one_read_only_copy():
+    gens = np.array([-0.5j * S1, -0.5j * S2, -0.5j * S3])
+    rep = LieAlgebraRep(generators=gens)
+    assert rep.generators.shape == (3, 2, 2)
+    gens[0] = 0.0
+    assert np.array_equal(rep.generators[0], -0.5j * S1)
+
+
+def test_stacks_are_read_only(ew_higgs, ew_vac):
+    # the generator, gamma, isotropy and coefficient stacks: writing raises
+    for stack in (ew_higgs.rep.generators, build_clifford(2).gamma, ew_vac.isotropy.basis,
+                  ew_higgs.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0
 
 
 def test_rejects_non_closing_generators():

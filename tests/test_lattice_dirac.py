@@ -33,6 +33,7 @@ from fermimass import (
     unitary_gauge_project,
     wilson_flatness,
 )
+from fermimass import reports
 from fermimass.lattice_dirac import (
     LatticeOperator,
     _chirality,
@@ -266,8 +267,8 @@ def test_dirac_potential_zero_mass_exact(ew):
     lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     vd = dirac_potential(op, lap)
     assert not vd.matrix.any()  # exact zero matrix at L = 2
-    dens = lagrangian_density(vd, lat)
-    assert dens.per_site_trace == 0.0
+    dens = lagrangian_density(vd)
+    assert dens == 0.0
 
 
 def test_dirac_potential_zero_mass_trace_exact_L4(ew):
@@ -276,7 +277,7 @@ def test_dirac_potential_zero_mass_trace_exact_L4(ew):
     lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
     vd = dirac_potential(op, lap)
     assert vd.meta["offsite_leakage"] <= 1e-13
-    assert lagrangian_density(vd, lat).per_site_trace == 0.0
+    assert lagrangian_density(vd) == 0.0
 
 
 def test_dirac_potential_ew_is_mass_square(ew):
@@ -287,10 +288,9 @@ def test_dirac_potential_ew_is_mass_square(ew):
     want = np.kron(np.eye(lat.n_sites), np.kron(np.eye(2), ew.md.mass_square_fiber()))
     assert np.abs(vd.matrix - want).max() <= 1e-12
     assert vd.meta["offsite_leakage"] <= 1e-10
-    dens = lagrangian_density(vd, lat)
+    dens = lagrangian_density(vd)
     # fiber trace of Id_2 x diag(M M^+, M^+ M) with squared masses {0,1,1}
-    assert abs(dens.per_site_trace - 4.0) <= 1e-9
-    assert dens.volume_element == 1.0
+    assert abs(dens - 4.0) <= 1e-9
 
 
 def offsite_bound(md):
@@ -333,9 +333,9 @@ def test_density_identity_with_mean_mass(ew):
     lat = TorusLattice(n=1, L=2)
     op = build_vacuum_dirac(lat, ew.cl, ew.md, ew.frep)
     lap = bochner_laplacian(build_vacuum_connection(lat, ew.cl, None, ew.frep))
-    dens = lagrangian_density(dirac_potential(op, lap), lat)
+    dens = lagrangian_density(dirac_potential(op, lap))
     # density = 2^n N_F <m^2>
-    assert abs(dens.per_site_trace - 2 * 3 * mean_mass(ew.md)) <= 1e-12
+    assert abs(dens - 2 * 3 * mean_mass(ew.md)) <= 1e-12
 
 
 def test_mean_mass_values(ew):
@@ -357,13 +357,16 @@ def test_mean_mass_orbit_invariant(ew):
         assert abs(mean_mass(moved) - base) <= 1e-12
 
 
-def test_volume_element(ew):
-    lat = TorusLattice(n=2, L=2, a=0.5)
-    cl = build_clifford(2)
-    op = build_vacuum_dirac(lat, cl, None, ew.frep)
-    lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, ew.frep))
-    dens = lagrangian_density(dirac_potential(op, lap), lat)
-    assert dens.volume_element == pytest.approx(0.5 ** 4)
+def test_volume_element():
+    # the report's volume element a^(2n), spinor dimension 2^n and internal
+    # trace, the per-site trace with the spinor dimension divided out
+    cfg = ew_reference()
+    cfg.lattice.update({"n": 2, "sites_per_dim": 2, "spacing": 0.5})
+    cfg.wilson = None
+    data = reports.cmd_lattice(reports.Run(cfg)).data
+    assert data["volume_element"] == 0.5 ** 4
+    assert data["spinor_dim"] == 4
+    assert data["internal_trace"] == data["per_site_trace"] / 4
 
 
 # ----- curvature -----------------------------------------------------------
@@ -668,7 +671,7 @@ def test_laplacian_and_potential_match_dense_products(vacuum):
     assert np.abs(vd.matrix - oracle).max() <= 1e-13
     leak, trace = dense_leakage_and_trace(oracle, lat, op.fiber_dim)
     assert abs(vd.meta["offsite_leakage"] - leak) <= 1e-13
-    got = lagrangian_density(vd, lat).per_site_trace
+    got = lagrangian_density(vd)
     assert got == float(np.trace(full_stencil(vd)[0]).real)
     assert abs(got - trace) <= 1e-13
     assert abs(got - cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-12
@@ -710,7 +713,7 @@ def test_stencil_checks_reject_dense_operator(ew):
     # an operator from a dense matrix is held per site too
     for bad in (fl, dense_copy(fl)):
         for check in (lambda: dirac_potential(bad, lap), lambda: contraction_residual(conn, ew.cl, bad),
-                      lambda: bochner_laplacian([bad, bad]), lambda: lagrangian_density(bad, lat)):
+                      lambda: bochner_laplacian([bad, bad]), lambda: lagrangian_density(bad)):
             with pytest.raises(ValueError, match="held per site"):
                 check()
     # a site-dependent operator's squared spectrum is its spectrum squared
@@ -741,7 +744,7 @@ def test_squared_spectrum_sums_to_laplacian_plus_density(identity_vacuum):
     lat, cl, md, frep, fields = identity_vacuum
     op = build_vacuum_dirac(lat, cl, md, frep, fields)
     lap = bochner_laplacian(build_vacuum_connection(lat, cl, None, frep, fields))
-    density = lat.n_sites * lagrangian_density(dirac_potential(op, lap), lat).per_site_trace
+    density = lat.n_sites * lagrangian_density(dirac_potential(op, lap))
     total = spectrum(op, square_first=True).sum() - lat.n_sites * np.trace(full_stencil(lap)[0]).real
     assert abs(total - density) <= 1e-12 * max(1.0, abs(density))
     assert abs(density - lat.n_sites * cl.spinor_dim * md.spectrum_sq.sum()) <= 1e-10 * max(1.0, abs(density))

@@ -7,6 +7,7 @@ import pytest
 from fermimass import ModelError, ew_reference, load_model, resolve_model, save_model
 from fermimass.model_config import ModelConfig, decode_array, encode_complex, validate_model
 from fermimass.tolerances import DEFAULT
+from conftest import mexican_hat_coeffs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,6 +103,15 @@ def test_unknown_potential_kind(tmp_path):
     doc = ew_reference().to_json_dict()
     doc["higgs"]["potential"] = "coleman_weinberg"
     _dump_and_expect(tmp_path, doc, "potential")
+
+
+@pytest.mark.parametrize("lam, v", [(1.0, 2.0), (0.3, 1.5), (1e-3, 2000.0), (7, 3), (2.5e7, 1e-9)])
+def test_mexican_hat_coefficients_are_the_oracle_bitwise(lam, v):
+    cfg = ew_reference()
+    cfg.higgs["params"] = {"lam": lam, "v": v}
+    coeffs = cfg.build().higgs.coeffs
+    assert coeffs.dtype == float
+    assert coeffs.tobytes() == np.array(mexican_hat_coeffs(float(lam), float(v))).tobytes()
 
 
 def test_unbounded_polynomial_rejected(tmp_path):
