@@ -3,7 +3,6 @@ spontaneously broken gauge theories."""
 
 from .clifford import CliffordAlgebra, build_clifford
 from .group_rep import (
-    IsotropyResult,
     LieAlgebraRep,
     commutant_check,
     direct_sum,
@@ -14,7 +13,6 @@ from .higgs_vacuum import (
     HiggsModel,
     SaddleConverged,
     VacuumSolution,
-    goldstone_split,
     gradient,
     hessian,
     minimize,

@@ -25,7 +25,7 @@ PAULI = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordAlgebra:
     """Gamma matrices, chirality operator and canonical one-form scale."""
 

@@ -1,11 +1,15 @@
 """Compact Lie algebra representations as explicit anti-Hermitian matrices.
 
 The linear algebra of symmetry breaking lives here: infinitesimal orbit
-directions, isotropy (unbroken) subalgebras computed as real null spaces,
-commutant residuals, and finite transformations as the spectral
-exponential of the Hermitian matrix i*X.  Lie algebra elements are always
-real coefficient vectors over the fixed generator stack; reductive algebras
-with abelian factors are admitted.
+directions, the isotropy (unbroken) subalgebra and the Goldstone split
+from one SVD of the realified orbit map, commutant residuals, and finite
+transformations as the spectral exponential of the Hermitian matrix i*X.
+Lie algebra elements are always real coefficient vectors over the fixed
+generator stack; reductive algebras with abelian factors are admitted.
+
+The realification convention is fixed package-wide and owned here: C^N
+is identified with R^{2N} by interleaving, (Re z_1, Im z_1, Re z_2,
+Im z_2, ...).
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +19,7 @@ import numpy as np
 from .tolerances import DEFAULT, Tolerances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraRep:
     """A unitary representation given by anti-Hermitian generator matrices.
 
@@ -76,12 +80,22 @@ class LieAlgebraRep:
         return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
-def _real_columns(mats):
-    """The (2 d^2, k) real matrix whose columns are the stacked real and
-    imaginary parts of k matrices of side d."""
-    k, d, _ = mats.shape
-    flat = mats.reshape(k, d * d)
-    return np.concatenate([flat.real, flat.imag], axis=1).T
+def realify(z):
+    """Interleaved real coordinates (Re z_1, Im z_1, ...) of a complex vector,
+    or of each vector along the last axis of a stack."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
+    return out
+
+
+def complexify(x):
+    """Inverse of realify."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] % 2:
+        raise ValueError("realified vectors have even length")
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def closure_residual(gens):
@@ -94,21 +108,10 @@ def closure_residual(gens):
     """
     i, j = np.triu_indices(gens.shape[0], 1)
     comm = gens[i] @ gens[j] - gens[j] @ gens[i]
-    basis, target = _real_columns(gens), _real_columns(comm)
+    d2 = gens.shape[1] * gens.shape[2]
+    basis, target = realify(gens.reshape(-1, d2)).T, realify(comm.reshape(-1, d2)).T
     coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
     return float(np.max(np.linalg.norm(basis @ coef - target, axis=0), initial=0.0))
-
-
-@dataclass(frozen=True)
-class IsotropyResult:
-    """Orthonormal coefficient vectors spanning the unbroken subalgebra: the
-    rows of basis, a read-only (dim, dim_g) array."""
-
-    basis: np.ndarray
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
 
 
 def direct_sum(reps):
@@ -142,18 +145,22 @@ def orbit_directions(rep, z0):
 
 
 def isotropy_algebra(rep, z0, tol=DEFAULT):
-    """Unbroken subalgebra {X : X z0 = 0} as a real null-space computation.
+    """The kernel and image of the realified orbit map X -> X z0, from one SVD.
 
-    Stacks real and imaginary parts of the columns X_i z0 into a real
-    2*rep_dim x dim_g matrix and keeps the right singular vectors whose
-    singular value falls below tol.nullspace_cut * sigma_max.
+    T = realify(orbit_directions(rep, z0)).T is the real (2 rep_dim, dim_g)
+    matrix of the map; its rank counts the singular values above
+    tol.nullspace_cut * sigma_max.  Returns (basis, goldstone, physical):
+    basis, the read-only (dim, dim_g) rows spanning the unbroken subalgebra
+    {X : X z0 = 0}, from the right singular vectors past the rank; the
+    Goldstone columns spanning the orbit directions in R^{2 rep_dim}; and the
+    physical columns of their orthogonal complement.  At z0 = 0 the rank is
+    0: the whole algebra is unbroken and every direction is physical.
     """
-    cols = orbit_directions(rep, z0)
-    _, s, vt = np.linalg.svd(np.concatenate((cols.real, cols.imag), axis=1).T)
-    smax = s[0] if s.size else 0.0
-    basis = vt[[k for k in range(rep.dim_g) if k >= s.size or s[k] <= tol.nullspace_cut * smax]]
+    u, s, vt = np.linalg.svd(realify(orbit_directions(rep, z0)).T)
+    rank = int(np.sum(s > tol.nullspace_cut * s[0]))
+    basis = vt[rank:]
     basis.flags.writeable = False
-    return IsotropyResult(basis)
+    return basis, u[:, :rank], u[:, rank:]
 
 
 def commutant_check(matrices, candidate):

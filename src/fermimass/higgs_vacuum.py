@@ -2,10 +2,9 @@
 
 Potentials are real polynomials p in the single invariant s = |z|^2,
 held by their ascending coefficients, which covers rotationally
-symmetric models.  The realification convention is fixed package-wide:
-C^N is identified with R^{2N} by interleaving, (Re z_1, Im z_1, Re z_2,
-Im z_2, ...).  All real gradients, Hessians and basis vectors below use
-it.
+symmetric models.  All real gradients, Hessians and basis vectors below
+use the package's one realification, group_rep.realify, which
+interleaves (Re z_1, Im z_1, Re z_2, Im z_2, ...).
 
 The gradient of V(z) = p(|z|^2) is 2 p'(|z|^2) z, parallel to z, so
 the minimum on the ray through a seed solves a one-dimensional problem:
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group_rep import LieAlgebraRep, IsotropyResult, exp_map, isotropy_algebra, orbit_directions
+from .group_rep import LieAlgebraRep, complexify, exp_map, isotropy_algebra, realify
 from .tolerances import DEFAULT
 
 INVARIANCE_SAMPLES = 6
@@ -34,25 +33,7 @@ class SaddleConverged(RuntimeError):
         self.transversal_eigs = np.asarray(transversal_eigs, dtype=float)
 
 
-def realify(z):
-    """Interleaved real coordinates (Re z_1, Im z_1, ...) of a complex vector,
-    or of each vector along the last axis of a stack."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
-def complexify(x):
-    """Inverse of realify."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] % 2:
-        raise ValueError("realified vectors have even length")
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiggsModel:
     """An invariant potential V(z) = p(|z|^2) over a unitary representation.
 
@@ -128,21 +109,6 @@ def invariance_residual(model):
     return float(np.max(np.abs(v1 - v0) / np.maximum(1.0, np.abs(v0)), initial=0.0))
 
 
-def goldstone_split(rep, z0, tol=DEFAULT):
-    """Orthonormal (goldstone, physical) bases of R^{2N} at a critical point.
-
-    The Goldstone block spans the realified orbit directions X_i z0, those
-    of singular value above tol.nullspace_cut * sigma_max; the physical
-    block is its orthogonal complement.  Columns are the basis vectors.
-    """
-    T = realify(orbit_directions(rep, z0)).T
-    if not T.any():
-        return np.zeros((T.shape[0], 0)), np.eye(T.shape[0])
-    u, s, _ = np.linalg.svd(T)
-    rank = int(np.sum(s > tol.nullspace_cut * s[0]))
-    return u[:, :rank], u[:, rank:]
-
-
 def unitary_gauge_project(split, phi):
     """Project a Higgs state, or each state along the last axis of a stack,
     onto the physical (unitary gauge) subspace."""
@@ -150,13 +116,14 @@ def unitary_gauge_project(split, phi):
     return complexify((realify(phi) @ physical) @ physical.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VacuumSolution:
-    """A minimum of the potential with its symmetry-breaking data."""
+    """A minimum of the potential with its symmetry-breaking data; isotropy
+    is the read-only (dim, dim_g) basis of the unbroken subalgebra."""
 
     z0: np.ndarray
     value: float
-    isotropy: IsotropyResult
+    isotropy: np.ndarray
     goldstone_basis: np.ndarray
     physical_basis: np.ndarray
     transversal_hessian_eigs: np.ndarray
@@ -186,7 +153,8 @@ def minimize(model, seed, tol=DEFAULT):
     minimum, or a degenerate minimum.  An eigenvalue counts as zero at or
     below tol.saddle_floor times the largest |eigenvalue|, so the verdict
     does not depend on the potential's units.  The isotropy algebra and the
-    Goldstone split read tol.nullspace_cut.
+    Goldstone split come from one isotropy_algebra call, which reads
+    tol.nullspace_cut.
     """
     z = np.asarray(seed, dtype=complex).reshape(-1)
     if z.shape[0] != model.rep.rep_dim:
@@ -207,8 +175,7 @@ def minimize(model, seed, tol=DEFAULT):
             s = t
         z0 = z * (np.sqrt(s) / norm)
 
-    iso = isotropy_algebra(model.rep, z0, tol)
-    goldstone, physical = goldstone_split(model.rep, z0, tol)
+    iso, goldstone, physical = isotropy_algebra(model.rep, z0, tol)
     H = hessian(model, z0)
     if physical.shape[1]:
         trans = np.linalg.eigvalsh(physical.T @ H @ physical)

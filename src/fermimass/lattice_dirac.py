@@ -453,7 +453,7 @@ def mean_mass(md):
     return float(md.spectrum_sq.sum() / md.spectrum_sq.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureResult:
     """Antisymmetric curvature components with the closed-form residual."""
 
@@ -685,10 +685,16 @@ def _eigenvalues(M_pq, M_qp, graded):
 
 # bytes of the Bloch blocks and phases formed at once by _bloch_blocks
 _CHUNK_BYTES = 1 << 22
-# peak bytes per value of the squared spectrum in a verify-all run, most
-# of them the report's list and copies of its JSON text: under
-# tracemalloc, less the chunk and plane terms of lattice_footprint, 89 at
-# n=2, L=12, 59 at n=3, L=4 and 111 at n=3, L=8; the guard counts more
+# peak bytes per value of the squared spectrum while it is computed, the
+# spectrum and its closed form: a verify-all run's tracemalloc peak before
+# the report writer starts, less the chunk and plane terms and about
+# 1.5 MB of fixed cost, is 25 B per value at n=2, L=12 and 11 at n=3, L=4
+_SPECTRUM_BYTES_PER_VALUE = 32
+# peak bytes per value while a verify-all report is written, most of them
+# the report's list and its JSON text: the tracemalloc peak from the
+# report writer's start to the run's end, over the value count, is 163 at
+# n=2, L=8 (where the fixed cost of the run still shows), 120 at n=2,
+# L=12 and 128 at n=3, L=4; the guard counts more
 _BYTES_PER_VALUE = 144
 
 
@@ -819,12 +825,17 @@ def expected_squared_spectrum(lat, cl, md, frep, shifts=None):
 def lattice_footprint(lat, nf):
     """Estimated peak bytes of the lattice command on lat with N_F fermions.
 
-    Per value of the squared spectrum (n_sites x 2^n N_F of them): the
-    spectrum and its closed form, the report's list of Python floats and
-    that list's JSON text (_BYTES_PER_VALUE); plus one momentum chunk and
-    two operators held on the 2-planes through the origin.  Python ints,
-    so a lattice far too large to build is estimated without overflow.
+    The larger of its two phases, over the n_sites x 2^n N_F values of
+    the squared spectrum.  While the spectrum is computed: the spectrum
+    and its closed form (_SPECTRUM_BYTES_PER_VALUE), one momentum chunk
+    and two operators held on the 2-planes through the origin.  While the
+    report is written, after the chunk is freed: the spectra, the report's
+    list of Python floats and that list's JSON text (_BYTES_PER_VALUE).
+    Python ints, so a lattice far too large to build is estimated without
+    overflow.
     """
     F = 2 ** lat.n * nf
+    values = lat.n_sites * F
     plane_sites = 1 + lat.dim * (lat.L - 1) + math.comb(lat.dim, 2) * (lat.L - 1) ** 2
-    return lat.n_sites * F * _BYTES_PER_VALUE + _CHUNK_BYTES + 2 * plane_sites * F * F * 16
+    spectrum_phase = values * _SPECTRUM_BYTES_PER_VALUE + _CHUNK_BYTES + 2 * plane_sites * F * F * 16
+    return max(spectrum_phase, values * _BYTES_PER_VALUE)

@@ -120,7 +120,7 @@ def _section(mapping, path, keys):
     return mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuiltModel:
     """The runtime objects of a model file, each section parsed once by
     ModelConfig.build."""
@@ -144,12 +144,12 @@ class BuiltModel:
         """
         if self.theta is None:
             return None
-        if self.theta.shape[1] != vac.isotropy.dim:
+        if self.theta.shape[1] != vac.isotropy.shape[0]:
             raise ModelError(
                 f"wilson.theta: rows have {self.theta.shape[1]} coefficients, the vacuum isotropy "
-                f"algebra has dimension {vac.isotropy.dim}"
+                f"algebra has dimension {vac.isotropy.shape[0]}"
             )
-        return self.frep.total.element(self.theta @ vac.isotropy.basis)
+        return self.frep.total.element(self.theta @ vac.isotropy)
 
 
 @dataclass
@@ -235,7 +235,8 @@ class ModelConfig:
         try:
             return LieAlgebraRep(generators=gens, label=name, tol=tol)
         except ValueError as exc:
-            raise ModelError(f"{path}: {exc}") from exc
+            # the path names the representation; the label's prefix would repeat it
+            raise ModelError(f"{path}: {str(exc).removeprefix(f'{name}: ')}") from exc
 
     def build(self):
         """The model's runtime objects, each section parsed once, in the order

@@ -292,7 +292,7 @@ def cmd_break(run):
         scale = max(1.0, float(np.linalg.norm(vac.z0)))
         rep.add(residual_check("vacuum.gradient_norm", grad_norm, tol.gradient_norm * scale))
         dim_g = higgs.rep.dim_g
-        rep.add(count_check("vacuum.broken_plus_unbroken", vac.goldstone_count + vac.isotropy.dim, dim_g))
+        rep.add(count_check("vacuum.broken_plus_unbroken", vac.goldstone_count + vac.isotropy.shape[0], dim_g))
         H = hessian(higgs, vac.z0)
         G = vac.goldstone_basis
         flat = float(np.max(np.abs(G.T @ H @ G))) if G.shape[1] else 0.0
@@ -314,8 +314,8 @@ def cmd_break(run):
                 "z0": encode_complex(vac.z0),
                 "potential_value": float(vac.value),
                 "gradient_norm": grad_norm,
-                "isotropy_dim": vac.isotropy.dim,
-                "isotropy_basis": vac.isotropy.basis.tolist(),
+                "isotropy_dim": vac.isotropy.shape[0],
+                "isotropy_basis": vac.isotropy.tolist(),
                 "goldstone_count": vac.goldstone_count,
                 "physical_count": vac.physical_count,
                 "transversal_hessian_eigs": _float_list(vac.transversal_hessian_eigs),

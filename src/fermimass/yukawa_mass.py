@@ -31,7 +31,7 @@ class BlockStructureViolation(ValueError):
     """An endomorphism expected to be odd has nonzero diagonal blocks."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiralFermionRep:
     """Left/right fermion representations with their graded direct sum."""
 
@@ -58,7 +58,7 @@ class ChiralFermionRep:
         return self.n_left + self.n_right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YukawaMap:
     """Coupling tensor (N_L, N_R, N_H) with optional per-slot conjugation."""
 
@@ -131,7 +131,7 @@ def check_equivariance(ymap, rep_H, frep):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassBlock:
     """One eigenvalue of the squared mass with its left/right eigenspaces."""
 
@@ -148,7 +148,7 @@ class MassBlock:
         return self.right_basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassData:
     """The constant mass endomorphism, its spectrum and eigenspaces; M_F is
     the (N_L, N_R) upper-right block of -i D_matrix."""
@@ -294,7 +294,7 @@ def lemma_verify(ymap, md, vac, frep, model):
     exp_map per representation, apply_yukawa on the moved states, the
     singular values and the transport g_f D g_f^dagger.
     """
-    comm = commutant_check(frep.total.element(vac.isotropy.basis), md.D_matrix)
+    comm = commutant_check(frep.total.element(vac.isotropy), md.D_matrix)
 
     coeffs = np.random.default_rng(ORBIT_SEED).standard_normal((ORBIT_MOVES, model.rep.dim_g))
     moved = apply_yukawa(ymap, exp_map(model.rep, coeffs) @ vac.z0)

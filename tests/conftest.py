@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fermimass import HiggsModel, LatticeOperator, LieAlgebraRep, ew_reference, mass_matrix, minimize
+from fermimass.group_rep import orbit_directions
 from fermimass.lattice_dirac import _neighbours
 
 S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -62,6 +63,25 @@ def ew_perturbed_objects(y_right):
     frep = cfg.build_fermion_rep()
     ymap = cfg.build_yukawa(frep)
     return cfg, higgs, frep, ymap
+
+
+def two_svd_split(rep, z0, cut):
+    """Oracle: (isotropy basis, Goldstone columns, physical columns) from two
+    SVDs of the orbit map, as they were taken before the one-SVD form: the
+    isotropy from the map with real parts stacked over imaginary parts,
+    the split from its interleaved form, all physical where it is zero."""
+    cols = orbit_directions(rep, z0)
+    _, s, vt = np.linalg.svd(np.concatenate((cols.real, cols.imag), axis=1).T)
+    smax = s[0] if s.size else 0.0
+    iso = vt[[k for k in range(rep.dim_g) if k >= s.size or s[k] <= cut * smax]]
+    x = np.empty((rep.dim_g, 2 * rep.rep_dim))
+    x[:, 0::2], x[:, 1::2] = cols.real, cols.imag
+    T = x.T
+    if not T.any():
+        return iso, np.zeros((T.shape[0], 0)), np.eye(T.shape[0])
+    u, s, _ = np.linalg.svd(T)
+    rank = int(np.sum(s > cut * s[0]))
+    return iso, u[:, :rank], u[:, rank:]
 
 
 def mexican_hat_coeffs(lam, v):

@@ -65,7 +65,7 @@ def test_criterion_02_electroweak_breaking(ew_cfg, ew_higgs):
     start = time.perf_counter()
     vac = minimize(ew_higgs, ew_cfg.higgs_seed())
     assert abs(np.linalg.norm(vac.z0) - 2.0) <= 1e-8
-    assert vac.isotropy.dim == 1
+    assert vac.isotropy.shape == (1, 4)
     assert vac.goldstone_count == 3
     assert vac.physical_count == 1
     # oracle: second derivative of lam (s - v^2)^2 at s = v^2 along the
@@ -184,7 +184,7 @@ def test_criterion_08_gauge_covariance(ew_cfg, ew_higgs, ew_vac, ew_frep, ew_yma
     op = build_vacuum_dirac(lat, cl, ew_md, ew_frep)
     # constant transformations from the unbroken algebra: entrywise invariant
     for t in (0.3, 1.1):
-        u = exp_map(ew_frep.total, t * np.asarray(ew_vac.isotropy.basis[0]))
+        u = exp_map(ew_frep.total, t * np.asarray(ew_vac.isotropy[0]))
         out = gauge_transform(op, u)
         assert np.abs(out.matrix - op.matrix).max() <= 1e-12
     # arbitrary constant transformations: spectrum invariant

@@ -3,7 +3,8 @@ the per-element loops they replaced, kept here as references.  The orbit
 lemma, the equivariance and the invariance residuals are equal bit for bit,
 and so are the algebra elements, their exponentials, the orbit directions,
 the direct sum, the unbroken generators and their commutant residual, each
-against its loop over the generator stack;
+against its loop over the generator stack, and the one-SVD isotropy basis
+and Goldstone split against the two SVDs they replaced;
 the closure residual, whose one least-squares solve takes every commutator
 as a right-hand side, agrees to 1e-15.  The stencil product's grouped
 products equal its per-site loop bit for bit."""
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from fermimass import TorusLattice, apply_yukawa, build_clifford, build_vacuum_connection
 from fermimass import build_vacuum_dirac, check_equivariance, ew_reference, exp_map, lemma_verify
 from fermimass import lattice_dirac, mass_matrix, minimize
-from fermimass.group_rep import closure_residual, direct_sum, orbit_directions
+from fermimass.group_rep import closure_residual, direct_sum, isotropy_algebra, orbit_directions
 from fermimass.higgs_vacuum import INVARIANCE_SAMPLES, INVARIANCE_SEED, invariance_residual
 from fermimass.lattice_dirac import _coords, _index, _product_stencil, _union
 from fermimass.yukawa_mass import ORBIT_MOVES, ORBIT_SEED
+from conftest import two_svd_split
 from test_charge_models import charge_models
-from test_lattice_dirac import two_generation_leptons
+from test_cli import su2_unbroken_model, u1_model
+from test_lattice_dirac import THETA, two_generation_leptons
 
 def seeded_leptons(seed):
     """The two-generation su(2)+u(1) lepton model with a seeded complex
@@ -139,7 +142,7 @@ def assert_stacked_equals_loops(cfg):
     assert np.array_equal(direct_sum([frep.rep_L, frep.rep_R]).generators,
                           direct_sum_loop([frep.rep_L, frep.rep_R]))
     # the unbroken generators of the commutant check, from the isotropy stack
-    nf, iso = frep.n_total, vac.isotropy.basis
+    nf, iso = frep.n_total, vac.isotropy
     unbroken = [element_loop(frep.total, c) for c in iso]
     assert np.array_equal(frep.total.element(iso), np.reshape(unbroken, (-1, nf, nf)))
     D = md.D_matrix
@@ -164,6 +167,39 @@ def test_stacked_work_equals_the_loops(name):
 @given(charge_models(off_rule=True))
 def test_stacked_work_equals_the_loops_on_charge_models(case):
     assert_stacked_equals_loops(case[0])
+
+
+def ew_at_n2_with_wilson():
+    cfg = ew_reference()
+    cfg.lattice.update({"n": 2, "sites_per_dim": 3})
+    cfg.wilson = {"theta": THETA}
+    return cfg
+
+
+def ew_central_difference():
+    cfg = ew_reference()
+    cfg.lattice["derivative"] = "central_difference"
+    return cfg
+
+
+SPLIT_MODELS = {
+    **MODELS, "ew-n2-wilson": ew_at_n2_with_wilson, "ew-central": ew_central_difference,
+    "u1": u1_model, "u1-massive": lambda: u1_model(coupling=0.3), "su2-unbroken": su2_unbroken_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+def test_one_svd_split_equals_the_two_svd_oracle(name):
+    # at the vacuum, as minimize keeps it, and at the zero seed, byte for byte
+    built = SPLIT_MODELS[name]().build()
+    rep, cut = built.higgs.rep, built.tol.nullspace_cut
+    vac = minimize(built.higgs, built.seed, built.tol)
+    zero = np.zeros(rep.rep_dim, dtype=complex)
+    cases = [((vac.isotropy, vac.goldstone_basis, vac.physical_basis), vac.z0),
+             (isotropy_algebra(rep, zero, built.tol), zero)]
+    for got, z0 in cases:
+        for a, b in zip(got, two_svd_split(rep, z0, cut), strict=True):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 def test_closure_of_non_closing_generators_agrees_with_the_loop():

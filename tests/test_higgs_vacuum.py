@@ -6,7 +6,6 @@ from fermimass import (
     HiggsModel,
     SaddleConverged,
     exp_map,
-    goldstone_split,
     gradient,
     hessian,
     isotropy_algebra,
@@ -14,7 +13,8 @@ from fermimass import (
     potential_eval,
     unitary_gauge_project,
 )
-from fermimass.higgs_vacuum import complexify, invariance_residual, realify
+from fermimass.group_rep import complexify, realify
+from fermimass.higgs_vacuum import invariance_residual
 from conftest import ew_rep, mexican_hat_on, su2_doublet
 
 
@@ -124,7 +124,7 @@ def test_minimize_lands_on_the_seed_ray_at_any_vev(v, seed):
     assert vac.z0[0] == 0.0
     assert vac.z0[1].imag == 0.0
     assert vac.z0[1].real == pytest.approx(v, rel=1e-15)
-    assert (vac.goldstone_count, vac.physical_count, vac.isotropy.dim) == (3, 1, 1)
+    assert (vac.goldstone_count, vac.physical_count, vac.isotropy.shape) == (3, 1, (1, 4))
 
 
 def _custom(derivative_roots):
@@ -147,7 +147,7 @@ def test_minimize_at_the_origin_breaks_nothing():
     model = HiggsModel(su2_doublet(), [0.0, 1.0, 1.0])
     vac = minimize(model, np.array([0.3, 0.4j]))
     assert np.array_equal(vac.z0, np.zeros(2))
-    assert (vac.goldstone_count, vac.physical_count, vac.isotropy.dim) == (0, 4, 3)
+    assert (vac.goldstone_count, vac.physical_count, vac.isotropy.shape) == (0, 4, (3, 3))
     assert vac.transversal_hessian_eigs == pytest.approx([2.0] * 4, abs=0.0)
 
 
@@ -168,7 +168,7 @@ def test_minimize_electroweak_breaking_pattern():
     model = mexican_hat_on(ew_rep(+1.0, 2, "higgs"), lam=1.0, v=2.0)
     vac = minimize(model, np.array([0.0, 1.0]))
     assert np.abs(vac.z0 - np.array([0.0, 2.0])).max() <= 1e-8
-    assert vac.isotropy.dim == 1
+    assert vac.isotropy.shape == (1, 4)
     assert vac.goldstone_count == 3
     assert vac.physical_count == 1
     # oracle: second derivative of lam (r^2 - v^2)^2 along the radius at
@@ -177,7 +177,8 @@ def test_minimize_electroweak_breaking_pattern():
 
 
 def test_goldstone_split_at_zero_is_all_physical():
-    G, P = goldstone_split(su2_doublet(), np.zeros(2))
+    iso, G, P = isotropy_algebra(su2_doublet(), np.zeros(2))
+    assert iso.shape == (3, 3)
     assert G.shape == (4, 0)
     assert np.abs(P - np.eye(4)).max() == 0.0
 
@@ -185,7 +186,9 @@ def test_goldstone_split_at_zero_is_all_physical():
 def test_goldstone_split_electroweak():
     rep = ew_rep(+1.0, 2, "higgs")
     z0 = np.array([0.0, 2.0])
-    G, P = goldstone_split(rep, z0)
+    iso, G, P = isotropy_algebra(rep, z0)
+    # the group-theory counts: su(2)+u(1) breaks to a u(1), 3 Goldstones
+    assert iso.shape == (1, 4)
     assert G.shape == (4, 3)
     assert P.shape == (4, 1)
     # physical direction is radial: realify((0, 1)) = e_2 in interleaved coords
@@ -193,12 +196,6 @@ def test_goldstone_split_electroweak():
     # orthonormal and jointly complete
     B = np.hstack([G, P])
     assert np.abs(B.T @ B - np.eye(4)).max() <= 1e-12
-    assert vac_count_matches(rep, z0)
-
-
-def vac_count_matches(rep, z0):
-    G, _ = goldstone_split(rep, z0)
-    return G.shape[1] + isotropy_algebra(rep, z0).dim == rep.dim_g
 
 
 def test_goldstone_split_u1_phase():
@@ -207,7 +204,8 @@ def test_goldstone_split_u1_phase():
     import fermimass
 
     u1 = fermimass.LieAlgebraRep(generators=(np.array([[-1j]]),), label="u1")
-    G, P = goldstone_split(u1, np.array([2.0]))
+    iso, G, P = isotropy_algebra(u1, np.array([2.0]))
+    assert iso.shape == (0, 1)
     assert G.shape == (2, 1) and P.shape == (2, 1)
     assert np.abs(np.abs(G[:, 0]) - np.array([0.0, 1.0])).max() <= 1e-12
     assert np.abs(np.abs(P[:, 0]) - np.array([1.0, 0.0])).max() <= 1e-12
@@ -215,7 +213,7 @@ def test_goldstone_split_u1_phase():
 
 def test_unitary_gauge_projection_fixes_physical():
     rep = ew_rep(+1.0, 2, "higgs")
-    split = goldstone_split(rep, np.array([0.0, 2.0]))
+    _, *split = isotropy_algebra(rep, np.array([0.0, 2.0]))
     phi = np.array([0.0, 0.7])  # already physical (radial)
     assert np.abs(unitary_gauge_project(split, phi) - phi).max() <= 1e-12
 
@@ -223,14 +221,14 @@ def test_unitary_gauge_projection_fixes_physical():
 def test_unitary_gauge_projection_kills_goldstone():
     rep = ew_rep(+1.0, 2, "higgs")
     z0 = np.array([0.0, 2.0])
-    split = goldstone_split(rep, z0)
+    _, *split = isotropy_algebra(rep, z0)
     phi = rep.element(np.array([1.0, 0.0, 0.0, 0.0])) @ z0
     assert np.abs(unitary_gauge_project(split, phi)).max() <= 1e-12
 
 
 def test_unitary_gauge_projection_idempotent():
     rep = ew_rep(+1.0, 2, "higgs")
-    split = goldstone_split(rep, np.array([0.0, 2.0]))
+    _, *split = isotropy_algebra(rep, np.array([0.0, 2.0]))
     rng = np.random.default_rng(9)
     phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     once = unitary_gauge_project(split, phi)
@@ -246,7 +244,7 @@ def test_minima_are_gauge_covariant():
         g = exp_map(model.rep, rng.standard_normal(4))
         moved = g @ vac.z0
         assert abs(potential_eval(model, moved) - vac.value) <= 1e-9
-        assert isotropy_algebra(model.rep, moved).dim == vac.isotropy.dim
+        assert isotropy_algebra(model.rep, moved)[0].shape == vac.isotropy.shape
 
 
 def test_hessian_flat_on_goldstone_positive_on_physical():
@@ -262,7 +260,7 @@ def test_goldstone_basis_spans_orbit_directions():
     # every realified orbit direction X_i z0 lies in the Goldstone span
     rep = ew_rep(+1.0, 2, "higgs")
     z0 = np.array([0.0, 2.0])
-    G, _ = goldstone_split(rep, z0)
+    _, G, _ = isotropy_algebra(rep, z0)
     for X in rep.generators:
         t = realify(X @ z0)
         residual = t - G @ (G.T @ t)

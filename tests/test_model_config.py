@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermimass import ModelError, ew_reference, load_model, resolve_model, save_model
+from fermimass import ModelError, build_vacuum_connection, ew_reference, load_model, mass_matrix
+from fermimass import minimize, relative_curvature, resolve_model, save_model
 from fermimass.model_config import ModelConfig, decode_array, encode_complex, validate_model
 from fermimass.tolerances import DEFAULT
 from conftest import mexican_hat_coeffs
@@ -79,6 +80,16 @@ def test_non_antihermitian_generator_named(tmp_path):
         [[0.0, 0.0], [-1.0, 0.0]],
     ]
     _dump_and_expect(tmp_path, doc, r"higgs_doublet.*generator 2.*anti-Hermitian")
+
+
+def test_bad_representation_named_once():
+    # the path names the representation, the rep's own label does not repeat it
+    cfg = ew_reference()
+    cfg.representations["lepton_left"][3][0][1] = [1.0, 0.0]
+    with pytest.raises(ModelError) as err:
+        cfg.build()
+    assert str(err.value) == ("algebra.representations.lepton_left: generator 3 is not anti-Hermitian "
+                              "(|X + X^dagger| = 1.000e+00 > 1e-12)")
 
 
 def test_wrong_schema_version(tmp_path):
@@ -185,6 +196,26 @@ def test_builders_produce_consistent_objects():
     assert ymap.tensor.shape == (2, 1, 2)
     assert lat.n == cl.n == 1
     assert np.asarray(cfg.higgs_seed()).shape == (2,)
+
+
+def model_records():
+    """Every frozen record of a reference model that holds arrays, built anew."""
+    built = ew_reference().build()
+    vac = minimize(built.higgs, built.seed)
+    md = mass_matrix(built.ymap, vac)
+    cl = ew_reference().build_clifford()
+    conn = build_vacuum_connection(built.lattice, cl, md, built.frep)
+    return [built, built.higgs, built.higgs.rep, built.frep, built.ymap, vac, md, md.eigenspaces[0], cl,
+            relative_curvature(conn, cl, md, built.frep)]
+
+
+def test_records_compare_by_identity():
+    # two builds of one model give equal arrays, yet == answers by identity
+    # and never asks an array for its truth value
+    for one, other in zip(model_records(), model_records()):
+        assert type(one) is type(other)
+        assert one == one and not one != one
+        assert not one == other and one != other
 
 
 def test_build_parses_every_section():

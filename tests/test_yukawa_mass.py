@@ -200,7 +200,7 @@ def test_reconstruction_residual_random():
 
 
 def test_commutant_of_mass_matrix(ew_md, ew_vac, ew_frep):
-    unbroken = ew_frep.total.element(ew_vac.isotropy.basis[0])
+    unbroken = ew_frep.total.element(ew_vac.isotropy[0])
     assert commutant_check([unbroken], ew_md.D_matrix) <= 1e-12
     # a broken generator does not commute: residual well above 0.1 * y_e * v
     broken = ew_frep.total.element(np.array([1.0, 0.0, 0.0, 0.0]))
