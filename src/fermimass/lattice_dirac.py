@@ -478,8 +478,7 @@ def relative_curvature(conn, cl, md, frep):
     """
     lat = conn[0].lattice
     nf = frep.n_total
-    d_int = md.D_matrix if md is not None else np.zeros((nf, nf), dtype=complex)
-    m2_int = -(d_int @ d_int)
+    m2_int = md.mass_square_fiber() if md is not None else np.zeros((nf, nf), dtype=complex)
     omega = []
     for a, comp in enumerate(conn):
         line, deriv = _derivative_line(lat, a, np.eye(cl.spinor_dim * nf))
@@ -751,38 +750,32 @@ def spectrum(op, square_first=False, tol=DEFAULT):
     return vals
 
 
-def _mass_blocks_full_fiber(md, nf):
-    """(m^2, embedded fiber basis) pairs; one zero block when md is None."""
-    if md is None:
-        return [(0.0, np.eye(nf, dtype=complex))]
-    blocks = []
-    for blk in md.eigenspaces:
-        basis = np.zeros((nf, blk.left_dim + blk.right_dim), dtype=complex)
-        basis[: md.n_left, : blk.left_dim] = blk.left_basis
-        basis[md.n_left :, blk.left_dim :] = blk.right_basis
-        blocks.append((blk.m2, basis))
-    return blocks
-
-
 def branch_momentum_shifts(lat, md, frep, fields, tol=DEFAULT):
-    """Per-branch, per-axis momentum shifts q_a induced by a Wilson line.
-
-    The shift of a branch is the charge of its eigenbundle under the
-    Wilson field; the charge must be scalar on the block (guaranteed when
-    the line is valued in the unbroken algebra): its spread may reach
-    tol.wilson_charge_scalar * max(1, |q|), and a ValueError says so
-    otherwise.  fields are the Wilson fields BuiltModel.wilson_fields
-    returns, or None for no line.
+    """The branch table of the vacuum fiber: one (m^2, width, q) row per
+    eigenbundle of the mass matrix, or one massless row as wide as the
+    fiber when md is None.  q holds the per-axis momentum shifts q_a under
+    a Wilson line, each 0.0 without one: the charge of the eigenbundle
+    under the Wilson field, which must be scalar on the block (guaranteed
+    when the line is valued in the unbroken algebra).  Its spread may
+    reach tol.wilson_charge_scalar * max(1, |q|); a ValueError says so
+    otherwise.  fields are BuiltModel.wilson_fields' stack, or None.
     """
-    _check_fields(lat, frep.n_total, fields)
-    blocks = _mass_blocks_full_fiber(md, frep.n_total)
-    if fields is None:
-        return [(m2, [0.0] * lat.dim) for m2, _ in blocks]
-    out = []
-    for m2, basis in blocks:
-        qs = []
-        for a in range(lat.dim):
-            E = basis.conj().T @ (-1j * fields[a]) @ basis
+    nf = frep.n_total
+    _check_fields(lat, nf, fields)
+    if md is None:
+        bases = [(0.0, np.eye(nf, dtype=complex))]
+    else:
+        bases = []
+        for blk in md.eigenspaces:
+            basis = np.zeros((nf, blk.left_dim + blk.right_dim), dtype=complex)
+            basis[: md.n_left, : blk.left_dim] = blk.left_basis
+            basis[md.n_left :, blk.left_dim :] = blk.right_basis
+            bases.append((blk.m2, basis))
+    table = []
+    for m2, basis in bases:
+        qs = [0.0] * lat.dim
+        for a, field in enumerate(() if fields is None else fields):
+            E = basis.conj().T @ (-1j * field) @ basis
             q = float(np.mean(np.diag(E).real))
             spread = float(np.max(np.abs(E - q * np.eye(E.shape[0]))))
             if spread > tol.wilson_charge_scalar * max(1.0, abs(q)):
@@ -790,35 +783,31 @@ def branch_momentum_shifts(lat, md, frep, fields, tol=DEFAULT):
                     f"Wilson charge is not scalar on the m^2={m2:.6g} block "
                     f"(spread {spread:.3e}); branch-resolved momenta are undefined"
                 )
-            qs.append(q)
-        out.append((m2, qs))
-    return out
+            qs[a] = q
+        table.append((m2, basis.shape[1], qs))
+    return table
 
 
-def expected_squared_spectrum(lat, cl, md, frep, shifts=None):
+def expected_squared_spectrum(lat, branches):
     """Closed-form multiset for (i D)^2 of a vacuum operator.
 
-    For each momentum tuple and each mass block the eigenvalue is
-    sum_a (k_a + q_a)^2 + m^2 with the per-axis shift q_a of that block,
-    each with multiplicity 2^n times the block dimension.  shifts is the
-    table branch_momentum_shifts returns for a Wilson line; None means
-    no shift.  Requires the spectral derivative kind.
+    branches is the table branch_momentum_shifts returns.  For each
+    momentum tuple and each (m^2, width, q) branch the eigenvalue is
+    sum_a (k_a + q_a)^2 + m^2, with multiplicity 2^n times the width.
+    Requires the spectral derivative kind.
     """
     if lat.derivative_kind != "fourier_spectral":
         raise ValueError("closed-form spectra are defined for the spectral derivative kind")
-    blocks = _mass_blocks_full_fiber(md, frep.n_total)
-    if shifts is None:
-        shifts = [(m2, [0.0] * lat.dim) for m2, _ in blocks]
     ks = lat.momenta()
     vals = []
-    for (m2, basis), (_, qs) in zip(blocks, shifts, strict=True):
+    for m2, width, qs in branches:
         # m2 + (0 + (k_0 + q_0)^2 + (k_1 + q_1)^2 + ...) over the momentum
         # grid, axis 0 slowest: each square and each sum in the order of
         # the loop over momentum tuples, so every value keeps its bits
         total = 0
         for q in qs:
             total = np.add.outer(total, [(kc + q) ** 2 for kc in ks])
-        vals.append(np.repeat(m2 + total.reshape(-1), cl.spinor_dim * basis.shape[1]))
+        vals.append(np.repeat(m2 + total.reshape(-1), 2 ** lat.n * width))
     return np.sort(np.concatenate(vals))
 
 

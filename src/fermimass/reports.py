@@ -416,14 +416,14 @@ def cmd_lattice(run):
         cl = build_clifford(lat.n)
         fields = run.model.wilson_fields(vac)
         vac_op = build_vacuum_dirac(lat, cl, md, frep, fields)
-        shifts = None
         if fields is not None:
             rep.add(residual_check("lattice.wilson_flatness", wilson_flatness(fields), tol.wilson_flat))
-            shifts = run.stage("lattice.wilson_charge_scalar", branch_momentum_shifts,
-                               lat, md, frep, fields, tol)
+        # without a line the table cannot fail, and no check is added
+        branches = run.stage("lattice.wilson_charge_scalar", branch_momentum_shifts,
+                             lat, md, frep, fields, tol)
         spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True, tol=tol)
         if lat.derivative_kind == "fourier_spectral":
-            expected = expected_squared_spectrum(lat, cl, md, frep, shifts)
+            expected = expected_squared_spectrum(lat, branches)
             scale = max(1.0, float(np.max(np.abs(expected))))
             disp = float(np.max(np.abs(spec_sq - expected)))
             rep.add(residual_check("lattice.dispersion", disp, tol.dispersion * scale,
@@ -470,7 +470,7 @@ def cmd_lattice(run):
             rep.data["wilson_theta"] = run.model.theta.tolist()
             rep.data["wilson_shift_table"] = [
                 {"m2": float(m2), "momentum_shift_per_axis": [float(q) for q in qs]}
-                for m2, qs in shifts
+                for m2, _, qs in branches
             ]
     return rep
 
@@ -480,7 +480,11 @@ def cmd_verify_all(run):
     require_lattice_fits(run)
     with _reporting("verify-all", run) as rep:
         for name, command in (("break", cmd_break), ("masses", cmd_masses), ("lattice", cmd_lattice)):
-            rep.extend_prefixed(name, command(run))
+            try:
+                rep.extend_prefixed(name, command(run))
+            except FloatingPointError as exc:
+                # numpy's text names the operation only; add where it raised
+                raise FloatingPointError(f"{exc} (in the {name} stage)") from exc
     return rep
 
 

@@ -219,8 +219,7 @@ def test_criterion_09_wilson_holonomy(ew_cfg, ew_vac, ew_frep, ew_md):
         op = build_vacuum_dirac(lat, cl, ew_md, ew_frep, fields)
         got = spectrum(op, square_first=True)
         # branch-resolved closed form: momenta shift by the branch charge
-        shifts = branch_momentum_shifts(lat, ew_md, ew_frep, fields)
-        want = expected_squared_spectrum(lat, cl, ew_md, ew_frep, shifts)
+        want = expected_squared_spectrum(lat, branch_momentum_shifts(lat, ew_md, ew_frep, fields))
         assert np.abs(got - want).max() <= 1e-9
     _announce(9, "Wilson line shifts momenta per branch charge for two assignments")
 
@@ -240,6 +239,6 @@ def test_criterion_10_fluctuation_family(ew_vac, ew_frep, ew_ymap, ew_md):
     got = spectrum(fl, square_first=True)
     md_shift = mass_data_from_operator(apply_yukawa(ew_ymap, ew_vac.z0 + phi), 2, 1)
     assert abs(md_shift.spectrum_sq.max() - (0.5 * 2.7) ** 2) <= 1e-12
-    want = expected_squared_spectrum(lat, cl, md_shift, ew_frep)
+    want = expected_squared_spectrum(lat, branch_momentum_shifts(lat, md_shift, ew_frep, None))
     assert np.abs(got - want).max() <= 1e-9
     _announce(10, "fluctuations: t=0 bitwise, physical shift moves mass to y_e(v+h)")

@@ -403,6 +403,22 @@ def test_check_rejects_malformed_wilson_theta(capsys, tmp_path, theta, where):
         assert re.match(rf"error: {where}", err)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (["yukawa", "tensor", 0, 0, 0], [1e300, 0.0], "overflow encountered in square (in the masses stage)"),
+    (["higgs", "seed", 0], [1e300, 0.0], "overflow encountered in dot (in the break stage)"),
+    (["wilson", "theta", 0, 0], 1e300, "overflow encountered in square (in the lattice stage)"),
+], ids=["yukawa", "seed", "theta"])
+def test_overflow_mid_run_names_its_stage(capsys, tmp_path, path, value, message):
+    # check builds no mass matrix and no lattice operator, so it accepts
+    # these finite numbers; verify-all overflows in one of its stages
+    doc = ew_reference().to_json_dict()
+    _set(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--model", str(model))[0] == 0
+    assert run(capsys, "verify-all", "--model", str(model)) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("path, value, where", [
     (["algebra", "representations", "higgs_doublet", 2, 0, 0], [float("nan"), 0.0],
      r"algebra.representations.higgs_doublet\[2\]\[0\]\[0\]"),

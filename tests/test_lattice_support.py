@@ -226,17 +226,14 @@ def test_ungraded_operator_takes_the_eigvalsh_fallback(monkeypatch):
 
 # ----- the closed-form spectrum -----------------------------------------
 
-def expected_squared_spectrum_loop(lat, cl, md, frep, shifts):
-    """Oracle: the closed form as a loop over the momentum tuples."""
-    from fermimass.lattice_dirac import _mass_blocks_full_fiber
-
-    blocks = _mass_blocks_full_fiber(md, frep.n_total)
+def expected_squared_spectrum_loop(lat, branches):
+    """Oracle: the closed form of a branch table as a loop over the momentum tuples."""
     ks = lat.momenta()
     vals = []
     for kvec in itertools.product(ks, repeat=lat.dim):
-        for (m2, basis), (_, qs) in zip(blocks, shifts, strict=True):
+        for m2, width, qs in branches:
             val = m2 + sum((kc + q) ** 2 for kc, q in zip(kvec, qs))
-            vals.extend([val] * (cl.spinor_dim * basis.shape[1]))
+            vals.extend([val] * (2 ** lat.n * width))
     return np.sort(np.asarray(vals))
 
 
@@ -244,13 +241,35 @@ def expected_squared_spectrum_loop(lat, cl, md, frep, shifts):
 @pytest.mark.parametrize("n, L", [(1, 4), (1, 5), (2, 3), (3, 2)])
 @pytest.mark.parametrize("wilson", [False, True])
 def test_expected_spectrum_is_the_loop_bitwise(model, n, L, wilson):
-    lat, cl, md, frep, fields = vacuum_objects(model, n, L, "fourier_spectral", wilson)
-    shifts = branch_momentum_shifts(lat, md, frep, fields)
-    got = expected_squared_spectrum(lat, cl, md, frep, shifts)
-    want = expected_squared_spectrum_loop(lat, cl, md, frep, shifts)
-    assert got.tobytes() == want.tobytes()
-    assert expected_squared_spectrum(lat, cl, md, frep).tobytes() == expected_squared_spectrum_loop(
-        lat, cl, md, frep, branch_momentum_shifts(lat, md, frep, None)).tobytes()
+    lat, _, md, frep, fields = vacuum_objects(model, n, L, "fourier_spectral", wilson)
+    for line in (fields, None):
+        branches = branch_momentum_shifts(lat, md, frep, line)
+        got = expected_squared_spectrum(lat, branches)
+        assert got.tobytes() == expected_squared_spectrum_loop(lat, branches).tobytes()
+
+
+# ----- the branch table -------------------------------------------------
+
+@pytest.mark.parametrize("model", ["ew", "leptons", None])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("wilson", [False, True])
+def test_branch_table_covers_the_fiber(model, n, wilson):
+    # model None: no mass data, one massless branch as wide as the fiber,
+    # on which a line's charge is not scalar
+    lat, _, md, frep, fields = vacuum_objects(model or "ew", n, 2, "fourier_spectral", wilson)
+    md = md if model else None
+    if md is None and wilson:
+        with pytest.raises(ValueError, match=r"not scalar on the m\^2=0 block"):
+            branch_momentum_shifts(lat, md, frep, fields)
+        return
+    table = branch_momentum_shifts(lat, md, frep, fields)
+    assert sum(width for _, width, _ in table) == frep.n_total
+    assert [m2 for m2, _, _ in table] == ([0.0] if md is None else [blk.m2 for blk in md.eigenspaces])
+    assert all(len(qs) == lat.dim for _, _, qs in table)
+    if not wilson:
+        # exactly +0.0, a Python float
+        assert all(type(q) is float and math.copysign(1.0, q) == 1.0 for _, _, qs in table for q in qs)
+        assert all(q == 0.0 for _, _, qs in table for q in qs)
 
 
 # ----- memory -----------------------------------------------------------
