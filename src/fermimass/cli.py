@@ -52,7 +52,7 @@ def build_parser():
             "--tol-scale",
             type=float,
             default=1.0,
-            help="multiply every tolerance by this factor",
+            help="multiply every residual bound by this factor",
         )
     return parser
 

@@ -159,9 +159,13 @@ def minimize(model, seed, tol=DEFAULT):
     z = np.asarray(seed, dtype=complex).reshape(-1)
     if z.shape[0] != model.rep.rep_dim:
         raise ValueError(f"seed has length {z.shape[0]}, representation acts on C^{model.rep.rep_dim}")
-    norm = float(np.linalg.norm(z))
+    # the seed over its largest part, so that no square in its norm under-
+    # or overflows and only its ray matters
+    big = float(np.max(np.abs(realify(z)), initial=0.0))
     z0 = z
-    if norm > 0.0:
+    if big > 0.0:
+        z = z / big
+        norm = float(np.linalg.norm(z))
         c = model.coeffs
         c1 = _poly_derivative(c)
         c2 = _poly_derivative(c1)

@@ -3,7 +3,7 @@
 A model file is JSON.  Complex numbers are explicit [re, im] pairs,
 matrices are nested row-major lists of such pairs, and no expressions
 are evaluated, so every physics input is auditable as written.  Top
-level keys:
+level keys, each a ModelConfig field that holds the section as written:
 
     schema_version   integer, currently 1
     algebra          {label, generator_labels, representations}
@@ -116,7 +116,7 @@ def _section(mapping, path, keys):
         raise ModelError(f"{path}: expected an object")
     unknown = [key for key in mapping if key not in keys]
     if unknown:
-        raise ModelError(f"{path}.{unknown[0]}: unknown key (known: {', '.join(keys)})")
+        raise ModelError(f"{path}.{shown(unknown[0], bare=True)}: unknown key (known: {', '.join(keys)})")
     return mapping
 
 
@@ -152,14 +152,19 @@ class BuiltModel:
         return self.frep.total.element(self.theta @ vac.isotropy)
 
 
+# the file's top-level keys, each a ModelConfig field of the same name
+SECTIONS = ("schema_version", "algebra", "higgs", "fermions", "yukawa", "lattice", "wilson", "tolerances")
+# the sections a file may leave out, each with the value that stands for it
+OPTIONAL = {"wilson": None, "tolerances": {}}
+
+
 @dataclass
 class ModelConfig:
-    """Plain-data mirror of a model file; build() parses it into runtime objects."""
+    """A model file's sections as the file holds them; build() parses them
+    into runtime objects."""
 
     schema_version: int
-    label: str
-    generator_labels: list
-    representations: dict
+    algebra: dict
     higgs: dict
     fermions: dict
     yukawa: dict
@@ -170,26 +175,13 @@ class ModelConfig:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
-        doc = {
-            "schema_version": self.schema_version,
-            "algebra": {
-                "label": self.label,
-                "generator_labels": list(self.generator_labels),
-                "representations": self.representations,
-            },
-            "higgs": self.higgs,
-            "fermions": self.fermions,
-            "yukawa": self.yukawa,
-            "lattice": self.lattice,
-        }
-        if self.wilson is not None:
-            doc["wilson"] = self.wilson
-        if self.tolerances:
-            doc["tolerances"] = self.tolerances
-        return doc
+        doc = {key: getattr(self, key) for key in SECTIONS}
+        return {key: value for key, value in doc.items() if key not in OPTIONAL or value != OPTIONAL[key]}
 
     @classmethod
     def from_json_dict(cls, doc, source="<model>"):
+        """The config of a file's document, its top level checked; build()
+        checks each section."""
         if not isinstance(doc, dict):
             raise ModelError(f"{source}: top level must be an object")
         version = _require(doc, "schema_version", source, int)
@@ -197,41 +189,24 @@ class ModelConfig:
             raise ModelError(
                 f"{source}.schema_version: {shown(version)} unsupported, this build reads {SCHEMA_VERSION}"
             )
-        _section(doc, source, ("schema_version", "algebra", "higgs", "fermions", "yukawa",
-                               "lattice", "wilson", "tolerances"))
-        algebra = _section(_require(doc, "algebra", source, dict), f"{source}.algebra",
-                           ("label", "generator_labels", "representations"))
-        label = _require(algebra, "label", f"{source}.algebra", str)
-        labels = _require(algebra, "generator_labels", f"{source}.algebra", list)
-        reps = _require(algebra, "representations", f"{source}.algebra", dict)
-        cfg = cls(
-            schema_version=version,
-            label=label,
-            generator_labels=labels,
-            representations=reps,
-            higgs=_require(doc, "higgs", source, dict),
-            fermions=_require(doc, "fermions", source, dict),
-            yukawa=_require(doc, "yukawa", source, dict),
-            lattice=_require(doc, "lattice", source, dict),
-            wilson=doc.get("wilson"),
-            tolerances=doc.get("tolerances", {}),
-        )
-        return cfg
+        _section(doc, source, SECTIONS)
+        for key in SECTIONS[1:]:  # the sections after schema_version
+            if key not in OPTIONAL:
+                _require(doc, key, source, dict)
+        return cls(**{key: doc[key] for key in SECTIONS if key in doc})
 
     # -- builders -----------------------------------------------------
 
-    def build_rep(self, name, tol=None):
-        """The named representation, its generators checked against tol,
-        by default the model's tolerances."""
-        path = f"algebra.representations.{name}"
-        if name not in self.representations:
+    def build_rep(self, name, tol):
+        """The named representation, its generators checked against tol."""
+        path = f"algebra.representations.{shown(name, bare=True)}"
+        defined = self.algebra["representations"]
+        if name not in defined:
             raise ModelError(f"{path}: representation not defined")
         # one matrix per generator, each of the shape of the first
-        gens = decode_array(self.representations[name], path, (len(self.generator_labels), None, None))
+        gens = decode_array(defined[name], path, (len(self.algebra["generator_labels"]), None, None))
         if gens.shape[1] != gens.shape[2] or not gens.shape[1]:
             raise ModelError(f"{path}[0]: expected a non-empty square matrix, got shape {gens.shape[1:]}")
-        if tol is None:
-            tol = self.build_tolerances()
         try:
             return LieAlgebraRep(generators=gens, label=name, tol=tol)
         except ValueError as exc:
@@ -240,26 +215,26 @@ class ModelConfig:
 
     def build(self):
         """The model's runtime objects, each section parsed once, in the order
-        that fixes a bad file's first error: generator labels, representations
-        (the first parses the tolerances their closure checks read), higgs,
-        fermions, yukawa, lattice and wilson.theta.  fermions.grading is
-        only a consistency check, accepted only as [1] * n_left + [-1] *
-        n_right; the chirality of each fermion follows from rep_left and
-        rep_right, and nothing reads the key."""
-        labels = self.generator_labels
-        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-            raise ModelError("algebra.generator_labels: expected a list of strings")
-        if not labels:
-            raise ModelError("algebra.generator_labels: at least one generator required")
-        reps, tol = {}, None
-        for name in self.representations:
-            reps[name] = self.build_rep(name, tol)
-            tol = reps[name].tol
+        that fixes a bad file's first error: the algebra's keys and generator
+        labels, the tolerances, the representations (whose checks read the
+        tolerances), higgs, fermions, yukawa, lattice and wilson.theta.
+        fermions.grading is only a consistency check, accepted only as [1] *
+        n_left + [-1] * n_right; the chirality of each fermion follows from
+        rep_left and rep_right, and nothing reads the key."""
+        path = "algebra"
+        _section(self.algebra, path, ("label", "generator_labels", "representations"))
+        _require(self.algebra, "label", path, str)
+        labels = _require(self.algebra, "generator_labels", path, list)
+        if not labels or not all(isinstance(v, str) for v in labels):
+            raise ModelError(f"{path}.generator_labels: expected a non-empty list of strings")
+        names = _require(self.algebra, "representations", path, dict)
+        tol = self.build_tolerances()
+        reps = {name: self.build_rep(name, tol) for name in names}
 
         def rep(section, path, key):
             name = _require(section, key, path, str)
             # build_rep raises the error naming an undefined representation
-            return reps[name] if name in reps else self.build_rep(name)
+            return reps[name] if name in reps else self.build_rep(name, tol)
 
         path = "higgs"
         _section(self.higgs, path, ("rep", "potential", "params", "seed"))
@@ -287,7 +262,7 @@ class ModelConfig:
             coeffs = [float(decode_array(c, f"{path}.params[{i}]", (), pairs=False))
                       for i, c in enumerate(params_obj)]
         else:
-            raise ModelError(f"{path}.potential: unknown kind {kind!r}, expected one of {POTENTIAL_KINDS}")
+            raise ModelError(f"{path}.potential: unknown kind {shown(kind)}, expected one of {POTENTIAL_KINDS}")
         try:
             higgs = HiggsModel(higgs_rep, coeffs)
         except ValueError as exc:
@@ -403,6 +378,8 @@ def read_model(path):
         raise ModelError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+    except RecursionError:
+        raise ModelError(f"{path}: nested too deeply to read")
     return ModelConfig.from_json_dict(doc, source=str(path))
 
 

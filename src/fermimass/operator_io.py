@@ -40,6 +40,7 @@ import zlib
 import numpy as np
 
 from .lattice_dirac import LatticeOperator, TorusLattice
+from .tolerances import shown
 
 OPERATOR_FORMAT = "torus-lattice-operator"
 OPERATOR_SCHEMA_VERSION = 3
@@ -89,17 +90,17 @@ def _header(doc, path):
     sites, per_site = doc["sites"], doc["per_site"]
     kind = doc.get("kind", "")
     if not (_is_integer(n) and _is_integer(L)):
-        raise malformed(f"n and sites_per_dim must be integers, got {n!r} and {L!r}")
+        raise malformed(f"n and sites_per_dim must be integers, got {shown(n)} and {shown(L)}")
     if isinstance(a, bool) or not isinstance(a, (int, float)):
-        raise malformed(f"spacing must be a number, got {a!r}")
+        raise malformed(f"spacing must be a number, got {shown(a)}")
     if not (isinstance(dims, list) and len(dims) == 3 and all(_is_integer(v) and v >= 1 for v in dims)):
-        raise malformed(f"factor_dims must be three positive integers, got {dims!r}")
+        raise malformed(f"factor_dims must be three positive integers, got {shown(dims)}")
     if not (isinstance(sites, list) and all(_is_integer(v) for v in sites)):
         raise malformed("sites must be a list of integers")
     if not isinstance(per_site, bool):
-        raise malformed(f"per_site must be true or false, got {per_site!r}")
+        raise malformed(f"per_site must be true or false, got {shown(per_site)}")
     if not isinstance(kind, str):
-        raise malformed(f"kind must be a string, got {kind!r}")
+        raise malformed(f"kind must be a string, got {shown(kind)}")
     try:
         lat = TorusLattice(n=n, L=L, a=float(a), derivative_kind=doc["derivative_kind"])
     except (OverflowError, ValueError) as exc:
@@ -143,12 +144,15 @@ def _entries(text, shape, path):
 
 def load_operator(path):
     """Read a lattice operator dumped by dump_operator, held as it was dumped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to read")
     if not isinstance(doc, dict) or doc.get("format") != OPERATOR_FORMAT:
         raise ValueError(f"{path}: not a {OPERATOR_FORMAT} container")
     if doc.get("schema_version") != OPERATOR_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema_version {doc.get('schema_version')}")
+        raise ValueError(f"{path}: unsupported schema_version {shown(doc.get('schema_version'))}")
     lat, spinor_dim, internal_dim, sites, per_site, kind = _header(doc, path)
     F = spinor_dim * internal_dim
     shape = ((lat.n_sites,) if per_site else ()) + (sites.size, F, F)

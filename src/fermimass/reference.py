@@ -38,12 +38,14 @@ def ew_reference(y_right=-2.0):
     tensor[1, 0, 1] = Y_E
     return ModelConfig(
         schema_version=1,
-        label="ew-reference",
-        generator_labels=["T1", "T2", "T3", "Y"],
-        representations={
-            "higgs_doublet": _doublet(+1.0),
-            "lepton_left": _doublet(-1.0),
-            "lepton_right": _singlet(y_right),
+        algebra={
+            "label": "ew-reference",
+            "generator_labels": ["T1", "T2", "T3", "Y"],
+            "representations": {
+                "higgs_doublet": _doublet(+1.0),
+                "lepton_left": _doublet(-1.0),
+                "lepton_right": _singlet(y_right),
+            },
         },
         higgs={
             "rep": "higgs_doublet",

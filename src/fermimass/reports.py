@@ -270,7 +270,7 @@ def _reporting(command, run):
     The break report, whose subject is the vacuum, also names the error's
     type and keeps the transversal Hessian eigenvalues of a saddle.
     """
-    rep = Report(command=command, model_label=run.cfg.label, schema_version=run.cfg.schema_version)
+    rep = Report(command=command, model_label=run.cfg.algebra["label"], schema_version=run.cfg.schema_version)
     try:
         yield rep
     except StageFailed as failed:
@@ -494,9 +494,9 @@ def cmd_check(run):
         rep.add(Check("model.valid", 0.0, 0.0, True, "schema and invariants re-validated on load"))
         rep.data.update(
             {
-                "label": run.cfg.label,
-                "generators": list(run.cfg.generator_labels),
-                "representations": sorted(run.cfg.representations),
+                "label": run.cfg.algebra["label"],
+                "generators": list(run.cfg.algebra["generator_labels"]),
+                "representations": sorted(run.cfg.algebra["representations"]),
                 "lattice": dict(run.cfg.lattice),
             }
         )

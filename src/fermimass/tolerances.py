@@ -1,15 +1,16 @@
 """Central registry of numerical tolerances.
 
 Every check in the package pulls its default threshold from here, so a
-single scale factor (CLI flag --tol-scale) or a per-model override table
-reaches all of them.  Field names double as the override keys accepted in
-model files.  A library function that tests a threshold takes one tol
-argument, a Tolerances that defaults to DEFAULT, and reads its own field
-from it; the reports pass the run's tolerances.
+per-model override table reaches all of them, and a single scale factor
+(CLI flag --tol-scale) every residual bound among them.  Field names
+double as the override keys accepted in model files.  A library function
+that tests a threshold takes one tol argument, a Tolerances that defaults
+to DEFAULT, and reads its own field from it; the reports pass the run's
+tolerances.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 
 def finite_number(v):
@@ -25,11 +26,33 @@ def finite_number(v):
     return v if math.isfinite(v) else None
 
 
-def shown(v):
-    """repr(v) for a message, an int of more than 20 digits written by its
-    digit count, also inside a list."""
-    if isinstance(v, list):
-        return f"[{', '.join(map(shown, v))}]"
+# the longest text that shown() echoes of a string, a list or an object
+SHOWN_CHARS = 60
+
+
+def shown(v, bare=False, depth=3):
+    """repr(v) for a message, kept short: an int of more than 20 digits by
+    its digit count, a string, list or object whose text would be longer
+    than SHOWN_CHARS by its length, and a list or object nested more than
+    depth deep as [...] or {...}.  bare writes a short string without
+    quotes, as a key or name inside a path."""
+    if isinstance(v, (list, dict)):
+        is_list = isinstance(v, list)
+        opening, closing = "[]" if is_list else "{}"
+        if depth == 0 and v:
+            return f"{opening}...{closing}"
+        whole = f"<a list of length {len(v)}>" if is_list else f"<an object of size {len(v)}>"
+        # every item takes three characters or more, its separator included
+        if 3 * len(v) > SHOWN_CHARS + 2:
+            return whole
+        parts = ([shown(x, depth=depth - 1) for x in v] if is_list else
+                 [f"{shown(k)}: {shown(x, depth=depth - 1)}" for k, x in v.items()])
+        text = f"{opening}{', '.join(parts)}{closing}"
+        return text if len(text) <= SHOWN_CHARS else whole
+    if isinstance(v, str) and len(v) > SHOWN_CHARS:
+        return f"<a string of {len(v)} characters>"
+    if isinstance(v, str) and bare:
+        return v
     if isinstance(v, int) and abs(v) >= 10 ** 20:
         # 10^(e-1) <= |v| < 10^(e+1) for e = floor(bits * log10 2)
         e = int(v.bit_length() * math.log10(2))
@@ -92,13 +115,20 @@ class Tolerances:
     # spread of a Wilson charge on a mass block, relative to max(1, |charge|)
     wilson_charge_scalar: float = 1e-10
 
+    # cuts that decide what is computed (a rank, an eigenbundle grouping, a
+    # zero eigenvalue), not a bound that a residual is held to; scale()
+    # leaves them as they are, a model file's overrides still set them
+    DECISION_CUTS = ("nullspace_cut", "saddle_floor", "eigenvalue_group")
+
     def scale(self, factor):
-        """Return a copy with every threshold multiplied by a finite positive factor."""
+        """Return a copy with every residual bound multiplied by a finite
+        positive factor; the DECISION_CUTS keep their values."""
         if not math.isfinite(factor):
             raise ValueError("tolerance scale factor must be finite and positive")
         if factor <= 0.0:
             raise ValueError("tolerance scale factor must be positive")
-        return Tolerances(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
+        return replace(self, **{f.name: getattr(self, f.name) * factor
+                                for f in fields(self) if f.name not in self.DECISION_CUTS})
 
     def with_overrides(self, overrides):
         """Return a copy with named thresholds replaced, each by a finite
@@ -108,7 +138,7 @@ class Tolerances:
         known = {f.name for f in fields(self)}
         bad = sorted(set(overrides) - known)
         if bad:
-            raise ValueError(f"unknown tolerance name(s): {', '.join(bad)}")
+            raise ValueError(f"{shown(bad[0], bare=True)}: unknown tolerance name")
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in overrides.items():
             values[name] = finite_number(value)

@@ -55,10 +55,9 @@ def charge_models(draw, off_rule=False):
 
     cfg = ModelConfig(
         schema_version=1,
-        label=f"u1^{k}",
-        generator_labels=[f"Q{j}" for j in range(k)],
-        representations={"higgs": charge_rep(q_h[None, :]), "left": charge_rep(q_l),
-                         "right": charge_rep(q_r)},
+        algebra={"label": f"u1^{k}", "generator_labels": [f"Q{j}" for j in range(k)],
+                 "representations": {"higgs": charge_rep(q_h[None, :]), "left": charge_rep(q_l),
+                                     "right": charge_rep(q_r)}},
         higgs={"rep": "higgs", "potential": "mexican_hat", "params": {"lam": 1.0, "v": v},
                "seed": [[1.0, 0.0]]},
         fermions={"rep_left": "left", "rep_right": "right"},

@@ -127,6 +127,18 @@ def test_minimize_lands_on_the_seed_ray_at_any_vev(v, seed):
     assert (vac.goldstone_count, vac.physical_count, vac.isotropy.shape) == (3, 1, (1, 4))
 
 
+@pytest.mark.parametrize("size", [1e-300, 1e-162, 1e-160, 1e-158, 1e155, 1e300])
+def test_minimize_depends_on_the_seed_ray_only(size):
+    # the squares in the norm of (0, size) under- or overflow at these sizes
+    model = mexican_hat_on(ew_rep(+1.0, 2, "higgs"), lam=1.0, v=2.0)
+    want = minimize(model, np.array([0.0, 1.0]))
+    with np.errstate(over="raise", invalid="raise"):
+        vac = minimize(model, np.array([0.0, size]))
+    assert vac.z0.tobytes() == want.z0.tobytes()
+    assert vac.isotropy.tobytes() == want.isotropy.tobytes()
+    assert vac.transversal_hessian_eigs.tobytes() == want.transversal_hessian_eigs.tobytes()
+
+
 def _custom(derivative_roots):
     """p(s) with p'(s) = prod (s - r) and p(0) = 0."""
     return HiggsModel(su2_doublet(), P.polyint(P.polyfromroots(derivative_roots)))

@@ -491,8 +491,8 @@ def two_generation_leptons(yuk=((0.3 + 0.1j, 0.05 - 0.2j), (0.15j, 0.25 + 0.05j)
         for c in range(2):
             tensor[2 * i + c, :, c] = yuk[i]
     cfg = ew_reference()
-    cfg.representations["lepton_left"] = encode_complex(left)
-    cfg.representations["lepton_right"] = encode_complex(right)
+    cfg.algebra["representations"]["lepton_left"] = encode_complex(left)
+    cfg.algebra["representations"]["lepton_right"] = encode_complex(right)
     cfg.yukawa = {
         "tensor": encode_complex(tensor),
         "conjugate_higgs": [False, False],

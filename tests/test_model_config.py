@@ -47,7 +47,7 @@ def test_shipped_reference_file_matches_registry():
 
 def test_registry_resolution():
     cfg = resolve_model("ew-reference")
-    assert cfg.label == "ew-reference"
+    assert cfg.algebra["label"] == "ew-reference"
 
 
 def test_truncated_file_is_a_parse_error(tmp_path):
@@ -85,7 +85,7 @@ def test_non_antihermitian_generator_named(tmp_path):
 def test_bad_representation_named_once():
     # the path names the representation, the rep's own label does not repeat it
     cfg = ew_reference()
-    cfg.representations["lepton_left"][3][0][1] = [1.0, 0.0]
+    cfg.algebra["representations"]["lepton_left"][3][0][1] = [1.0, 0.0]
     with pytest.raises(ModelError) as err:
         cfg.build()
     assert str(err.value) == ("algebra.representations.lepton_left: generator 3 is not anti-Hermitian "
@@ -237,3 +237,51 @@ def test_invariance_override_reaches_validation():
     cfg.tolerances = {"invariance": 1e-30}
     with pytest.raises(ModelError, match="not invariant"):
         validate_model(cfg)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("label", 5, "algebra.label: unexpected type int"),
+    ("representations", "nope", "algebra.representations: unexpected type str"),
+    ("labels", ["T1"], "algebra.labels: unknown key (known: label, generator_labels, representations)"),
+    ("generator_labels", [], "algebra.generator_labels: expected a non-empty list of strings"),
+    ("generator_labels", ["T1", 2, "T3", "Y"], "algebra.generator_labels: expected a non-empty list of strings"),
+], ids=["label", "representations", "unknown-key", "no-generators", "generator-not-a-string"])
+def test_a_config_built_in_python_is_checked_like_its_file(tmp_path, key, value, message):
+    cfg = ew_reference()
+    cfg.algebra[key] = value
+    with pytest.raises(ModelError) as err:
+        cfg.build()
+    assert str(err.value) == message
+    path = tmp_path / "model.json"
+    save_model(cfg, path)
+    with pytest.raises(ModelError) as err:
+        load_model(path)
+    assert str(err.value) == message
+
+
+def test_a_bad_tolerance_is_reported_before_a_bad_representation():
+    # the representations' checks read the tolerances, so these are parsed first
+    cfg = ew_reference()
+    cfg.algebra["representations"]["lepton_left"][3][0][1] = [1.0, 0.0]
+    cfg.tolerances = {"closure": -1.0}
+    with pytest.raises(ModelError, match=r"^tolerances: closure: expected a finite non-negative number"):
+        cfg.build()
+
+
+def test_a_file_nested_too_deeply_is_a_model_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ModelError, match=r"model\.json: nested too deeply to read$"):
+        load_model(path)
+
+
+def test_sections_round_trip_as_written():
+    cfg = ew_reference()
+    doc = cfg.to_json_dict()
+    assert list(doc) == ["schema_version", "algebra", "higgs", "fermions", "yukawa", "lattice", "wilson"]
+    assert doc["algebra"] is cfg.algebra
+    assert ModelConfig.from_json_dict(doc) == cfg
+    # an optional section is written unless it holds its default
+    cfg.wilson, cfg.tolerances = None, {"closure": 1e-9}
+    assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    assert "wilson" not in cfg.to_json_dict()

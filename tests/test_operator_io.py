@@ -373,6 +373,26 @@ def test_operator_load_rejects_bad_container(tmp_path):
         load_operator(path)
 
 
+@pytest.mark.parametrize("change", [
+    {"spacing": "x" * 100000}, {"factor_dims": [1] * 5000}, {"per_site": "x" * 100000},
+    {"kind": [1] * 5000}, {"schema_version": "x" * 100000},
+], ids=["long-spacing", "long-dims", "long-per-site", "long-kind", "long-schema-version"])
+def test_operator_load_echoes_no_long_header_value(tmp_path, change):
+    path = tmp_path / "op.json"
+    dump_operator(special_operator(), path)
+    rewrite(path, **change)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load_operator(path)
+    assert len(str(err.value)) < len(str(path)) + 200, str(err.value)[:300]
+
+
+def test_operator_load_names_a_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match=r"deep\.json: nested too deeply to read$"):
+        load_operator(path)
+
+
 def test_spectrum_csv_round_trip(tmp_path, ew_md, ew_frep):
     lat = TorusLattice(n=1, L=2)
     cl = build_clifford(1)

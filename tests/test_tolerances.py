@@ -4,6 +4,7 @@ the reports run."""
 
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from dataclasses import fields
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import fermimass
-from fermimass import Tolerances
+from fermimass import Tolerances, ew_reference
+from fermimass.cli import main
 from fermimass.reports import STAGE_ERRORS
+from fermimass.tolerances import DEFAULT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fermimass"
 
@@ -71,3 +74,34 @@ def test_stage_errors_match_the_stages():
     text = (SRC / "reports.py").read_text(encoding="utf-8")
     stages = set(re.findall(r"\bstage\(\s*\"([^\"]+)\"", text))
     assert stages == set(STAGE_ERRORS)
+
+
+def test_scale_multiplies_the_bounds_and_leaves_the_decision_cuts():
+    tol = DEFAULT.with_overrides({"nullspace_cut": 1e-6, "closure": 1e-9})
+    scaled = tol.scale(1e8)
+    for f in fields(Tolerances):
+        factor = 1.0 if f.name in Tolerances.DECISION_CUTS else 1e8
+        assert getattr(scaled, f.name) == getattr(tol, f.name) * factor, f.name
+    # an override still sets a cut
+    assert scaled.nullspace_cut == 1e-6
+
+
+@pytest.mark.parametrize("factor", ["1e8", "1e9", "1e12", "1e308"])
+def test_a_looser_tol_scale_keeps_the_reference_passing(capsys, factor):
+    # scaled, the saddle floor and the eigenbundle grouping made the vacuum
+    # a saddle and merged the mass blocks
+    assert main(["verify-all", "--model", "ew-reference", "--tol-scale", factor]) == 0, capsys.readouterr().err
+
+
+def test_a_tighter_tol_scale_keeps_the_isotropy(capsys, tmp_path):
+    # the orbit map at this seed has singular values 2.24, 1, 1 and 1.6e-16:
+    # the vacuum keeps one unbroken direction at any --tol-scale
+    doc = ew_reference().to_json_dict()
+    doc["higgs"]["seed"] = [[0.6, 0.0], [0.8, 0.1]]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["break", "--model", str(model), "--tol-scale", "1e-8"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["isotropy_dim"] == 1
+    # its tightened residual bounds fail, an invariant failure, not an input error
+    assert main(["verify-all", "--model", str(model), "--tol-scale", "1e-8"]) == 1
+    assert capsys.readouterr().err == ""
