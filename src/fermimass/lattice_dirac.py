@@ -62,9 +62,9 @@ the matrix diagonalized is (i M_pq + (i M_qp)^dagger) / 2 for the two
 off-diagonal blocks of the grading, M_pq = M_qp = M when there is none.
 
 The central_difference derivative kind is provided for robustness cross
-checks only; its dispersion is sin(k a)^2 / a^2 per axis and it doubles
-branches at the zone edge.  Closed-form spectrum checks use the spectral
-kind.
+checks; its eigenvalues are i sin(k a) / a per axis, so it doubles
+branches at the zone edge.  Both kinds have closed-form spectra
+(expected_squared_spectrum).
 """
 
 import functools
@@ -442,8 +442,20 @@ def lagrangian_density(v_op):
     fiber.  On a curved base the fiber trace would also hold r/4 of the base
     scalar curvature r, and the base would have to be an Einstein manifold.
     """
-    sites, blocks = _support(v_op)
-    return float(np.trace(blocks[0]).real) if sites.size and sites[0] == 0 else 0.0
+    return float(np.trace(_onsite_block(v_op)).real)
+
+
+def mass_square_residual(v_op, md):
+    """max |V(0) - 1_spinor x M^2_F| of a Dirac potential's site block V(0),
+    zero up to rounding on the flat torus; V(0)'s trace is lagrangian_density."""
+    m2_fiber = kron(np.eye(v_op.spinor_dim), md.mass_square_fiber())
+    return float(np.max(np.abs(_onsite_block(v_op) - m2_fiber)))
+
+
+def _onsite_block(op):
+    """The block B(0) of a stencil operator, zero when site 0 is not held."""
+    sites, blocks = _support(op)
+    return blocks[0] if sites.size and sites[0] == 0 else np.zeros((op.fiber_dim,) * 2, dtype=complex)
 
 
 def mean_mass(md):
@@ -685,9 +697,10 @@ def _eigenvalues(M_pq, M_qp, graded):
 # bytes of the Bloch blocks and phases formed at once by _bloch_blocks
 _CHUNK_BYTES = 1 << 22
 # peak bytes per value of the squared spectrum while it is computed, the
-# spectrum and its closed form: a verify-all run's tracemalloc peak before
-# the report writer starts, less the chunk and plane terms and about
-# 1.5 MB of fixed cost, is 25 B per value at n=2, L=12 and 11 at n=3, L=4
+# spectrum and its closed form, which either derivative kind forms: a
+# verify-all run's tracemalloc peak before the report writer starts, less
+# the chunk and plane terms and about 1.5 MB of fixed cost, is 25 B per
+# value at n=2, L=12 and 11 at n=3, L=4
 _SPECTRUM_BYTES_PER_VALUE = 32
 # peak bytes per value while a verify-all report is written, most of them
 # the report's list and its JSON text: the tracemalloc peak from the
@@ -751,62 +764,57 @@ def spectrum(op, square_first=False, tol=DEFAULT):
 
 
 def branch_momentum_shifts(lat, md, frep, fields, tol=DEFAULT):
-    """The branch table of the vacuum fiber: one (m^2, width, q) row per
-    eigenbundle of the mass matrix, or one massless row as wide as the
-    fiber when md is None.  q holds the per-axis momentum shifts q_a under
-    a Wilson line, each 0.0 without one: the charge of the eigenbundle
-    under the Wilson field, which must be scalar on the block (guaranteed
-    when the line is valued in the unbroken algebra).  Its spread may
-    reach tol.wilson_charge_scalar * max(1, |q|); a ValueError says so
-    otherwise.  fields are BuiltModel.wilson_fields' stack, or None.
+    """The branch table of the vacuum fiber (massless when md is None):
+    (m^2, width, q) rows, q the per-axis shifts of a Wilson line (fields,
+    BuiltModel.wilson_fields' stack, or None), each 0.0 without one.
+
+    M^2_F, then each charge Q_a = -i A_a, is diagonalized on each block
+    the ones before it left, which splits where its eigenvalues part by
+    more than tol.eigenvalue_group * max(1, its largest |eigenvalue|); a
+    final block is a row of its mean expectation values.  Exact when they
+    commute (an equivariant coupling, a flat line in the unbroken algebra),
+    where one eigh of a weighted sum would mix rows whose sums coincide.
     """
     nf = frep.n_total
     _check_fields(lat, nf, fields)
-    if md is None:
-        bases = [(0.0, np.eye(nf, dtype=complex))]
-    else:
-        bases = []
-        for blk in md.eigenspaces:
-            basis = np.zeros((nf, blk.left_dim + blk.right_dim), dtype=complex)
-            basis[: md.n_left, : blk.left_dim] = blk.left_basis
-            basis[md.n_left :, blk.left_dim :] = blk.right_basis
-            bases.append((blk.m2, basis))
-    table = []
-    for m2, basis in bases:
-        qs = [0.0] * lat.dim
-        for a, field in enumerate(() if fields is None else fields):
-            E = basis.conj().T @ (-1j * field) @ basis
-            q = float(np.mean(np.diag(E).real))
-            spread = float(np.max(np.abs(E - q * np.eye(E.shape[0]))))
-            if spread > tol.wilson_charge_scalar * max(1.0, abs(q)):
-                raise ValueError(
-                    f"Wilson charge is not scalar on the m^2={m2:.6g} block "
-                    f"(spread {spread:.3e}); branch-resolved momenta are undefined"
-                )
-            qs[a] = q
-        table.append((m2, basis.shape[1], qs))
-    return table
+    m2_fiber = md.mass_square_fiber() if md is not None else np.zeros((nf, nf), dtype=complex)
+    charges = np.zeros((lat.dim, nf, nf), dtype=complex) if fields is None else -1j * np.asarray(fields)
+    fiber_ops = np.concatenate([m2_fiber[None], charges])
+    blocks = [np.eye(nf, dtype=complex)]
+    for op in fiber_ops[np.any(fiber_ops, axis=(1, 2))]:  # a zero operator splits nothing
+        solved = [np.linalg.eigh(basis.conj().T @ op @ basis) for basis in blocks]
+        cut = tol.eigenvalue_group * max(1.0, max(np.abs(vals).max() for vals, _ in solved))
+        blocks = [
+            basis @ vecs[:, i:j]
+            for basis, (vals, vecs) in zip(blocks, solved)
+            for i, j in itertools.pairwise([0, *np.flatnonzero(np.diff(vals) > cut) + 1, vals.size])
+        ]
+    vecs = np.concatenate(blocks, axis=1)
+    # (nf, 1 + 2n) rows of expectation values; + 0.0 turns a -0.0 into +0.0
+    values = np.sum(vecs.conj() * (fiber_ops @ vecs), axis=-2).real.T + 0.0
+    widths = [basis.shape[1] for basis in blocks]
+    means = np.add.reduceat(values, [0, *itertools.accumulate(widths[:-1])]) / np.array(widths)[:, None]
+    return [(m2, width, qs) for (m2, *qs), width in zip(means.tolist(), widths)]
 
 
 def expected_squared_spectrum(lat, branches):
-    """Closed-form multiset for (i D)^2 of a vacuum operator.
-
-    branches is the table branch_momentum_shifts returns.  For each
-    momentum tuple and each (m^2, width, q) branch the eigenvalue is
-    sum_a (k_a + q_a)^2 + m^2, with multiplicity 2^n times the width.
-    Requires the spectral derivative kind.
+    """Closed-form multiset for (i D)^2 of a vacuum operator and its table
+    branch_momentum_shifts: sum_a (kappa_a + q_a)^2 + m^2 for each momentum
+    tuple and each (m^2, width, q) row, 2^n times the width.  kappa is the
+    derivative kind's closed form, k itself for the spectral kind and
+    sin(k a) / a for the central difference, not read off derivative_row.
     """
-    if lat.derivative_kind != "fourier_spectral":
-        raise ValueError("closed-form spectra are defined for the spectral derivative kind")
-    ks = lat.momenta()
+    kappa = lat.momenta()
+    if lat.derivative_kind == "central_difference":
+        kappa = np.sin(kappa * lat.a) / lat.a
     vals = []
     for m2, width, qs in branches:
-        # m2 + (0 + (k_0 + q_0)^2 + (k_1 + q_1)^2 + ...) over the momentum
-        # grid, axis 0 slowest: each square and each sum in the order of
-        # the loop over momentum tuples, so every value keeps its bits
+        # m2 + (0 + (kappa_0 + q_0)^2 + (kappa_1 + q_1)^2 + ...) over the
+        # momentum grid, axis 0 slowest: each square and each sum in the
+        # order of the loop over momentum tuples, so every value keeps its bits
         total = 0
         for q in qs:
-            total = np.add.outer(total, [(kc + q) ** 2 for kc in ks])
+            total = np.add.outer(total, [(kc + q) ** 2 for kc in kappa])
         vals.append(np.repeat(m2 + total.reshape(-1), 2 ** lat.n * width))
     return np.sort(np.concatenate(vals))
 

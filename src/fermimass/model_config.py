@@ -120,6 +120,14 @@ def _section(mapping, path, keys):
     return mapping
 
 
+def _check_version(version, path):
+    """A ModelError unless version is the integer SCHEMA_VERSION."""
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise ModelError(f"{path}: unexpected type {type(version).__name__}")
+    if version != SCHEMA_VERSION:
+        raise ModelError(f"{path}: {shown(version)} unsupported, this build reads {SCHEMA_VERSION}")
+
+
 @dataclass(frozen=True, eq=False)
 class BuiltModel:
     """The runtime objects of a model file, each section parsed once by
@@ -184,11 +192,7 @@ class ModelConfig:
         checks each section."""
         if not isinstance(doc, dict):
             raise ModelError(f"{source}: top level must be an object")
-        version = _require(doc, "schema_version", source, int)
-        if version != SCHEMA_VERSION:
-            raise ModelError(
-                f"{source}.schema_version: {shown(version)} unsupported, this build reads {SCHEMA_VERSION}"
-            )
+        _check_version(_require(doc, "schema_version", source), f"{source}.schema_version")
         _section(doc, source, SECTIONS)
         for key in SECTIONS[1:]:  # the sections after schema_version
             if key not in OPTIONAL:
@@ -215,12 +219,14 @@ class ModelConfig:
 
     def build(self):
         """The model's runtime objects, each section parsed once, in the order
-        that fixes a bad file's first error: the algebra's keys and generator
-        labels, the tolerances, the representations (whose checks read the
-        tolerances), higgs, fermions, yukawa, lattice and wilson.theta.
+        that fixes a bad file's first error: the schema version, the
+        algebra's keys and generator labels, the tolerances, the
+        representations (whose checks read the tolerances), higgs,
+        fermions, yukawa, lattice and wilson.theta.
         fermions.grading is only a consistency check, accepted only as [1] *
         n_left + [-1] * n_right; the chirality of each fermion follows from
         rep_left and rep_right, and nothing reads the key."""
+        _check_version(self.schema_version, "schema_version")
         path = "algebra"
         _section(self.algebra, path, ("label", "generator_labels", "representations"))
         _require(self.algebra, "label", path, str)

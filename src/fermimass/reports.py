@@ -32,6 +32,7 @@ from .lattice_dirac import (
     expected_squared_spectrum,
     lagrangian_density,
     lattice_footprint,
+    mass_square_residual,
     mean_mass,
     relative_curvature,
     spectrum,
@@ -217,7 +218,6 @@ def _float_list(values):
 STAGE_ERRORS = {
     "vacuum.minimum_found": SaddleConverged,
     "masses.block_structure": BlockStructureViolation,
-    "lattice.wilson_charge_scalar": ValueError,
     "lattice.hermiticity": NonHermitian,
 }
 
@@ -418,16 +418,12 @@ def cmd_lattice(run):
         vac_op = build_vacuum_dirac(lat, cl, md, frep, fields)
         if fields is not None:
             rep.add(residual_check("lattice.wilson_flatness", wilson_flatness(fields), tol.wilson_flat))
-        # without a line the table cannot fail, and no check is added
-        branches = run.stage("lattice.wilson_charge_scalar", branch_momentum_shifts,
-                             lat, md, frep, fields, tol)
         spec_sq = run.stage("lattice.hermiticity", spectrum, vac_op, square_first=True, tol=tol)
-        if lat.derivative_kind == "fourier_spectral":
-            expected = expected_squared_spectrum(lat, branches)
-            scale = max(1.0, float(np.max(np.abs(expected))))
-            disp = float(np.max(np.abs(spec_sq - expected)))
-            rep.add(residual_check("lattice.dispersion", disp, tol.dispersion * scale,
-                                   "relative to the spectral scale"))
+        expected = expected_squared_spectrum(lat, branch_momentum_shifts(lat, md, frep, fields, tol))
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        disp = float(np.max(np.abs(spec_sq - expected)))
+        rep.add(residual_check("lattice.dispersion", disp, tol.dispersion * scale,
+                               "relative to the spectral scale"))
         conn = build_vacuum_connection(lat, cl, md, frep, fields)
         rep.add(
             residual_check(
@@ -442,16 +438,9 @@ def cmd_lattice(run):
         vd = dirac_potential(vac_op, lap)
         rep.add(residual_check("lattice.potential_offsite", vd.meta["offsite_leakage"],
                                tol.potential_offsite * m2_scale))
+        rep.add(residual_check("lattice.potential_is_mass_square", mass_square_residual(vd, md),
+                               tol.potential_mass_square * m2_scale, "on-site block vs 1_spinor x M_F^2"))
         per_site = lagrangian_density(vd)
-        trace_expected = cl.spinor_dim * float(md.spectrum_sq.sum())
-        rep.add(
-            residual_check(
-                "lattice.potential_trace",
-                abs(per_site - trace_expected),
-                tol.potential_trace * max(1.0, abs(trace_expected)),
-                f"per-site trace vs 2^n * sum m^2 = {trace_expected:.6g}",
-            )
-        )
         rep.data.update(
             {
                 "momenta": _float_list(lat.momenta()),
@@ -468,10 +457,6 @@ def cmd_lattice(run):
         )
         if fields is not None:
             rep.data["wilson_theta"] = run.model.theta.tolist()
-            rep.data["wilson_shift_table"] = [
-                {"m2": float(m2), "momentum_shift_per_axis": [float(q) for q in qs]}
-                for m2, _, qs in branches
-            ]
     return rep
 
 

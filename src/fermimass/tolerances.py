@@ -92,9 +92,12 @@ class Tolerances:
     # eigenbundle reconstruction of the squared mass matrix, relative to
     # max(1, max m^2)
     reconstruction: float = 1e-10
-    # singular values within eigenvalue_group * sigma_max share a block
+    # singular values within eigenvalue_group * sigma_max share a block; a
+    # branch-table block splits where the eigenvalues of M^2_F or of a
+    # charge part by more than it times max(1, their largest |value|)
     eigenvalue_group: float = 1e-8
-    # lattice dispersion residual, relative to the spectral scale
+    # lattice dispersion residual against the closed form of the lattice's
+    # derivative kind, relative to the spectral scale
     dispersion: float = 1e-9
     # gamma-contraction of the covariant derivative vs the Dirac operator
     contraction: float = 1e-12
@@ -103,17 +106,15 @@ class Tolerances:
     hermiticity: float = 1e-10
     # Dirac potential off-site leakage, relative to max(1, max m^2)
     potential_offsite: float = 1e-10
-    # per-site trace of the Dirac potential vs the mass-square trace
-    # 2^n sum m^2, relative to max(1, |2^n sum m^2|)
-    potential_trace: float = 1e-12
+    # the Dirac potential's on-site block vs 1_spinor x M_F^2, entry by
+    # entry, relative to max(1, max m^2)
+    potential_mass_square: float = 1e-12
     # curvature of the vacuum connection vs mass-square times xi wedge xi,
     # relative to max(1, max m^2); the lattice report's "flat" key compares
     # the largest curvature entry with it unscaled
     curvature: float = 1e-12
     # Wilson line flatness [A_a, A_b]
     wilson_flat: float = 1e-12
-    # spread of a Wilson charge on a mass block, relative to max(1, |charge|)
-    wilson_charge_scalar: float = 1e-10
 
     # cuts that decide what is computed (a rank, an eigenbundle grouping, a
     # zero eigenvalue), not a bound that a residual is held to; scale()

@@ -113,15 +113,13 @@ def test_verify_all_registry_model(capsys):
     assert any(i.startswith("break.") for i in ids)
     assert any(i.startswith("masses.") for i in ids)
     assert any(i.startswith("lattice.") for i in ids)
-    # the reference model carries a Wilson line: the shift table lists the
-    # neutral massless branch and the charged massive branch
-    table = doc["data"]["lattice"]["wilson_shift_table"]
-    assert len(table) == 2
-    neutral, charged = table
-    assert neutral["m2"] == 0.0
-    assert max(abs(q) for q in neutral["momentum_shift_per_axis"]) <= 1e-12
-    assert charged["m2"] == pytest.approx(1.0)
-    assert max(abs(q) for q in charged["momentum_shift_per_axis"]) > 0.1
+    # the reference model carries a Wilson line: the dispersion holds the
+    # spectrum to the closed form of the charge-resolved branch table,
+    # which the report does not repeat
+    checks = {c["id"]: c for c in doc["checks"]}
+    assert checks["lattice.dispersion"]["passed"] and checks["lattice.potential_is_mass_square"]["passed"]
+    assert doc["data"]["lattice"]["wilson_theta"] == [[0.25], [0.0]]
+    assert "wilson_shift_table" not in doc["data"]["lattice"]
 
 
 def test_reports_are_deterministic(capsys, model_path):
@@ -312,34 +310,25 @@ def test_u1_massive_model_verifies(capsys, tmp_path):
 
 
 def test_non_equivariant_model_is_exit_one_with_a_report(capsys, tmp_path):
-    # the Wilson charge is not scalar on the mass blocks of a non-equivariant
-    # coupling: an invariant failure of a valid file, not an input error
+    # the line's charge does not commute with the squared mass of a
+    # non-equivariant coupling: an invariant failure of a valid file, not an
+    # input error.  The on-site block moves mass between the charged slots,
+    # which its trace, exactly 4, does not see
     path = tmp_path / "perturbed.json"
     save_model(ew_reference(y_right=-2.1), path)
     code, out, err = run(capsys, "lattice", "--model", str(path))
     assert (code, err) == (1, "")
     doc = json.loads(out)
-    assert [c["id"] for c in doc["checks"] if not c["passed"]] == ["lattice.wilson_charge_scalar"]
-    assert "Wilson charge is not scalar" in doc["data"]["error"]
+    assert "error" not in doc["data"]
+    checks = {c["id"]: c for c in doc["checks"]}
+    assert [cid for cid, c in checks.items() if not c["passed"]] == [
+        "lattice.dispersion", "lattice.curvature_identity", "lattice.potential_is_mass_square"]
+    assert checks["lattice.potential_is_mass_square"]["value"] == pytest.approx(1.12e-2, rel=1e-2)
+    assert doc["data"]["per_site_trace"] == 4.0
     code, out, err = run(capsys, "verify-all", "--model", str(path))
     assert (code, err) == (1, "")
     failed = {c["id"] for c in json.loads(out)["checks"] if not c["passed"]}
-    assert {"masses.equivariance", "lattice.wilson_charge_scalar"} <= failed
-
-
-def test_wilson_charge_override_reaches_the_charge_check(capsys, tmp_path):
-    # the perturbed coupling's charge spreads by 5.6e-3 on the m^2 = 1
-    # block; a loose enough threshold lets the run go on to the dispersion
-    cfg = ew_reference(y_right=-2.1)
-    cfg.tolerances = {"wilson_charge_scalar": 1.0}
-    path = tmp_path / "perturbed.json"
-    save_model(cfg, path)
-    code, out, err = run(capsys, "lattice", "--model", str(path))
-    assert (code, err) == (1, "")
-    doc = json.loads(out)
-    assert "error" not in doc["data"]
-    assert [c["id"] for c in doc["checks"] if not c["passed"]] == [
-        "lattice.dispersion", "lattice.curvature_identity"]
+    assert {"masses.equivariance", "lattice.dispersion", "lattice.potential_is_mass_square"} <= failed
 
 
 def test_nonflat_wilson_line_fails_the_flatness_check(capsys, tmp_path):
@@ -354,9 +343,12 @@ def test_nonflat_wilson_line_fails_the_flatness_check(capsys, tmp_path):
     flat = checks["lattice.wilson_flatness"]
     assert flat["value"] == pytest.approx(0.045, rel=1e-12)
     assert (flat["tol"], flat["passed"]) == (1e-12, False)
+    # the line's charges do not commute, so no branch table is exact and the
+    # potential's block is not the (zero) mass square
     assert [cid for cid, c in checks.items() if not c["passed"]] == [
-        "lattice.wilson_flatness", "lattice.wilson_charge_scalar"]
-    assert "Wilson charge is not scalar" in doc["data"]["error"]
+        "lattice.wilson_flatness", "lattice.dispersion", "lattice.curvature_identity",
+        "lattice.potential_is_mass_square"]
+    assert "error" not in doc["data"]
 
 
 def test_wilson_flat_override_reaches_the_flatness_check(capsys, tmp_path):
@@ -370,7 +362,42 @@ def test_wilson_flat_override_reaches_the_flatness_check(capsys, tmp_path):
     flat = checks["lattice.wilson_flatness"]
     assert flat["value"] == pytest.approx(0.045, rel=1e-12)
     assert (flat["tol"], flat["passed"]) == (1.0, True)
-    assert [cid for cid, c in checks.items() if not c["passed"]] == ["lattice.wilson_charge_scalar"]
+    # a looser flatness bound does not make the other identities hold
+    assert [cid for cid, c in checks.items() if not c["passed"]] == [
+        "lattice.dispersion", "lattice.curvature_identity", "lattice.potential_is_mass_square"]
+
+
+def test_one_generator_line_of_an_unbroken_su2_passes(capsys, tmp_path):
+    # a flat line along one su(2) generator (T1 at this seed) on both axes:
+    # the massless fiber splits into the charges -0.15 and +0.15 on axis 0
+    cfg = su2_unbroken_model()
+    cfg.wilson = {"theta": [[0.3, 0.0, 0.0], [-0.5, 0.0, 0.0]]}
+    path = tmp_path / "su2-one-generator.json"
+    save_model(cfg, path)
+    code, out, err = run(capsys, "verify-all", "--model", str(path))
+    assert (code, err) == (0, ""), out
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["lattice.wilson_flatness"]["value"] == 0.0
+    assert checks["lattice.dispersion"]["value"] <= 1e-6 * checks["lattice.dispersion"]["tol"]
+
+
+def test_a_perturbed_central_difference_dispersion_fails(capsys, tmp_path, monkeypatch):
+    # kappa = sin(k a) / a moved by 1e-6 at every k: the closed form no
+    # longer matches the central difference's spectrum, and nothing else moves
+    from fermimass.lattice_dirac import TorusLattice
+
+    cfg = ew_reference()
+    cfg.lattice["derivative"] = "central_difference"
+    path = tmp_path / "central.json"
+    save_model(cfg, path)
+    assert run(capsys, "lattice", "--model", str(path))[0] == 0
+    momenta = TorusLattice.momenta
+    monkeypatch.setattr(TorusLattice, "momenta", lambda lat: momenta(lat) + 1e-6)
+    code, out, err = run(capsys, "lattice", "--model", str(path))
+    assert (code, err) == (1, "")
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [c["id"] for c in failed] == ["lattice.dispersion"]
+    assert failed[0]["value"] > 100 * failed[0]["tol"]
 
 
 def _set(doc, path, value):
@@ -488,8 +515,11 @@ def test_check_rejects_malformed_sections(capsys, tmp_path, path, value, where):
     (["higgs", "sead"], [[0.0, 0.0], [0.0, 1.0]], r"higgs\.sead: unknown key"),
     (["fermions", "gradng"], [1, 1, -1], r"fermions\.gradng: unknown key"),
     (["wilson", "phi"], 0.1, r"wilson\.phi: unknown key \(known: theta\)"),
+    (["tolerances"], {"potential_trace": 1e-12}, r"tolerances: potential_trace: unknown tolerance name$"),
+    (["tolerances"], {"wilson_charge_scalar": 1e-10},
+     r"tolerances: wilson_charge_scalar: unknown tolerance name$"),
 ], ids=["top-level", "algebra", "lattice", "yukawa-optional", "lattice-optional", "higgs",
-        "fermions-optional", "wilson"])
+        "fermions-optional", "wilson", "removed-potential-trace", "removed-wilson-charge-scalar"])
 def test_unknown_keys_are_input_errors(capsys, tmp_path, path, value, where):
     # a misspelt key would otherwise be ignored, and a misspelt optional
     # one would leave its default in force
@@ -570,9 +600,9 @@ def test_check_names_a_bad_potential(capsys, tmp_path, potential, params, messag
 
 
 def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):
-    # v = 2000 and y = 50 put 2^n sum m^2 at 4e10, where the per-site trace
-    # rounds to ~8e-6 absolute (2e-16 relative) and the orbit deviation of
-    # m^2 = 1e10 to ~6e-6; every check is relative to the model's scale
+    # v = 2000 and y = 50 put m^2 at 1e10, where the potential's on-site
+    # block rounds to ~2e-6 absolute (2e-16 relative) and the orbit
+    # deviation to ~6e-6; every check is relative to the model's scale
     cfg = ew_reference()
     cfg.higgs = dict(cfg.higgs, params={"lam": 1.0, "v": 2000.0}, seed=[[0.0, 0.0], [1000.0, 0.0]])
     tensor = cfg.yukawa["tensor"]
@@ -584,7 +614,9 @@ def test_lattice_verdicts_hold_at_large_vev_and_coupling(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["data"]["break"]["z0"] == [[0.0, 0.0], [2000.0, 0.0]]
     checks = {c["id"]: c for c in doc["checks"]}
-    assert checks["lattice.potential_trace"]["value"] > 0.0
+    block = checks["lattice.potential_is_mass_square"]
+    assert block["value"] > 0.0 and block["passed"]
+    assert block["tol"] == pytest.approx(1e-12 * 1e10, rel=1e-12)
     assert checks["masses.orbit_invariance"]["tol"] == pytest.approx(1e-9 * 1e10, rel=1e-12)
 
 

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermimass import (
     TorusLattice,
@@ -250,26 +252,93 @@ def test_expected_spectrum_is_the_loop_bitwise(model, n, L, wilson):
 
 # ----- the branch table -------------------------------------------------
 
+def multiset(table, column):
+    """The sorted values of a column of a branch table, each repeated by
+    its row's width: 0 for m^2, 1 + a for the shift q_a."""
+    return np.sort([(m2, *qs)[column] for m2, width, qs in table for _ in range(width)])
+
+
 @pytest.mark.parametrize("model", ["ew", "leptons", None])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("wilson", [False, True])
 def test_branch_table_covers_the_fiber(model, n, wilson):
-    # model None: no mass data, one massless branch as wide as the fiber,
-    # on which a line's charge is not scalar
+    # model None: no mass data, a massless fiber, which a line splits by charge
     lat, _, md, frep, fields = vacuum_objects(model or "ew", n, 2, "fourier_spectral", wilson)
     md = md if model else None
-    if md is None and wilson:
-        with pytest.raises(ValueError, match=r"not scalar on the m\^2=0 block"):
-            branch_momentum_shifts(lat, md, frep, fields)
-        return
     table = branch_momentum_shifts(lat, md, frep, fields)
     assert sum(width for _, width, _ in table) == frep.n_total
-    assert [m2 for m2, _, _ in table] == ([0.0] if md is None else [blk.m2 for blk in md.eigenspaces])
-    assert all(len(qs) == lat.dim for _, _, qs in table)
+    assert all(type(width) is int and len(qs) == lat.dim for _, width, qs in table)
+    # the columns are the eigenvalues of M^2_F and of each charge -i A_a
+    m2_fiber = np.zeros((frep.n_total,) * 2) if md is None else md.mass_square_fiber()
+    assert np.abs(multiset(table, 0) - np.linalg.eigvalsh(m2_fiber)).max() <= 1e-14
+    for a in range(lat.dim if wilson else 0):
+        assert np.abs(multiset(table, 1 + a) - np.linalg.eigvalsh(-1j * fields[a])).max() <= 1e-14
+    if md is not None:
+        # a line in the unbroken algebra has one charge on each mass block
+        assert [width for _, width, _ in table] == [b.left_dim + b.right_dim for b in md.eigenspaces]
+    elif wilson:
+        # ew's massless fiber: the neutrino, then the charged electron pair
+        assert [width for _, width, _ in table] == [1, 2]
+    else:
+        assert table == [(0.0, frep.n_total, [0.0] * lat.dim)]
     if not wilson:
         # exactly +0.0, a Python float
         assert all(type(q) is float and math.copysign(1.0, q) == 1.0 for _, _, qs in table for q in qs)
         assert all(q == 0.0 for _, _, qs in table for q in qs)
+
+
+def test_branch_table_scales_each_column_on_its_own():
+    # one generation at m^2 = 4e8 and one massless: with the m^2 column's
+    # scale for every column, the cut of 4 would merge the massless
+    # electron's charge with the neutrinos' 0
+    cfg = two_generation_leptons(((1e4, 0.0), (0.0, 0.0)))
+    built = cfg.build()
+    vac = minimize(built.higgs, built.seed)
+    md = mass_matrix(built.ymap, vac)
+    lat = TorusLattice(n=1, L=3)
+    fields = wilson_fields(cfg, vac, THETA6[:2])
+    table = branch_momentum_shifts(lat, md, built.frep, fields)
+    assert [width for _, width, _ in table] == [2, 2, 2]
+    neutral, charged, heavy = sorted(table, key=lambda row: (row[0] > 1.0, abs(row[2][0])))
+    assert abs(neutral[0]) <= 1e-6 and abs(charged[0]) <= 1e-6 and heavy[0] == pytest.approx(4e8)
+    assert max(map(abs, neutral[2])) <= 1e-12
+    assert charged[2] == pytest.approx(heavy[2], rel=1e-9) and abs(charged[2][0]) > 0.1
+    op = build_vacuum_dirac(lat, build_clifford(1), md, built.frep, fields)
+    got, want = spectrum(op, square_first=True), expected_squared_spectrum(lat, table)
+    assert np.abs(got - want).max() <= 1e-15 * want.max()
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+def test_branch_table_keeps_rows_whose_weighted_sums_coincide(pair):
+    # a line along the charge c = 2/sqrt(5) of the leptons' electrons at
+    # theta_0 = -pi m^2 / c gives m^2 + q_0 / pi = 0 on a massive pair, the
+    # neutrinos' value: one eigh of M^2_F + sum_a pi^-(a+1) Q_a mixes the
+    # two rows there (dispersion 0.6 and 3.8 in a prototype), diagonalizing
+    # in turn does not
+    cfg = two_generation_leptons()
+    built = cfg.build()
+    m2 = mass_matrix(built.ymap, minimize(built.higgs, built.seed)).spectrum_sq[2 + 2 * pair]
+    cfg.wilson = {"theta": [[-math.pi * m2 * math.sqrt(5) / 2], [0.0]]}
+    cfg.lattice.update({"sites_per_dim": 3})
+    rep = reports.cmd_lattice(reports.Run(cfg))
+    assert [c.check_id for c in rep.checks if not c.passed] == []
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(theta=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       n=st.sampled_from([1, 2]), kind=st.sampled_from(["fourier_spectral", "central_difference"]))
+def test_a_massless_charged_fiber_passes_under_any_line(theta, n, kind):
+    # ew-reference at y_e = 0: the line charges the massless electron and
+    # not the neutrino, so the one massless eigenbundle splits by charge
+    cfg = ew_reference()
+    cfg.yukawa["tensor"] = [[[[0.0, 0.0]] * 2]] * 2
+    cfg.lattice.update({"n": n, "sites_per_dim": 3, "derivative": kind})
+    cfg.wilson = {"theta": [[t] for t in theta[: 2 * n]]}
+    rep = reports.cmd_verify_all(reports.Run(cfg))
+    assert [c.check_id for c in rep.checks if not c.passed] == []
+    # 1e-14 of the spectral scale, where one unsplit row misses by ~q^2
+    disp = next(c for c in rep.checks if c.check_id == "lattice.dispersion")
+    assert disp.value <= 1e-5 * disp.tol
 
 
 # ----- memory -----------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fermimass import ModelError, build_vacuum_connection, ew_reference, load_model, mass_matrix
-from fermimass import minimize, relative_curvature, resolve_model, save_model
+from fermimass import minimize, relative_curvature, reports, resolve_model, save_model
 from fermimass.model_config import ModelConfig, decode_array, encode_complex, validate_model
 from fermimass.tolerances import DEFAULT
 from conftest import mexican_hat_coeffs
@@ -96,6 +96,28 @@ def test_wrong_schema_version(tmp_path):
     doc = ew_reference().to_json_dict()
     doc["schema_version"] = 99
     _dump_and_expect(tmp_path, doc, "schema_version")
+
+
+@pytest.mark.parametrize("version, message", [
+    (5, "schema_version: 5 unsupported, this build reads 1"),
+    ("1", "schema_version: unexpected type str"),
+    (True, "schema_version: unexpected type bool"),
+], ids=["five", "string", "bool"])
+def test_build_checks_the_schema_version_like_the_file(tmp_path, version, message):
+    # a config built in Python is not read by from_json_dict, whose check
+    # comes first for a file
+    cfg = ew_reference()
+    cfg.schema_version = version
+    with pytest.raises(ModelError) as err:
+        cfg.build()
+    assert str(err.value) == message
+    with pytest.raises(ModelError):
+        reports.Run(cfg)
+    path = tmp_path / "model.json"
+    save_model(cfg, path)
+    with pytest.raises(ModelError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}.{message}"
 
 
 def test_missing_key_addressed(tmp_path):

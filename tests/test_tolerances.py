@@ -34,6 +34,14 @@ def test_every_tolerance_is_read(name):
     assert re.search(rf"\b(tol|DEFAULT)\.{name}\b", _program_text()), f"Tolerances.{name} is never read"
 
 
+def test_every_tolerance_read_names_a_field():
+    # the converse: a read of a removed knob, say in a check that runs only
+    # for a Wilson line, would raise an AttributeError on that path alone
+    known = {f.name for f in fields(Tolerances)} | {"scale", "with_overrides"}
+    read = set(re.findall(r"\b(?:tol|DEFAULT)\.(\w+)", _program_text()))
+    assert read and read - known == set()
+
+
 def _public_callables():
     """(qualified name, callable) for every public function, class and
     public method defined in a fermimass module."""
