@@ -18,11 +18,11 @@ level keys, each a ModelConfig field that holds the section as written:
 ``algebra.representations`` maps a name to the list, one entry per
 generator, of rep_dim x rep_dim matrices.  ``higgs.potential`` is one of
 POTENTIAL_KINDS, file syntax only: build() turns it and ``higgs.params``
-into the ascending coefficients of p(s) that HiggsModel holds.  All
-numeric invariants (anti-Hermiticity, closure, bounded potential, tensor
-shapes, finite numbers) are re-validated on build and reported with the
-JSON path of the offending entry; so is any key an object of the file
-does not take.
+into the ascending coefficients of p(s) that HiggsModel holds.  Every
+input rule (anti-Hermiticity, bounded potential, tensor shapes, finite
+numbers) is checked on build and reported with the JSON path of the
+offending entry; so is any key an object of the file does not take.
+The algebra's closure and the potential's invariance are check verdicts.
 """
 
 import json
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import build_clifford
-from .group_rep import LieAlgebraRep
+from .group_rep import LieAlgebraRep, direct_sum
 from .higgs_vacuum import HiggsModel, invariance_residual
 from .lattice_dirac import DERIVATIVE_KINDS, TorusLattice, spacing_fits
 from .tolerances import DEFAULT, Tolerances, finite_number, shown
@@ -133,6 +133,8 @@ class BuiltModel:
     """The runtime objects of a model file, each section parsed once by
     ModelConfig.build."""
 
+    # the direct sum of every representation of algebra.representations
+    algebra: LieAlgebraRep
     higgs: HiggsModel
     seed: np.ndarray
     frep: ChiralFermionRep
@@ -140,7 +142,7 @@ class BuiltModel:
     lattice: TorusLattice
     # wilson.theta as a (2n, width) array, or None without a Wilson line
     theta: np.ndarray
-    # DEFAULT with the model's overrides, unscaled
+    # DEFAULT with the model's overrides, times the run's tolerance scale
     tol: Tolerances
 
     def wilson_fields(self, vac):
@@ -217,12 +219,12 @@ class ModelConfig:
             # the path names the representation; the label's prefix would repeat it
             raise ModelError(f"{path}: {str(exc).removeprefix(f'{name}: ')}") from exc
 
-    def build(self):
+    def build(self, tol_scale=1.0):
         """The model's runtime objects, each section parsed once, in the order
         that fixes a bad file's first error: the schema version, the
-        algebra's keys and generator labels, the tolerances, the
-        representations (whose checks read the tolerances), higgs,
-        fermions, yukawa, lattice and wilson.theta.
+        algebra's keys and generator labels, the tolerances (the overrides
+        times tol_scale), the representations (whose checks read them),
+        higgs, fermions, yukawa, lattice and wilson.theta.
         fermions.grading is only a consistency check, accepted only as [1] *
         n_left + [-1] * n_right; the chirality of each fermion follows from
         rep_left and rep_right, and nothing reads the key."""
@@ -234,7 +236,7 @@ class ModelConfig:
         if not labels or not all(isinstance(v, str) for v in labels):
             raise ModelError(f"{path}.generator_labels: expected a non-empty list of strings")
         names = _require(self.algebra, "representations", path, dict)
-        tol = self.build_tolerances()
+        tol = self.build_tolerances().scale(tol_scale)
         reps = {name: self.build_rep(name, tol) for name in names}
 
         def rep(section, path, key):
@@ -300,7 +302,9 @@ class ModelConfig:
         ymap = YukawaMap(tensor=tensor, conj_flags=tuple(flags))
 
         lattice = self.build_lattice()
-        return BuiltModel(higgs, seed, frep, ymap, lattice, self.wilson_theta(lattice.dim), tol)
+        # higgs.rep has named a defined representation, so there is one
+        algebra = direct_sum(reps.values())
+        return BuiltModel(algebra, higgs, seed, frep, ymap, lattice, self.wilson_theta(lattice.dim), tol)
 
     # the forwarding builders below each parse the whole model anew
 
@@ -363,16 +367,9 @@ class ModelConfig:
             raise ModelError(f"tolerances: {exc}") from exc
 
 
-def validate_model(cfg):
-    """cfg.build(), its potential checked for invariance; return the BuiltModel."""
-    built = cfg.build()
-    res = invariance_residual(built.higgs)
-    if res > built.tol.invariance:
-        raise ModelError(
-            f"higgs: potential is not invariant under the representation "
-            f"(relative residual {res:.3e} > {built.tol.invariance:.0e})"
-        )
-    return built
+def validate_model(cfg, tol_scale=1.0):
+    """cfg.build(tol_scale); closure and invariance are check verdicts."""
+    return cfg.build(tol_scale)
 
 
 def read_model(path):
@@ -390,7 +387,7 @@ def read_model(path):
 
 
 def load_model(path):
-    """Parse and fully validate a model file."""
+    """A model file read and built, every input rule checked; the config."""
     cfg = read_model(path)
     validate_model(cfg)
     return cfg

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import model_config
+from . import group_rep, model_config
 from .clifford import build_clifford
 from .higgs_vacuum import SaddleConverged, gradient, hessian, minimize
 from .lattice_dirac import (
@@ -235,9 +235,9 @@ class Run:
 
     def __init__(self, cfg, tol_scale=1.0):
         self.cfg = cfg
-        # looked up on the module, where a tracer can wrap it
-        self.model = model_config.validate_model(cfg)
-        self.tol = self.model.tol.scale(tol_scale)
+        # looked up on the module, where a tracer can wrap it; model.tol is
+        # the run's one set of tolerances
+        self.model = model_config.validate_model(cfg, tol_scale)
         self._stages = {}
         # set by require_lattice_fits once the lattice is known to fit
         self.lattice_fits = False
@@ -256,10 +256,10 @@ class Run:
 
     def vacuum(self):
         m = self.model
-        return self.stage("vacuum.minimum_found", minimize, m.higgs, m.seed, self.tol)
+        return self.stage("vacuum.minimum_found", minimize, m.higgs, m.seed, m.tol)
 
     def mass_data(self):
-        return self.stage("masses.block_structure", mass_matrix, self.model.ymap, self.vacuum(), self.tol)
+        return self.stage("masses.block_structure", mass_matrix, self.model.ymap, self.vacuum(), self.model.tol)
 
 
 @contextlib.contextmanager
@@ -286,7 +286,7 @@ def _reporting(command, run):
 def cmd_break(run):
     """Minimize the potential and report the symmetry-breaking pattern."""
     with _reporting("break", run) as rep:
-        tol, higgs = run.tol, run.model.higgs
+        tol, higgs = run.model.tol, run.model.higgs
         vac = run.vacuum()
         grad_norm = float(np.linalg.norm(gradient(higgs, vac.z0)))
         scale = max(1.0, float(np.linalg.norm(vac.z0)))
@@ -327,7 +327,7 @@ def cmd_break(run):
 def cmd_masses(run):
     """Mass matrix, eigenbundle decomposition, and the structural checks."""
     with _reporting("masses", run) as rep:
-        tol, m = run.tol, run.model
+        tol, m = run.model.tol, run.model
         equiv = check_equivariance(m.ymap, m.higgs.rep, m.frep)
         rep.add(residual_check("masses.equivariance", equiv, tol.equivariance))
         vac, md = run.vacuum(), run.mass_data()
@@ -411,7 +411,7 @@ def cmd_lattice(run):
     if not run.lattice_fits:
         require_lattice_fits(run)
     with _reporting("lattice", run) as rep:
-        tol, lat, frep = run.tol, run.model.lattice, run.model.frep
+        tol, lat, frep = run.model.tol, run.model.lattice, run.model.frep
         vac, md = run.vacuum(), run.mass_data()
         cl = build_clifford(lat.n)
         fields = run.model.wilson_fields(vac)
@@ -464,7 +464,8 @@ def cmd_verify_all(run):
     """Run every command; passes only when each constituent check passes."""
     require_lattice_fits(run)
     with _reporting("verify-all", run) as rep:
-        for name, command in (("break", cmd_break), ("masses", cmd_masses), ("lattice", cmd_lattice)):
+        for name, command in (("check", cmd_check), ("break", cmd_break), ("masses", cmd_masses),
+                              ("lattice", cmd_lattice)):
             try:
                 rep.extend_prefixed(name, command(run))
             except FloatingPointError as exc:
@@ -474,15 +475,21 @@ def cmd_verify_all(run):
 
 
 def cmd_check(run):
-    """Load-time validation summary (validation itself ran during load)."""
+    """The model's own verdicts: its representations close as one algebra,
+    and its potential is invariant."""
     with _reporting("check", run) as rep:
-        rep.add(Check("model.valid", 0.0, 0.0, True, "schema and invariants re-validated on load"))
+        m, lat = run.model, run.model.lattice
+        # both looked up on a module, where a tracer can wrap them
+        rep.add(residual_check("model.closure", group_rep.closure_residual(m.algebra.generators),
+                               m.tol.closure, "one closure over the direct sum of every representation"))
+        rep.add(residual_check("model.invariance", model_config.invariance_residual(m.higgs), m.tol.invariance))
         rep.data.update(
             {
                 "label": run.cfg.algebra["label"],
                 "generators": list(run.cfg.algebra["generator_labels"]),
                 "representations": sorted(run.cfg.algebra["representations"]),
-                "lattice": dict(run.cfg.lattice),
+                "lattice": {"n": lat.n, "sites_per_dim": lat.L, "spacing": lat.a,
+                            "derivative": lat.derivative_kind},
             }
         )
     return rep

@@ -1,12 +1,12 @@
 """Central registry of numerical tolerances.
 
-Every check in the package pulls its default threshold from here, so a
-per-model override table reaches all of them, and a single scale factor
-(CLI flag --tol-scale) every residual bound among them.  Field names
-double as the override keys accepted in model files.  A library function
-that tests a threshold takes one tol argument, a Tolerances that defaults
-to DEFAULT, and reads its own field from it; the reports pass the run's
-tolerances.
+Every check in the package pulls its default threshold from here.  A run
+holds one set, built once by ModelConfig.build: the model's overrides,
+with every residual bound times the scale factor (CLI flag --tol-scale).
+Field names double as the override keys accepted in model files.  A
+library function that tests a threshold takes one tol argument, a
+Tolerances that defaults to DEFAULT, and reads its own field from it;
+the reports pass the run's set.
 """
 
 import math

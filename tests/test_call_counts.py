@@ -89,15 +89,16 @@ def counts(monkeypatch):
 def test_verify_all_builds_each_object_once(counts, capsys):
     assert cli.main(["verify-all", "--model", "ew-reference"]) == 0
     # one parse of the model, which reads each section once; three
-    # representations, each decoded once, plus the fermions' direct sum,
-    # each with one least-squares closure solve; the Wilson line's fields
+    # representations, each decoded once, plus the fermions' direct sum and
+    # the direct sum of all three, whose one least-squares solve is the
+    # check's closure verdict; the Wilson line's fields
     # and momentum shifts are computed once; one stacked exp_map samples
     # the potential's invariance and the orbit lemma makes one per
     # representation; the lattice's derivative row is computed once for the
     # Dirac operator, both connections and the curvature; the memory guard
     # runs once, before anything is computed
     assert counts == {"build": 1, "build_rep": 3, "build_lattice": 1, "wilson_theta": 1,
-                      "build_tolerances": 1, "__post_init__": 4, "lstsq": 4, "minimize": 1,
+                      "build_tolerances": 1, "__post_init__": 5, "lstsq": 1, "minimize": 1,
                       "mass_matrix": 1, "require_lattice_fits": 1, "branch_momentum_shifts": 1,
                       "wilson_fields": 1, "exp_map": 3, "derivative_row": 1}
 

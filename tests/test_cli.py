@@ -5,10 +5,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from fermimass import ModelConfig, ew_reference, reports, save_model
 from fermimass.cli import main
+from fermimass.model_config import encode_complex
 
 
 @pytest.fixture()
@@ -215,6 +217,60 @@ def test_tol_scale_tightening_fails(capsys, model_path):
     # residuals around 1e-14 exceed tolerances scaled down by 1e-12
     code, out, _ = run(capsys, "verify-all", "--model", model_path, "--tol-scale", "1e-12")
     assert code == 1
+
+
+def test_check_holds_the_model_residuals_to_the_scaled_tolerances(capsys, model_path):
+    # the closure (2.2e-16) and invariance (2.1e-15) residuals exceed their
+    # bounds times 1e-20: failing verdicts of a report, not an input error
+    code, out, err = run(capsys, "check", "--model", model_path, "--tol-scale", "1e-20")
+    assert (code, err) == (1, "")
+    failed = {c["id"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert failed == {"model.closure", "model.invariance"}
+
+
+def non_closing_model():
+    """ew-reference with lepton_left's third generator -i diag(1, 2), whose
+    commutators with the first two leave the span."""
+    cfg = ew_reference()
+    cfg.algebra["representations"]["lepton_left"][2] = encode_complex(-1j * np.diag([1.0, 2.0]))
+    return cfg
+
+
+def swapped_model():
+    """ew-reference with lepton_left's T1 and T2 swapped: each representation
+    closes on its own, lepton_left with structure constants of the other
+    sign, so together they represent no one algebra."""
+    cfg = ew_reference()
+    gens = cfg.algebra["representations"]["lepton_left"]
+    gens[0], gens[1] = gens[1], gens[0]
+    return cfg
+
+
+@pytest.mark.parametrize("model", [non_closing_model, swapped_model], ids=["non-closing", "swapped"])
+def test_an_algebra_that_does_not_close_is_a_failing_verdict(capsys, tmp_path, model):
+    path = tmp_path / "model.json"
+    save_model(model(), path)
+    for command, prefix in (("check", ""), ("verify-all", "check.")):
+        code, out, err = run(capsys, command, "--model", str(path))
+        assert (code, err) == (1, ""), command
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert checks[f"{prefix}model.closure"]["value"] == pytest.approx(1.0)
+        assert not checks[f"{prefix}model.closure"]["passed"]
+        assert checks[f"{prefix}model.invariance"]["passed"]
+
+
+def test_check_reports_the_lattice_it_runs_with(capsys, tmp_path):
+    # a file without lattice.derivative runs with the default kind, and an
+    # integer spacing as a float
+    doc = ew_reference().to_json_dict()
+    del doc["lattice"]["derivative"]
+    doc["lattice"]["spacing"] = 1
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", "--model", str(model))
+    assert code == 0
+    assert json.dumps(json.loads(out)["data"]["lattice"], sort_keys=True) == (
+        '{"derivative": "fourier_spectral", "n": 1, "sites_per_dim": 4, "spacing": 1.0}')
 
 
 @pytest.mark.parametrize("scale, rule", [("0", "positive"), ("-1", "positive"),
@@ -447,6 +503,18 @@ def test_overflow_mid_run_names_its_stage(capsys, tmp_path, path, value, message
     assert run(capsys, "verify-all", "--model", str(model)) == (2, "", f"error: {message}\n")
 
 
+def test_overflow_in_the_model_check_names_the_check_stage(capsys, tmp_path):
+    # lepton_left's T1 times 1e300 stays anti-Hermitian, and the closure's
+    # commutators overflow in verify-all's first stage
+    cfg = ew_reference()
+    cfg.algebra["representations"]["lepton_left"][0] = encode_complex(-0.5e300j * np.array([[0, 1], [1, 0]]))
+    path = tmp_path / "model.json"
+    save_model(cfg, path)
+    assert run(capsys, "check", "--model", str(path)) == (2, "", "error: overflow encountered in multiply\n")
+    assert run(capsys, "verify-all", "--model", str(path)) == (
+        2, "", "error: overflow encountered in multiply (in the check stage)\n")
+
+
 def test_overflow_in_the_minimizer_names_the_break_stage(capsys, monkeypatch, model_path):
     # no finite seed overflows the minimizer any more, so force the error
     def overflow(*args):
@@ -537,13 +605,16 @@ def test_unknown_keys_are_input_errors(capsys, tmp_path, path, value, where):
 def test_anti_hermitian_override_reaches_the_representations(capsys, tmp_path, rep):
     # one generator entry moved by 1e-11 gives |X + X^dagger| = 2e-11, over
     # the default 1e-12; the left fermions meet it again in their direct sum
+    # the bound is the scaled one, so --tol-scale 1e-6 takes the override
+    # back to 1e-12
     doc = ew_reference().to_json_dict()
     doc["algebra"]["representations"][rep][2][0][0][0] += 1e-11
     model = tmp_path / "model.json"
-    for overrides, expected in (({}, 2), ({"anti_hermitian": 1e-6}, 0)):
+    for overrides, scale, expected in (({}, "1", 2), ({"anti_hermitian": 1e-6}, "1", 0),
+                                       ({"anti_hermitian": 1e-6}, "1e-6", 2)):
         doc["tolerances"] = overrides
         model.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "check", "--model", str(model))
+        code, _, err = run(capsys, "check", "--model", str(model), "--tol-scale", scale)
         assert code == expected, err
         assert ("not anti-Hermitian" in err) == (expected == 2)
 

@@ -157,7 +157,7 @@ def test_verdict_changes_name_each_flipped_flag_and_exit_code(filename, flip):
     # an input error's empty report drops every check
     gone = verdict_changes("case", filename, (0, text), (2, ""))
     assert gone[0] == "case: exit 0 -> 2"
-    assert len(gone) == 1 + len(verdicts(text, filename)) == 16
+    assert len(gone) == 1 + len(verdicts(text, filename)) == 18
     assert all(line.endswith("passed True -> None") for line in gone[1:])
 
 

@@ -10,7 +10,7 @@ from fermimass import (
     exp_map,
     isotropy_algebra,
 )
-from fermimass.group_rep import orbit_directions
+from fermimass.group_rep import closure_residual, orbit_directions
 from conftest import S1, S2, S3, ew_rep, su2_doublet
 
 
@@ -47,12 +47,13 @@ def test_stacks_are_read_only(ew_higgs, ew_vac):
             stack[0] = 0.0
 
 
-def test_rejects_non_closing_generators():
-    # [X1, X2] for these two leaves their real span
+def test_accepts_generators_that_do_not_close():
+    # [X1, X2] for these two leaves their real span; closure is a verdict
+    # of the model's check report, not a construction error
     X1 = -0.5j * S1
     X2 = -1j * np.diag([1.0, 2.0])
-    with pytest.raises(ValueError, match="close"):
-        LieAlgebraRep(generators=(X1, X2), label="open")
+    rep = LieAlgebraRep(generators=(X1, X2), label="open")
+    assert closure_residual(rep.generators) > 0.1
 
 
 def test_su2_closure_and_dims():

@@ -6,6 +6,7 @@ import pytest
 
 from fermimass import ModelError, build_vacuum_connection, ew_reference, load_model, mass_matrix
 from fermimass import minimize, relative_curvature, reports, resolve_model, save_model
+from fermimass.cli import main
 from fermimass.model_config import ModelConfig, decode_array, encode_complex, validate_model
 from fermimass.tolerances import DEFAULT
 from conftest import mexican_hat_coeffs
@@ -253,12 +254,18 @@ def test_build_parses_every_section():
     assert cfg.build().theta is None
 
 
-def test_invariance_override_reaches_validation():
-    # the reference potential's invariance residual is about 1e-15
+def test_invariance_override_reaches_validation(tmp_path, capsys):
+    # the reference potential's invariance residual is about 1e-15: a
+    # failing verdict of the check report, not an input error
     cfg = ew_reference()
     cfg.tolerances = {"invariance": 1e-30}
-    with pytest.raises(ModelError, match="not invariant"):
-        validate_model(cfg)
+    path = tmp_path / "model.json"
+    save_model(cfg, path)
+    assert main(["check", "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert err == "" and checks["model.closure"]["passed"]
+    assert (checks["model.invariance"]["passed"], checks["model.invariance"]["tol"]) == (False, 1e-30)
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -94,6 +94,19 @@ def test_scale_multiplies_the_bounds_and_leaves_the_decision_cuts():
     assert scaled.nullspace_cut == 1e-6
 
 
+def test_every_verdict_scales_with_the_run(capsys):
+    # a check whose tol does not follow --tol-scale reads a bound that the
+    # run did not scale
+    tols = []
+    for factor in ("1", "1e-3"):
+        assert main(["verify-all", "--model", "ew-reference", "--tol-scale", factor]) in (0, 1)
+        tols.append({c["id"]: c["tol"] for c in json.loads(capsys.readouterr().out)["checks"]})
+    one, scaled = tols
+    assert list(scaled) == list(one) and "check.model.closure" in one
+    for check_id, tol in one.items():
+        assert scaled[check_id] == pytest.approx(1e-3 * tol, rel=1e-12, abs=0.0), check_id
+
+
 @pytest.mark.parametrize("factor", ["1e8", "1e9", "1e12", "1e308"])
 def test_a_looser_tol_scale_keeps_the_reference_passing(capsys, factor):
     # scaled, the saddle floor and the eigenbundle grouping made the vacuum
